@@ -33,6 +33,7 @@ from .constructors import (
     GcParameters,
     algorithm1,
     algorithm2,
+    ct_parameters,
     nnc_pda,
 )
 from .mapreduce import (
@@ -58,6 +59,16 @@ EXIT_OK = 0
 EXIT_REPRO_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DECODE = 3
+
+
+def _flag(args, name: str):
+    """The value of an optional flag the chosen family requires."""
+    value = getattr(args, name)
+    if value is None:
+        raise ConstructionError(
+            f"--{name} is required for {args.command} {args.family}"
+        )
+    return value
 
 
 def _parse_kvec(text: str) -> tuple[int, ...]:
@@ -89,12 +100,12 @@ def _default_seed(value) -> int:
 def cmd_construct(args) -> int:
     r = int(args.r)
     if args.family == "alg1":
-        arr = algorithm1(args.mappers, r, args.alpha)
+        arr = algorithm1(args.mappers, r, _flag(args, "alpha"))
     elif args.family == "alg2":
-        params = GcParameters(args.mappers, r, _parse_kvec(args.kvec))
+        params = GcParameters(args.mappers, r, _parse_kvec(_flag(args, "kvec")))
         arr = algorithm2(params)
     else:
-        arr = nnc_pda(args.mappers, r, args.alpha)
+        arr = nnc_pda(args.mappers, r, _flag(args, "alpha"))
     text = arr.serialize()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -172,30 +183,26 @@ def cmd_loads(args) -> int:
     fam = args.family
     out: dict = {"topology": fam, "Lambda": args.mappers}
     if fam == "ct":
-        r = int(args.r)
-        ach = ct_load(args.mappers, r, args.alpha)
-        kvec = tuple(
-            1 if a == args.alpha else 0
-            for a in range(1, args.mappers - r + 1)
-        )
-        low = gc_lower_bound(GcParameters(args.mappers, r, kvec))
-        out.update(r=r, alpha=args.alpha)
+        r, alpha = int(args.r), _flag(args, "alpha")
+        ach = ct_load(args.mappers, r, alpha)
+        low = gc_lower_bound(ct_parameters(args.mappers, r, alpha))
+        out.update(r=r, alpha=alpha)
     elif fam == "nnc":
-        r = int(args.r)
-        ach = nnc_load(args.mappers, r, args.alpha)
+        r, alpha = int(args.r), _flag(args, "alpha")
+        ach = nnc_load(args.mappers, r, alpha)
         low = None
-        out.update(r=r, alpha=args.alpha)
+        out.update(r=r, alpha=alpha)
     elif fam == "gc":
         r = int(args.r)
-        params = GcParameters(args.mappers, r, _parse_kvec(args.kvec))
+        params = GcParameters(args.mappers, r, _parse_kvec(_flag(args, "kvec")))
         ach = gc_load(params)
         low = gc_lower_bound(params)
         out.update(r=r, kvec=list(params.multiplicities))
     else:  # be, where fractional r interpolates between corners
-        r = Fraction(args.r)
-        ach = be_load(args.mappers, args.alpha, r)
-        low = be_lower_bound(args.mappers, args.alpha, r)
-        out.update(r=str(r), alpha=args.alpha)
+        r, alpha = Fraction(args.r), _flag(args, "alpha")
+        ach = be_load(args.mappers, alpha, r)
+        low = be_lower_bound(args.mappers, alpha, r)
+        out.update(r=str(r), alpha=alpha)
     out["L_achievable"] = format_rational(ach)
     out["L_achievable_decimal"] = round(float(ach), 6)
     if low is not None:
@@ -210,10 +217,7 @@ def _sweep_rows(args):
     if args.family == "ct":
         for alpha in range(1, lam):
             for r in range(1, lam - alpha + 1):
-                kvec = tuple(
-                    1 if a == alpha else 0 for a in range(1, lam - r + 1)
-                )
-                low = gc_lower_bound(GcParameters(lam, r, kvec))
+                low = gc_lower_bound(ct_parameters(lam, r, alpha))
                 yield ("ct", lam, r, str(alpha), ct_load(lam, r, alpha), low)
     elif args.family == "nnc":
         for r in range(1, lam + 1):
@@ -233,7 +237,7 @@ def _sweep_rows(args):
                     be_lower_bound(lam, alpha, r),
                 )
     else:  # gc
-        ks = _parse_kvec(args.kvec)
+        ks = _parse_kvec(_flag(args, "kvec"))
         if len(ks) != lam - 1:
             raise ConstructionError(
                 f"gc sweep needs {lam - 1} multiplicities, got {len(ks)}"
@@ -386,9 +390,8 @@ def _repro_checks():
     # 5. optimality corner alpha = mappers - r
     for lam, r in ((4, 2), (5, 2), (6, 3)):
         alpha = lam - r
-        kvec = tuple(1 if a == alpha else 0 for a in range(1, lam - r + 1))
         ach = ct_load(lam, r, alpha)
-        low = gc_lower_bound(GcParameters(lam, r, kvec))
+        low = gc_lower_bound(ct_parameters(lam, r, alpha))
         add(
             ach == low,
             f"optimal corner ({lam},{r},{alpha})",

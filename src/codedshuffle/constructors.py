@@ -29,6 +29,8 @@ from .arrays import STAR, CodedArray
 __all__ = [
     "ConstructionError",
     "GcParameters",
+    "ct_parameters",
+    "check_nnc_parameters",
     "lex_rank",
     "lex_unrank",
     "algorithm1",
@@ -94,10 +96,7 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     C(mappers, alpha+r) symbols.
     """
     lam = mappers
-    if not 1 <= alpha <= lam - 1:
-        raise ConstructionError(f"alpha must be in [1, {lam - 1}], got {alpha}")
-    if not 1 <= r <= lam - alpha:
-        raise ConstructionError(f"r must be in [1, {lam - alpha}], got {r}")
+    ct_parameters(lam, r, alpha)
     row_sets = list(combinations(range(lam), r))
     col_sets = list(combinations(range(lam), alpha))
     grid = np.full((len(row_sets), len(col_sets)), STAR, dtype=np.int64)
@@ -163,6 +162,21 @@ class GcParameters:
         )
 
 
+def ct_parameters(mappers: int, r: int, alpha: int) -> GcParameters:
+    """The subset topology as multiplicities: one reducer per alpha-subset.
+
+    This is where the family's parameter rules live (alpha in
+    [1, mappers-1], r in [1, mappers-alpha]); every subset-topology entry
+    point checks them through here.
+    """
+    lam = mappers
+    if not 1 <= alpha <= lam - 1:
+        raise ConstructionError(f"alpha must be in [1, {lam - 1}], got {alpha}")
+    if not 1 <= r <= lam - alpha:
+        raise ConstructionError(f"r must be in [1, {lam - alpha}], got {r}")
+    return GcParameters(lam, r, tuple(int(a == alpha) for a in range(1, lam - r + 1)))
+
+
 def algorithm2(params: GcParameters) -> CodedArray:
     """Concatenate symbol-offset copies of the per-alpha blocks.
 
@@ -200,6 +214,19 @@ def algorithm2(params: GcParameters) -> CodedArray:
 # published arrays cell-for-cell.  Some parameter sets admit a fill only
 # without the band alignment (or not at all), so a full-size search backs
 # the reduced one up.
+
+
+def check_nnc_parameters(mappers: int, r: int, alpha: int) -> None:
+    """Parameter rules shared by every use of the wrap-around family."""
+    lam = mappers
+    if lam < 2 or r < 1 or alpha < 1:
+        raise ConstructionError("need mappers >= 2, r >= 1, alpha >= 1")
+    if lam % r != 0:
+        raise ConstructionError(f"r must divide the mapper count ({r} | {lam} fails)")
+    if alpha >= lam // r:
+        raise ConstructionError(
+            f"alpha must be smaller than mappers/r = {lam // r}, got {alpha}"
+        )
 
 
 def _cell_compatible(
@@ -281,15 +308,8 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     with (mappers - alpha*r) * (mappers - (alpha-1)*r) / 2 symbols.
     """
     lam = mappers
-    if lam < 2 or r < 1 or alpha < 1:
-        raise ConstructionError("need mappers >= 2, r >= 1, alpha >= 1")
-    if lam % r != 0:
-        raise ConstructionError(f"r must divide the mapper count ({r} | {lam} fails)")
+    check_nnc_parameters(lam, r, alpha)
     n = lam // r
-    if alpha >= n:
-        raise ConstructionError(
-            f"alpha must be smaller than mappers/r = {n}, got {alpha}"
-        )
     d = lam - (alpha - 1) * r
     if (2 * lam) % d != 0:
         raise ConstructionError(

@@ -1,111 +1,15 @@
-"""Hot validation kernels.
+"""Validation kernel: the numpy pairwise crossing-condition scan.
 
-The pairwise star-crossing scan is the only part of array validation whose
-cost grows quadratically with symbol multiplicity, so it is compiled with
-numba when available.  Setting ``CODEDSHUFFLE_NO_NUMBA=1`` (or running
-without numba installed) selects the pure-numpy fallback; both paths return
-bit-identical results.
+The scan over equal-symbol cell pairs is the only part of array validation
+whose cost grows quadratically with symbol multiplicity; it checks all pairs
+of one symbol in a single vectorized pass.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 STAR = -1
-
-_ENV_FLAG = "CODEDSHUFFLE_NO_NUMBA"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    """True when the jitted kernel path is active."""
-    if not _HAVE_NUMBA:
-        return False
-    return os.environ.get(_ENV_FLAG, "").lower() not in ("1", "true", "yes")
-
-
-@njit(cache=True)
-def _pair_scan_jit(grid, fs, ks, order, starts):  # pragma: no cover - jitted
-    # Cells are indexed in row-major scan order; `order`/`starts` group them
-    # by symbol while preserving that order.  The first violating pair per
-    # group is its (later, earlier) lexicographic minimum; groups are then
-    # reduced to the global minimum.
-    best_j = -1
-    best_i = -1
-    best_code = 0
-    for gidx in range(starts.shape[0] - 1):
-        lo = starts[gidx]
-        hi = starts[gidx + 1]
-        found = False
-        for jj in range(lo + 1, hi):
-            j = order[jj]
-            f2 = fs[j]
-            k2 = ks[j]
-            for ii in range(lo, jj):
-                i = order[ii]
-                f1 = fs[i]
-                k1 = ks[i]
-                code = 0
-                if f1 == f2 or k1 == k2:
-                    code = 1
-                elif grid[f1, k2] != STAR or grid[f2, k1] != STAR:
-                    code = 2
-                if code != 0:
-                    if best_j == -1 or j < best_j or (j == best_j and i < best_i):
-                        best_j = j
-                        best_i = i
-                        best_code = code
-                    found = True
-                    break
-            if found:
-                break
-    out = np.empty(3, dtype=np.int64)
-    out[0] = best_code
-    out[1] = best_i
-    out[2] = best_j
-    return out
-
-
-def _pair_scan_numpy(grid, fs, ks, order, starts):
-    best = None  # (j, i, code)
-    for gidx in range(starts.shape[0] - 1):
-        idx = order[starts[gidx] : starts[gidx + 1]]
-        if idx.shape[0] < 2:
-            continue
-        gf = fs[idx]
-        gk = ks[idx]
-        ii, jj = np.triu_indices(idx.shape[0], k=1)
-        same = (gf[ii] == gf[jj]) | (gk[ii] == gk[jj])
-        crossing = (grid[gf[ii], gk[jj]] != STAR) | (grid[gf[jj], gk[ii]] != STAR)
-        viol = same | crossing
-        if not viol.any():
-            continue
-        cand_i = idx[ii[viol]]
-        cand_j = idx[jj[viol]]
-        pos = np.lexsort((cand_i, cand_j))[0]
-        code = 1 if same[viol][pos] else 2
-        cand = (int(cand_j[pos]), int(cand_i[pos]), code)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
-        return np.array([0, -1, -1], dtype=np.int64)
-    return np.array([best[2], best[1], best[0]], dtype=np.int64)
 
 
 def first_pair_violation(grid: np.ndarray):
@@ -120,25 +24,34 @@ def first_pair_violation(grid: np.ndarray):
     cells = np.argwhere(grid != STAR)
     if cells.shape[0] < 2:
         return None
-    fs = np.ascontiguousarray(cells[:, 0])
-    ks = np.ascontiguousarray(cells[:, 1])
+    fs = cells[:, 0]
+    ks = cells[:, 1]
+    # Cells are indexed in row-major scan order; `order` groups them by
+    # symbol while preserving that order within each group.
     syms = grid[fs, ks]
-    order = np.argsort(syms, kind="stable").astype(np.int64)
-    sorted_syms = syms[order]
-    bounds = np.flatnonzero(np.diff(sorted_syms)) + 1
-    starts = np.concatenate(([0], bounds, [order.shape[0]])).astype(np.int64)
-    if numba_enabled():
-        res = _pair_scan_jit(np.ascontiguousarray(grid), fs, ks, order, starts)
-    else:
-        res = _pair_scan_numpy(grid, fs, ks, order, starts)
-    code = int(res[0])
-    if code == 0:
+    order = np.argsort(syms, kind="stable")
+    bounds = np.flatnonzero(np.diff(syms[order])) + 1
+    starts = [0, *bounds.tolist(), order.shape[0]]
+    best = None  # (j, i, code) of the first violation, j the later cell
+    for lo, hi in zip(starts, starts[1:]):
+        if hi - lo < 2:
+            continue
+        idx = order[lo:hi]
+        gf = fs[idx]
+        gk = ks[idx]
+        ii, jj = np.triu_indices(idx.shape[0], k=1)
+        same = (gf[ii] == gf[jj]) | (gk[ii] == gk[jj])
+        crossing = (grid[gf[ii], gk[jj]] != STAR) | (grid[gf[jj], gk[ii]] != STAR)
+        viol = same | crossing
+        if not viol.any():
+            continue
+        cand_i = idx[ii[viol]]
+        cand_j = idx[jj[viol]]
+        pos = np.lexsort((cand_i, cand_j))[0]
+        cand = (int(cand_j[pos]), int(cand_i[pos]), 1 if same[viol][pos] else 2)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    if best is None:
         return None
-    i, j = int(res[1]), int(res[2])
+    j, i, code = best
     return code, (int(fs[i]), int(ks[i])), (int(fs[j]), int(ks[j]))
-
-
-def warm_up() -> None:
-    """Trigger jit compilation on a toy grid so later calls run at speed."""
-    demo = np.array([[STAR, 0], [0, STAR]], dtype=np.int64)
-    first_pair_violation(demo)

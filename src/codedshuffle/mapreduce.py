@@ -20,7 +20,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .arrays import STAR, CodedArray, compute_stats, validate_mra
-from .constructors import ConstructionError, GcParameters
+from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
     "MapReduceGraph",
@@ -91,15 +91,7 @@ def mrg_canonical(arr: CodedArray) -> MapReduceGraph:
 
 def mrg_ct(mappers: int, r: int, alpha: int) -> MapReduceGraph:
     """Combinatorial topology: one reducer per alpha-subset of mappers."""
-    if not 1 <= alpha <= mappers - 1 or not 1 <= r <= mappers - 1:
-        raise ConstructionError("need r, alpha in [1, mappers-1]")
-    return mrg_gc(
-        GcParameters(
-            mappers,
-            r,
-            tuple(1 if a == alpha else 0 for a in range(1, mappers - r + 1)),
-        )
-    )
+    return mrg_gc(ct_parameters(mappers, r, alpha))
 
 
 def mrg_gc(params: GcParameters) -> MapReduceGraph:
@@ -126,14 +118,7 @@ def mrg_nnc(mappers: int, r: int, alpha: int) -> MapReduceGraph:
     """Wrap-around topology: r consecutive batches per mapper, alpha
     consecutive mappers per reducer."""
     lam = mappers
-    if lam < 2 or r < 1 or alpha < 1:
-        raise ConstructionError("need mappers >= 2, r >= 1, alpha >= 1")
-    if lam % r != 0:
-        raise ConstructionError(f"r must divide the mapper count ({r} | {lam} fails)")
-    if alpha >= lam // r:
-        raise ConstructionError(
-            f"alpha must be smaller than mappers/r = {lam // r}"
-        )
+    check_nnc_parameters(lam, r, alpha)
     storage = tuple(
         frozenset((r * m + j) % lam for j in range(r)) for m in range(lam)
     )

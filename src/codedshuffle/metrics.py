@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .arrays import CodedArray, compute_stats, validate_mra
-from .constructors import ConstructionError, GcParameters
+from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
     "LoadCurve",
@@ -82,21 +82,16 @@ def load_from_array(arr: CodedArray) -> Fraction:
     return total
 
 
-def _check_be_params(mappers: int, alpha: int) -> None:
-    if not 1 <= alpha <= mappers - 1:
-        raise ConstructionError(f"alpha must be in [1, {mappers - 1}]")
-
-
 def be_corners(mappers: int, alpha: int) -> LoadCurve:
-    """Achievable corner points for the subset topology, r in [1, L-a+1]."""
-    _check_be_params(mappers, alpha)
+    """Achievable corner points for the subset topology, r in [1, L-a+1].
+
+    The integer corners are :func:`ct_load`; at r = L-a+1 every reducer
+    reads every batch and the load is zero.
+    """
     lam = mappers
-    pts = []
-    for r in range(1, lam - alpha + 2):
-        val = Fraction(
-            comb(lam - alpha, r), comb(lam, r) * (comb(r + alpha, r) - 1)
-        )
-        pts.append((Fraction(r), val))
+    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
+    pts = [(r, ct_load(lam, r, alpha)) for r in range(1, lam - alpha + 1)]
+    pts.append((lam - alpha + 1, 0))
     return LoadCurve(tuple(pts))
 
 
@@ -106,8 +101,8 @@ def be_load(mappers: int, alpha: int, r) -> Fraction:
 
 
 def be_lower_bound_corners(mappers: int, alpha: int) -> LoadCurve:
-    _check_be_params(mappers, alpha)
     lam = mappers
+    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
     pts = []
     for r in range(1, lam - alpha + 2):
         val = Fraction(comb(lam, r + alpha), comb(lam, r) * comb(lam, alpha))
@@ -123,14 +118,7 @@ def be_lower_bound(mappers: int, alpha: int, r) -> Fraction:
 def nnc_load(mappers: int, r: int, alpha: int) -> Fraction:
     """Achievable load of the wrap-around family."""
     lam = mappers
-    if lam < 2 or r < 1 or alpha < 1:
-        raise ConstructionError("need mappers >= 2, r >= 1, alpha >= 1")
-    if lam % r != 0:
-        raise ConstructionError(f"r must divide the mapper count ({r} | {lam} fails)")
-    if alpha >= lam // r:
-        raise ConstructionError(
-            f"alpha must be smaller than mappers/r = {lam // r}"
-        )
+    check_nnc_parameters(lam, r, alpha)
     return Fraction(
         (lam - alpha * r) * (lam - (alpha - 1) * r),
         lam * (lam + (alpha - 1) * r),
@@ -140,10 +128,7 @@ def nnc_load(mappers: int, r: int, alpha: int) -> Fraction:
 def ct_load(mappers: int, r: int, alpha: int) -> Fraction:
     """Achievable load of the subset topology at an integer corner."""
     lam = mappers
-    if not 1 <= alpha <= lam - 1:
-        raise ConstructionError(f"alpha must be in [1, {lam - 1}]")
-    if not 1 <= r <= lam - alpha:
-        raise ConstructionError(f"r must be in [1, {lam - alpha}]")
+    ct_parameters(lam, r, alpha)
     return Fraction(
         comb(lam - alpha, r), comb(lam, r) * (comb(r + alpha, r) - 1)
     )

@@ -6,15 +6,8 @@ import pytest
 
 from codedshuffle import algorithm1, algorithm2, fixture_names, load_fixture, nnc_pda
 from codedshuffle.constructors import ConstructionError, GcParameters
-from codedshuffle.kernels import warm_up
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted scan outside any timed assertion
-    warm_up()
 
 
 @pytest.fixture(scope="session")

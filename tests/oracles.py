@@ -34,6 +34,30 @@ def bf_pair_conditions(grid) -> tuple[bool, bool]:
     return distinct_ok, crossing_ok
 
 
+def bf_first_pair_violation(grid):
+    """First violating equal-symbol pair, ordered by later then earlier cell.
+
+    Cells are the non-star entries in row-major order.  Returns
+    ``(code, (f1, k1), (f2, k2))`` with code 1 for a shared row/column and
+    code 2 for a missing crossing star, or None when no pair violates.
+    """
+    cells = [
+        (f, k)
+        for f in range(len(grid))
+        for k in range(len(grid[0]))
+        if grid[f][k] != STAR
+    ]
+    for j, (f2, k2) in enumerate(cells):
+        for f1, k1 in cells[:j]:
+            if grid[f1][k1] != grid[f2][k2]:
+                continue
+            if f1 == f2 or k1 == k2:
+                return 1, (f1, k1), (f2, k2)
+            if grid[f1][k2] != STAR or grid[f2][k1] != STAR:
+                return 2, (f1, k1), (f2, k2)
+    return None
+
+
 def bf_multiplicities(grid) -> dict[int, int]:
     out: dict[int, int] = {}
     for row in grid:

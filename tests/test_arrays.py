@@ -17,9 +17,14 @@ from codedshuffle import (
     validate_mra,
     validate_pda,
 )
-from codedshuffle.kernels import first_pair_violation, numba_enabled
+from codedshuffle.kernels import first_pair_violation
 
-from oracles import bf_pair_conditions, bf_validate_mra, bf_validate_pda
+from oracles import (
+    bf_first_pair_violation,
+    bf_pair_conditions,
+    bf_validate_mra,
+    bf_validate_pda,
+)
 
 
 def grid(*rows):
@@ -273,23 +278,28 @@ def small_grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_grids())
 def test_pair_scan_matches_bruteforce(g):
-    arr = CodedArray(g)
-    ok_pair = first_pair_violation(arr.grid) is None
-    assert ok_pair == all(bf_pair_conditions(g.tolist()))
+    hit = first_pair_violation(CodedArray(g).grid)
+    assert (hit is None) == all(bf_pair_conditions(g.tolist()))
+    # the exact pair reported: first in row-major order, later cell first
+    assert hit == bf_first_pair_violation(g.tolist())
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_grids())
-def test_numpy_fallback_matches_jit(g):
-    import os
-
-    hit_jit = first_pair_violation(g)
-    os.environ["CODEDSHUFFLE_NO_NUMBA"] = "1"
-    try:
-        assert not numba_enabled()
-        assert first_pair_violation(g) == hit_jit
-    finally:
-        del os.environ["CODEDSHUFFLE_NO_NUMBA"]
+def test_pair_scan_reports_earliest_violation_across_symbols():
+    # Every symbol violates.  Symbol 2's pair (0,0)-(1,1) lacks the crossing
+    # star at (0,1) and ends at scan position 2; symbol 1's pair ends at 3
+    # and symbol 0's (sharing row 2) at 5.  The scan visits symbol groups in
+    # ascending order, but the earliest pair is the highest symbol's.
+    g = np.array(
+        [
+            [2, 1, STAR],
+            [STAR, 2, 1],
+            [0, STAR, 0],
+        ],
+        dtype=np.int64,
+    )
+    hit = (2, (0, 0), (1, 1))
+    assert bf_first_pair_violation(g.tolist()) == hit
+    assert first_pair_violation(g) == hit
 
 
 @settings(max_examples=200, deadline=None)

@@ -53,6 +53,37 @@ def test_construct_precondition_exit_code(run):
     assert "divide" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "alg1", "--lambda", "4", "--r", "2"),
+        ("construct", "nnc", "--lambda", "12", "--r", "2"),
+        ("loads", "ct", "--lambda", "12", "--r", "2"),
+        ("loads", "be", "--lambda", "12", "--r", "5/2"),
+    ],
+    ids=" ".join,
+)
+def test_missing_alpha_exit_code(run, argv):
+    code, _, err = run(*argv)
+    assert code == 2
+    assert "--alpha" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "alg2", "--lambda", "4", "--r", "2"),
+        ("loads", "gc", "--lambda", "4", "--r", "2"),
+        ("sweep", "gc", "--lambda", "6"),
+    ],
+    ids=" ".join,
+)
+def test_missing_kvec_exit_code(run, argv):
+    code, _, err = run(*argv)
+    assert code == 2
+    assert "--kvec" in err
+
+
 def test_validate_json(run, tmp_path):
     path = _write(tmp_path, "mra_irregular")
     code, out, _ = run("validate", path)

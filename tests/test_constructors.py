@@ -11,8 +11,12 @@ from codedshuffle import (
     algorithm1,
     algorithm2,
     compute_stats,
+    ct_load,
     lex_rank,
     lex_unrank,
+    mrg_ct,
+    mrg_nnc,
+    nnc_load,
     nnc_pda,
     shift_symbols,
     validate_l_cyclic,
@@ -213,6 +217,25 @@ def test_nnc_preconditions():
         nnc_pda(12, 2, 6)
     with pytest.raises(ConstructionError, match="integer"):
         nnc_pda(8, 1, 2)  # coding gain 16/7
+
+
+@pytest.mark.parametrize(
+    "callers, point, message",
+    [
+        ((algorithm1, ct_load, mrg_ct), (4, 3, 2), "r must be in [1, 2], got 3"),
+        (
+            (nnc_pda, nnc_load, mrg_nnc),
+            (12, 2, 6),
+            "alpha must be smaller than mappers/r = 6, got 6",
+        ),
+    ],
+    ids=["ct", "nnc"],
+)
+def test_family_rules_raise_one_message(callers, point, message):
+    for caller in callers:
+        with pytest.raises(ConstructionError) as exc:
+            caller(*point)
+        assert str(exc.value) == message, caller.__name__
 
 
 def test_nnc_infeasible_points_raise():
