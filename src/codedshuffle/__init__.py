@@ -34,7 +34,6 @@ from .mapreduce import (
     MapReduceGraph,
     ShuffleTranscript,
     access_pattern,
-    build_mrg,
     choose_iv_bits,
     computation_load,
     mrg_canonical,

@@ -14,8 +14,10 @@ validators check the two classical condition sets:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -55,7 +57,12 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CodedArray:
-    """Immutable F x K grid of stars (-1) and non-negative integer symbols."""
+    """Immutable F x K grid of stars (-1) and non-negative integer symbols.
+
+    Derived facts (star mask, symbols, statistics, star-run starts and the
+    crossing-condition scan) are computed on first use and cached on the
+    instance, so the grid must stay read-only.
+    """
 
     grid: np.ndarray
 
@@ -86,8 +93,7 @@ class CodedArray:
     @cached_property
     def symbols(self) -> tuple[int, ...]:
         """Distinct integer symbols, ascending."""
-        vals = np.unique(self.grid[self.grid != STAR])
-        return tuple(int(v) for v in vals)
+        return tuple(self.stats.multiplicity)
 
     @property
     def symbol_count(self) -> int:
@@ -96,6 +102,40 @@ class CodedArray:
     @property
     def is_normalized(self) -> bool:
         return self.symbols == tuple(range(self.symbol_count))
+
+    @cached_property
+    def stats(self) -> "ArrayStats":
+        """Exact symbol multiplicities, histogram, and star layout."""
+        vals, counts = np.unique(self.grid[~self.star_mask], return_counts=True)
+        histogram = dict(Counter(counts.tolist()))
+        column_stars = self.star_mask.sum(axis=0)
+        return ArrayStats(
+            multiplicity=MappingProxyType(dict(zip(vals.tolist(), counts.tolist()))),
+            histogram=MappingProxyType(histogram),
+            column_stars=tuple(column_stars.tolist()),
+            common_g=next(iter(histogram)) if len(histogram) == 1 else None,
+            cyclic_shift=_cyclic_shift(column_stars, self.star_run_starts, self.rows),
+        )
+
+    @cached_property
+    def star_run_starts(self) -> np.ndarray:
+        """Start row of each column's single cyclic star run, else -1.
+
+        A fully-starred column counts as one run starting at row 0; a column
+        without stars, or whose stars form several runs, gets -1.
+        """
+        mask = self.star_mask
+        begins = mask & ~np.roll(mask, 1, axis=0)
+        starts = np.where(begins.sum(axis=0) == 1, begins.argmax(axis=0), -1)
+        starts[mask.all(axis=0)] = 0
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def pair_scan(self):
+        """:func:`~codedshuffle.kernels.first_pair_violation` of the grid,
+        shared by every validator."""
+        return first_pair_violation(self.grid)
 
     def normalize(self) -> "CodedArray":
         """Relabel symbols onto the dense range [0, S) preserving value order.
@@ -115,7 +155,7 @@ class CodedArray:
         return int(self.grid[f, k])
 
     def column_star_counts(self) -> list[int]:
-        return [int(c) for c in self.star_mask.sum(axis=0)]
+        return list(self.stats.column_stars)
 
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an equal array."""
@@ -160,6 +200,10 @@ class CodedArray:
         return f"CodedArray({self.rows}x{self.cols}, S={self.symbol_count})"
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_DIGITS = len(str(_INT64_MAX))
+
+
 def parse_array(text: str) -> CodedArray:
     """Parse the text exchange format.
 
@@ -189,24 +233,34 @@ def parse_array(text: str) -> CodedArray:
         raise ArrayFormatError(
             f"expected {rows} data rows, found {len(lines) - 1}"
         )
-    grid = np.empty((rows, cols), dtype=np.int64)
+    values = []
     for f, line in enumerate(lines[1:]):
         toks = line.split()
         if len(toks) != cols:
             raise ArrayFormatError(
                 f"row {f} has {len(toks)} entries, expected {cols}"
             )
+        row = []
         for k, tok in enumerate(toks):
             if tok == "*":
-                grid[f, k] = STAR
-            elif tok.isdigit():
-                grid[f, k] = int(tok)
-            else:
+                row.append(STAR)
+                continue
+            if not (tok.isascii() and tok.isdigit()):
                 raise ArrayFormatError(
                     f"token {tok!r} at ({f}, {k}) is neither '*' nor a "
                     "non-negative integer"
                 )
-    return CodedArray(grid)
+            digits = tok
+            if len(tok) >= _INT64_DIGITS:
+                # shorter tokens always fit; int() refuses very long strings
+                digits = tok.lstrip("0") or "0"
+                if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+                    raise ArrayFormatError(
+                        f"token {tok!r} at ({f}, {k}) exceeds the int64 range"
+                    )
+            row.append(int(digits))
+        values.append(row)
+    return CodedArray(np.array(values, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -224,65 +278,23 @@ class ArrayStats:
         return sum(g * n for g, n in self.histogram.items())
 
 
-def _star_run_start(col_mask: np.ndarray) -> int | None:
-    """Start row of the single cyclic star run of a column, if one exists.
+def _cyclic_shift(counts: np.ndarray, starts: np.ndarray, F: int) -> int | None:
+    """Common row shift between consecutive columns' star runs, if any.
 
-    Returns None when the stars do not form one cyclically-consecutive
-    block.  A fully-starred column counts as consecutive with start 0.
+    Requires at least two columns with equal, partial star counts whose
+    stars each form one cyclic run.
     """
-    F = col_mask.shape[0]
-    z = int(col_mask.sum())
-    if z == 0:
+    if (counts != counts[0]).any() or counts[0] in (0, F) or (starts < 0).any():
         return None
-    if z == F:
-        return 0
-    starts = [
-        f for f in range(F) if col_mask[f] and not col_mask[(f - 1) % F]
-    ]
-    if len(starts) != 1:
+    steps = np.diff(starts) % F
+    if steps.size == 0 or (steps != steps[0]).any():
         return None
-    return starts[0]
-
-
-def _detect_cyclic_shift(arr: CodedArray) -> int | None:
-    counts = arr.column_star_counts()
-    z = counts[0]
-    if any(c != z for c in counts) or z == 0 or z == arr.rows:
-        return None
-    starts = []
-    for k in range(arr.cols):
-        s = _star_run_start(arr.star_mask[:, k])
-        if s is None:
-            return None
-        starts.append(s)
-    if arr.cols == 1:
-        return None
-    F = arr.rows
-    shift = (starts[1] - starts[0]) % F
-    for k in range(1, arr.cols):
-        if (starts[k] - starts[k - 1]) % F != shift:
-            return None
-    return shift
+    return int(steps[0])
 
 
 def compute_stats(arr: CodedArray) -> ArrayStats:
-    """Exact symbol multiplicities, histogram, and star layout."""
-    nonstar = arr.grid[arr.grid != STAR]
-    vals, counts = np.unique(nonstar, return_counts=True)
-    multiplicity = {int(v): int(c) for v, c in zip(vals, counts)}
-    histogram: dict[int, int] = {}
-    for c in counts.tolist():
-        histogram[c] = histogram.get(c, 0) + 1
-    common_g = None
-    if multiplicity and len(set(multiplicity.values())) == 1:
-        common_g = next(iter(multiplicity.values()))
-    return ArrayStats(
-        multiplicity=multiplicity,
-        histogram=histogram,
-        column_stars=tuple(arr.column_star_counts()),
-        common_g=common_g,
-        cyclic_shift=_detect_cyclic_shift(arr),
-    )
+    """Exact symbol multiplicities, histogram, and star layout (cached)."""
+    return arr.stats
 
 
 @dataclass(frozen=True)
@@ -321,7 +333,7 @@ _PAIR_TAGS = {1: "C2-1", 2: "C2-2"}
 
 def _pair_checks(arr: CodedArray):
     """Shared crossing-condition scan; returns (c21_ok, c22_ok, violation)."""
-    hit = first_pair_violation(arr.grid)
+    hit = arr.pair_scan
     if hit is None:
         return True, True, None
     code, c1, c2 = hit
@@ -343,7 +355,7 @@ def _first_orphan(arr: CodedArray, multiplicity: Mapping[int, int]):
 
 def validate_mra(arr: CodedArray) -> ValidationReport:
     """Check C1 (every symbol more than once) and the crossing condition."""
-    stats = compute_stats(arr)
+    stats = arr.stats
     c1_ok = bool(stats.multiplicity) and min(stats.multiplicity.values()) >= 2
     c21_ok, c22_ok, pair_viol = _pair_checks(arr)
     violation = None
@@ -394,37 +406,28 @@ def validate_l_cyclic(arr: CodedArray, shift: int) -> ValidationReport:
     each column form one cyclically-consecutive block, and each column's
     block is the previous column's shifted down by ``shift`` rows (mod F).
     """
-    stats = compute_stats(arr)
+    stats = arr.stats
     regular_ok = stats.common_g is not None
     reg_viol = None
     if not regular_ok:
         reg_viol = Violation("C1'")
-    starts: list[int | None] = [
-        _star_run_start(arr.star_mask[:, k]) for k in range(arr.cols)
-    ]
-    consec_ok = all(s is not None for s in starts) and all(
-        c > 0 for c in arr.column_star_counts()
-    )
+    starts = arr.star_run_starts
+    broken = np.flatnonzero(starts < 0)
+    consec_ok = broken.size == 0
     consec_viol = None
     if not consec_ok:
-        bad = next(
-            k
-            for k in range(arr.cols)
-            if starts[k] is None or arr.column_star_counts()[k] == 0
-        )
-        consec_viol = Violation("l-cyclic", column=bad)
+        consec_viol = Violation("l-cyclic", column=int(broken[0]))
     shift_ok = consec_ok
     shift_viol = None
     if consec_ok:
         F = arr.rows
-        counts = arr.column_star_counts()
-        for k in range(1, arr.cols):
-            if counts[k] != counts[k - 1] or (
-                counts[k] < F and (starts[k] - starts[k - 1]) % F != shift % F
-            ):
-                shift_ok = False
-                shift_viol = Violation("l-cyclic", column=k)
-                break
+        counts = np.asarray(stats.column_stars)
+        wrong = (counts[1:] != counts[:-1]) | (
+            (counts[1:] < F) & (np.diff(starts) % F != shift % F)
+        )
+        if wrong.any():
+            shift_ok = False
+            shift_viol = Violation("l-cyclic", column=int(np.argmax(wrong)) + 1)
     return ValidationReport(
         checks={
             "C1'": regular_ok,

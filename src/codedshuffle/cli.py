@@ -21,7 +21,6 @@ from .arrays import (
     ArrayFormatError,
     CodedArray,
     TruncationError,
-    compute_stats,
     parse_array,
     truncate_columns,
     validate_l_cyclic,
@@ -79,7 +78,7 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
 
 
 def _summary_line(arr: CodedArray) -> str:
-    stats = compute_stats(arr)
+    stats = arr.stats
     zs = set(stats.column_stars)
     z = str(stats.column_stars[0]) if len(zs) == 1 else "-"
     g = str(stats.common_g) if stats.common_g is not None else "-"
@@ -125,7 +124,7 @@ def _report_dict(report) -> dict:
 
 def cmd_validate(args) -> int:
     arr = _read_array(args.array)
-    stats = compute_stats(arr)
+    stats = arr.stats
     payload = {
         "F": arr.rows,
         "K": arr.cols,
@@ -316,7 +315,7 @@ def _repro_checks():
     # 1. golden fixture validation
     for name, want_mra, want_pda, want_s, want_g, want_l in _FIXTURE_CHECKS:
         arr = load_fixture(name)
-        stats = compute_stats(arr)
+        stats = arr.stats
         ok = validate_mra(arr).ok == want_mra
         ok &= validate_pda(arr).ok == want_pda
         ok &= arr.symbol_count == want_s

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arrays import STAR, CodedArray, compute_stats, validate_mra
+from .arrays import STAR, CodedArray, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "mrg_ct",
     "mrg_gc",
     "mrg_nnc",
-    "build_mrg",
     "access_pattern",
     "computation_load",
     "choose_iv_bits",
@@ -128,19 +127,6 @@ def mrg_nnc(mappers: int, r: int, alpha: int) -> MapReduceGraph:
     return MapReduceGraph(lam, storage, links)
 
 
-def build_mrg(kind: str, **kwargs) -> MapReduceGraph:
-    """Dispatch helper: kind is one of canonical | ct | gc | nnc."""
-    if kind == "canonical":
-        return mrg_canonical(kwargs["array"])
-    if kind == "ct":
-        return mrg_ct(kwargs["mappers"], kwargs["r"], kwargs["alpha"])
-    if kind == "gc":
-        return mrg_gc(kwargs["params"])
-    if kind == "nnc":
-        return mrg_nnc(kwargs["mappers"], kwargs["r"], kwargs["alpha"])
-    raise ValueError(f"unknown topology kind: {kind!r}")
-
-
 def access_pattern(graph: MapReduceGraph) -> np.ndarray:
     """Boolean F x K grid: True where reducer k can read batch f."""
     out = np.zeros((graph.batch_count, graph.reducer_count), dtype=bool)
@@ -167,12 +153,12 @@ def choose_iv_bits(
     """
     if t_base < 1:
         raise ValueError("t_base must be positive")
-    stats = compute_stats(arr)
-    if not stats.multiplicity:
+    multiplicity = arr.stats.multiplicity
+    if not multiplicity:
         raise JobPreconditionError("array has no integer symbols")
-    if min(stats.multiplicity.values()) < 2:
+    if min(multiplicity.values()) < 2:
         raise JobPreconditionError("some symbol occurs only once")
-    need = lcm(*(g - 1 for g in stats.multiplicity.values()))
+    need = lcm(*(g - 1 for g in multiplicity.values()))
     factor = need // gcd(need, eta1 * eta2 * t_base)
     return t_base * factor
 
@@ -322,7 +308,7 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     eta1, eta2 = N // F, Q // K
     carrier_bits = eta1 * eta2 * t
 
-    stats = compute_stats(arr)
+    stats = arr.stats
     for s, g in stats.multiplicity.items():
         if carrier_bits % (g - 1):
             raise JobPreconditionError(

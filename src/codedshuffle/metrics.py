@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arrays import CodedArray, compute_stats, validate_mra
+from .arrays import CodedArray, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
@@ -74,10 +74,9 @@ def load_from_array(arr: CodedArray) -> Fraction:
     if not report.ok:
         detail = report.violation.describe() if report.violation else "invalid"
         raise ValueError(f"not a valid map-reduce array: {detail}")
-    stats = compute_stats(arr)
     kf = arr.cols * arr.rows
     total = Fraction(arr.symbol_count, kf)
-    for g, count in stats.histogram.items():
+    for g, count in arr.stats.histogram.items():
         total += Fraction(count, kf * (g - 1))
     return total
 

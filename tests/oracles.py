@@ -87,6 +87,75 @@ def bf_validate_pda(grid) -> bool:
     return all(bf_pair_conditions(grid))
 
 
+def _bf_star_run_start(grid, k):
+    """Row s whose run s, s+1, ... (mod F) covers exactly column k's stars."""
+    rows = len(grid)
+    stars = {f for f in range(rows) if grid[f][k] == STAR}
+    if not stars:
+        return None
+    for s in range(rows):
+        if stars == {(s + i) % rows for i in range(len(stars))}:
+            return s
+    return None
+
+
+def _bf_column_stars(grid):
+    return [
+        sum(1 for f in range(len(grid)) if grid[f][k] == STAR)
+        for k in range(len(grid[0]))
+    ]
+
+
+def bf_cyclic_shift(grid):
+    """Common start-row step between consecutive columns' star runs.
+
+    None unless there are at least two columns, all with the same star count
+    strictly between 0 and F, each forming one cyclic run.
+    """
+    rows, cols = len(grid), len(grid[0])
+    counts = _bf_column_stars(grid)
+    if cols < 2 or len(set(counts)) != 1 or counts[0] in (0, rows):
+        return None
+    starts = [_bf_star_run_start(grid, k) for k in range(cols)]
+    if None in starts:
+        return None
+    steps = {(starts[k] - starts[k - 1]) % rows for k in range(1, cols)}
+    return steps.pop() if len(steps) == 1 else None
+
+
+def bf_l_cyclic(grid, shift):
+    """(checks, (condition, column) of the first violation or None)."""
+    rows, cols = len(grid), len(grid[0])
+    mult = bf_multiplicities(grid)
+    regular = len(set(mult.values())) == 1
+    counts = _bf_column_stars(grid)
+    starts = [_bf_star_run_start(grid, k) for k in range(cols)]
+    consecutive = None not in starts
+    wrong = None
+    if consecutive:
+        for k in range(1, cols):
+            if counts[k] != counts[k - 1] or (
+                counts[k] < rows
+                and (starts[k] - starts[k - 1]) % rows != shift % rows
+            ):
+                wrong = k
+                break
+    checks = {
+        "C1'": regular,
+        "stars-consecutive": consecutive,
+        "cyclic-shift": consecutive and wrong is None,
+    }
+    if not regular:
+        violation = ("C1'", None)
+    elif not consecutive:
+        violation = ("l-cyclic", starts.index(None))
+    elif wrong is not None:
+        violation = ("l-cyclic", wrong)
+    else:
+        violation = None
+    return checks, violation
+
+
 def bf_lex_rank(subset, universe: int) -> int:
     """Position of a subset in an explicit lexicographic enumeration."""
     target = tuple(sorted(subset))

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codedshuffle.arrays
 from codedshuffle import (
     STAR,
     ArrayFormatError,
     CodedArray,
     TruncationError,
     compute_stats,
+    load_fixture,
+    load_from_array,
     parse_array,
     truncate_columns,
     validate_l_cyclic,
@@ -20,7 +23,9 @@ from codedshuffle import (
 from codedshuffle.kernels import first_pair_violation
 
 from oracles import (
+    bf_cyclic_shift,
     bf_first_pair_violation,
+    bf_l_cyclic,
     bf_pair_conditions,
     bf_validate_mra,
     bf_validate_pda,
@@ -62,6 +67,9 @@ def test_roundtrip_is_byte_identical(golden):
         "1 2\n* -3\n",  # negative
         "0 0\n",  # empty grid
         "2 2\n* *\n",  # row count mismatch
+        "1 2\n* \u0661\n",  # non-ASCII digit
+        "1 2\n* 9223372036854775808\n",  # above int64
+        "1 4611686018427387904\n* *\n",  # header width far above the row's
     ],
 )
 def test_parse_errors(text):
@@ -109,6 +117,22 @@ def test_cyclic_shift_detection(golden):
     assert compute_stats(golden["cyclic_pda_4"]).cyclic_shift == 2
     assert compute_stats(golden["cyclic_pda_12"]).cyclic_shift == 2
     assert compute_stats(golden["basic_pda"]).cyclic_shift is None
+
+
+def test_array_facts_computed_once(monkeypatch):
+    scans = []
+
+    def counting_scan(grid):
+        scans.append(grid)
+        return first_pair_violation(grid)
+
+    monkeypatch.setattr(codedshuffle.arrays, "first_pair_violation", counting_scan)
+    arr = load_fixture("cyclic_pda_12")
+    validate_mra(arr)
+    validate_pda(arr)
+    load_from_array(arr)
+    assert len(scans) == 1
+    assert compute_stats(arr) is compute_stats(arr)
 
 
 # --- validators ---------------------------------------------------------------
@@ -300,6 +324,37 @@ def test_pair_scan_reports_earliest_violation_across_symbols():
     hit = (2, (0, 0), (1, 1))
     assert bf_first_pair_violation(g.tolist()) == hit
     assert first_pair_violation(g) == hit
+
+
+@st.composite
+def star_layout_grids(draw):
+    """Small grids, half of them with one cyclic star run per column (equal
+    lengths, a fixed start step), some of those with one cell overwritten."""
+    g = draw(small_grids())
+    rows, cols = g.shape
+    if draw(st.booleans()):
+        length = draw(st.integers(0, rows))
+        start = draw(st.integers(0, rows - 1))
+        step = draw(st.integers(0, rows - 1))
+        g[g == STAR] = 0
+        for k in range(cols):
+            for i in range(length):
+                g[(start + k * step + i) % rows, k] = STAR
+        if draw(st.booleans()):
+            g[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = (
+                draw(st.integers(-1, 4))
+            )
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_layout_grids(), st.integers(-1, 6))
+def test_star_layout_matches_bruteforce(g, shift):
+    arr = CodedArray(g)
+    assert compute_stats(arr).cyclic_shift == bf_cyclic_shift(g.tolist())
+    rep = validate_l_cyclic(arr, shift)
+    got = rep.violation and (rep.violation.condition, rep.violation.column)
+    assert (rep.checks, got) == bf_l_cyclic(g.tolist(), shift)
 
 
 @settings(max_examples=200, deadline=None)

@@ -94,6 +94,14 @@ def test_validate_json(run, tmp_path):
     assert payload["column_stars"] == [2, 2, 2, 2, 3]
 
 
+def test_validate_oversize_token_exit_code(run, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("2 1\n99999999999999999999\n99999999999999999999\n")
+    code, _, err = run("validate", str(path))
+    assert code == 2
+    assert "int64" in err
+
+
 def test_truncate_roundtrip(run, tmp_path):
     path = _write(tmp_path, "mra_irregular")
     out_path = tmp_path / "clip.txt"

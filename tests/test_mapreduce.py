@@ -14,7 +14,6 @@ from codedshuffle import (
     access_pattern,
     algorithm1,
     algorithm2,
-    build_mrg,
     choose_iv_bits,
     computation_load,
     load_from_array,
@@ -52,16 +51,6 @@ def test_mrg_canonical_all_star_column():
     arr = CodedArray(np.full((3, 1), STAR, dtype=np.int64))
     g = mrg_canonical(arr)
     assert g.reducer_links[0] == frozenset({0, 1, 2})
-
-
-def test_build_mrg_dispatch(golden):
-    assert build_mrg("canonical", array=golden["basic_pda"]).reducer_count == 4
-    assert build_mrg("ct", mappers=4, r=2, alpha=2).reducer_count == 6
-    assert build_mrg("nnc", mappers=12, r=2, alpha=4).reducer_count == 12
-    params = GcParameters(4, 2, (2, 3))
-    assert build_mrg("gc", params=params).reducer_count == 26
-    with pytest.raises(ValueError):
-        build_mrg("ring")
 
 
 def test_access_pattern_matches_arrays(golden):
