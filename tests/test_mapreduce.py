@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,8 @@ from codedshuffle import (
     algorithm2,
     choose_iv_bits,
     computation_load,
+    fixture_names,
+    load_fixture,
     load_from_array,
     mrg_canonical,
     mrg_ct,
@@ -23,6 +27,7 @@ from codedshuffle import (
     mrg_nnc,
     nnc_pda,
     run_job,
+    validate_mra,
 )
 from codedshuffle.mapreduce import IvOracle, JobPreconditionError
 
@@ -218,3 +223,41 @@ def test_run_job_on_constructed():
     _, rep = run_job(arr, JobSpec(10, 10, t, 9))
     assert rep.all_ok
     assert rep.measured_load == load_from_array(arr)
+
+
+# sha256 over every (eta1, eta2, seed, t_base) point below of the transcript
+# dump followed by the sorted-key report JSON; any change to the IV streams,
+# packet split, message payloads or decode verdicts moves these.
+_PINNED_DIGESTS = {
+    "ct_4_2_1": "ef2e8bf8b2692e2d87be1f53a311bf543e3b0cb22138244218f990d4622a746f",
+    "ct_4_2_2": "7dc0ea70554cebc051a081dd9740a63b84369466b706807c0cc3aac12603df20",
+    "cyclic_pda_12": "d718ae60d00e957cf6fcefdbc827de5f8652af60e744385864e4e8db3156e5ed",
+    "cyclic_pda_4": "f50b699b78557f0be3cb942ec011f752332d5baf863d50ac56ca06254b2f7ca4",
+    "gc_4_2_k03": "f35c273f63bcbc78625653fc5a305a05e983ed4d4c6c8ef6461bad8b16ac4cde",
+    "gc_4_2_k20": "20446e6d8b973f601324a407b4a3bfe38d6750b8fe98de0d66ca0268d0c90b1e",
+    "gc_4_2_k23": "3fdec3509eb72091a457e5975493e0985a39b62a4a93f34a890a49aab31d504c",
+    "mra_2regular": "ec1200fc046b7a1e41c4f62f0683505ecd621fc4083ea88f1ad709ecfcfec19e",
+    "mra_3col": "c921c76f17f5a6882e794b2483ab9f7697353e18e61ba2811e46167272dd48a1",
+    "mra_irregular": "bfb51751b5efd73d9ea484e2a0d1146420b432db5b6501af25e4a9f7cf065a6e",
+    "regular_pda_3": "eb87dc6da0fddda6bd94a11834c1c9a6e8f3e057ea11f6fbd414f9a97dd3cda6",
+}
+
+
+def test_transcript_digests_pinned():
+    got = {}
+    for name in fixture_names():
+        arr = load_fixture(name)
+        if not validate_mra(arr).ok:
+            continue
+        h = hashlib.sha256()
+        for eta1, eta2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            for seed in (0, 17):
+                # t_base 97 makes IVs straddle the oracle's 512-bit blocks
+                for t_base in (1, 97):
+                    t = choose_iv_bits(arr, t_base, eta1, eta2)
+                    spec = JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed)
+                    tr, rep = run_job(arr, spec)
+                    h.update(tr.dump().encode())
+                    h.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
+        got[name] = h.hexdigest()
+    assert got == _PINNED_DIGESTS
