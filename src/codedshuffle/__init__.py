@@ -7,6 +7,7 @@ from .arrays import (
     ArrayFormatError,
     ArrayStats,
     CodedArray,
+    ShufflePlan,
     TruncationError,
     ValidationReport,
     Violation,

@@ -30,6 +30,7 @@ __all__ = [
     "TruncationError",
     "CodedArray",
     "ArrayStats",
+    "ShufflePlan",
     "Violation",
     "ValidationReport",
     "parse_array",
@@ -59,9 +60,9 @@ class TruncationError(ValueError):
 class CodedArray:
     """Immutable F x K grid of stars (-1) and non-negative integer symbols.
 
-    Derived facts (star mask, symbols, statistics, star-run starts and the
-    crossing-condition scan) are computed on first use and cached on the
-    instance, so the grid must stay read-only.
+    Derived facts (star mask, symbols, statistics, star-run starts, the
+    crossing-condition scan and the shuffle plan) are computed on first use
+    and cached on the instance, so the grid must stay read-only.
     """
 
     grid: np.ndarray
@@ -136,6 +137,41 @@ class CodedArray:
         """:func:`~codedshuffle.kernels.first_pair_violation` of the grid,
         shared by every validator."""
         return first_pair_violation(self.grid)
+
+    @cached_property
+    def shuffle_plan(self) -> "ShufflePlan":
+        """Each symbol's cells in row-major order, for the coded shuffle.
+
+        Every XOR term a sender or reducer uses must lie on a star of its
+        column, which the crossing condition guarantees; this is checked
+        here once per array and raises AssertionError otherwise.
+        """
+        nonstar = ~self.star_mask
+        fs, ks = np.nonzero(nonstar)  # row-major
+        order = np.argsort(self.grid[nonstar], kind="stable")
+        rows, cols = fs[order], ks[order]
+        mult = self.stats.multiplicity
+        counts = np.fromiter(mult.values(), dtype=np.int64, count=len(mult))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        # cell i's carrier enters the XOR of every other cell j's column, so
+        # in each symbol's g x g block grid[rows][:, cols] only the diagonal
+        # may hold symbols; symbols of equal g are checked together
+        for g in np.unique(counts).tolist():
+            cells = offsets[:-1][counts == g, None] + np.arange(g)
+            r, c = rows[cells], cols[cells]
+            block = self.grid[r[:, :, None], c[:, None, :]] != STAR
+            block[:, np.arange(g), np.arange(g)] = False
+            if block.any():
+                n, i, j = np.argwhere(block)[0]
+                raise AssertionError(
+                    f"sender {c[n, j]} cannot compute carrier ({r[n, i]}, {c[n, i]})"
+                )
+        plan = ShufflePlan(
+            np.fromiter(mult, dtype=np.int64, count=len(mult)), offsets, rows, cols
+        )
+        for a in (plan.symbols, plan.offsets, plan.rows, plan.cols):
+            a.setflags(write=False)
+        return plan
 
     def normalize(self) -> "CodedArray":
         """Relabel symbols onto the dense range [0, S) preserving value order.
@@ -278,6 +314,18 @@ class ArrayStats:
         return sum(g * n for g, n in self.histogram.items())
 
 
+@dataclass(frozen=True, eq=False)
+class ShufflePlan:
+    """Cells grouped by symbol: symbol ``symbols[s]`` occupies the cells
+    ``(rows[i], cols[i])`` for ``offsets[s] <= i < offsets[s + 1]``, in
+    row-major order."""
+
+    symbols: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 def _cyclic_shift(counts: np.ndarray, starts: np.ndarray, F: int) -> int | None:
     """Common row shift between consecutive columns' star runs, if any.
 
@@ -343,14 +391,15 @@ def _pair_checks(arr: CodedArray):
     return code != 1, code != 2, viol
 
 
-def _first_orphan(arr: CodedArray, multiplicity: Mapping[int, int]):
-    """Row-major scan for the first cell whose symbol occurs exactly once."""
-    for f in range(arr.rows):
-        for k in range(arr.cols):
-            v = arr.entry(f, k)
-            if v != STAR and multiplicity[v] == 1:
-                return Violation("C1", cells=((f, k),), symbol=v)
-    return None
+def _first_orphan(arr: CodedArray):
+    """The first row-major cell whose symbol occurs exactly once, if any."""
+    mult = arr.stats.multiplicity
+    orphans = [s for s, g in mult.items() if g == 1]
+    if not orphans:
+        return None
+    hit = np.isin(arr.grid, orphans)
+    f, k = np.unravel_index(int(np.argmax(hit)), hit.shape)
+    return Violation("C1", cells=((int(f), int(k)),), symbol=arr.entry(f, k))
 
 
 def validate_mra(arr: CodedArray) -> ValidationReport:
@@ -360,7 +409,7 @@ def validate_mra(arr: CodedArray) -> ValidationReport:
     c21_ok, c22_ok, pair_viol = _pair_checks(arr)
     violation = None
     if not c1_ok:
-        violation = _first_orphan(arr, stats.multiplicity) or Violation("C1")
+        violation = _first_orphan(arr) or Violation("C1")
     elif pair_viol is not None:
         violation = pair_viol
     return ValidationReport(

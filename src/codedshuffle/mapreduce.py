@@ -14,12 +14,14 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import lshift, or_, xor
 
 import numpy as np
 
-from .arrays import STAR, CodedArray, validate_mra
+from .arrays import CodedArray, ShufflePlan, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
@@ -191,12 +193,15 @@ class IvOracle:
         self.t = iv_bits
         self._blocks: dict[tuple[int, int], int] = {}
 
+    def _digest(self, q: int, b: int) -> bytes:
+        """Block b of stream q: 512 bits, most significant first."""
+        return hashlib.blake2b(struct.pack("<QQQ", self.seed, q, b)).digest()
+
     def _block(self, q: int, b: int) -> int:
         key = (q, b)
         got = self._blocks.get(key)
         if got is None:
-            data = struct.pack("<QQQ", self.seed, q, b)
-            got = int.from_bytes(hashlib.blake2b(data).digest(), "big")
+            got = int.from_bytes(self._digest(q, b), "big")
             self._blocks[key] = got
         return got
 
@@ -210,6 +215,18 @@ class IvOracle:
         span = (last + 1) * self._BLOCK_BITS
         acc >>= span - end
         return acc & ((1 << self.t) - 1)
+
+    def streams(self, functions: int, count: int) -> list[int]:
+        """IVs 0..count-1 of each function q < functions as one integer of
+        count*t bits, IV 0 in the most significant bits."""
+        bits = count * self.t
+        blocks = range(-(-bits // self._BLOCK_BITS))
+        excess = len(blocks) * self._BLOCK_BITS - bits
+        digest = self._digest
+        return [
+            int.from_bytes(b"".join([digest(q, b) for b in blocks]), "big") >> excess
+            for q in range(functions)
+        ]
 
 
 @dataclass(frozen=True)
@@ -275,24 +292,49 @@ class DecodeReport:
         }
 
 
-def _concat_ivs(oracle: IvOracle, qs: range, ns: range, t: int) -> int:
-    acc = 0
-    for q in qs:
-        for n in ns:
-            acc = (acc << t) | oracle.value(q, n)
-    return acc
+def _carriers(spec: JobSpec, eta1: int, eta2: int, rows, cols) -> list[int]:
+    """Carrier of each cell (rows[i], cols[i]): the IVs reducer v needs from
+    batch u, functions ascending, then files.
 
-
-def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeReport]:
-    """Execute map, coded shuffle, and reduce; verify every recovered IV.
-
-    Reducer k is assigned the function block [k*eta2, (k+1)*eta2) and batch f
-    holds files [f*eta1, (f+1)*eta1).  For each symbol s in column k the
-    carrier of a cell (u, v) is the concatenation of the IVs reducer v needs
-    from batch u (functions ascending, then files); it splits into g_s - 1
-    equal packets labeled by the other columns holding s, and reducer k
-    multicasts the XOR of the packets labeled k over all other cells of s.
+    For each function q of reducer v that is bits [u*eta1*t, (u+1)*eta1*t)
+    of stream q, so every stream is generated once and sliced.
     """
+    width = eta1 * spec.iv_bits
+    mask = (1 << width) - 1
+    last = spec.files // eta1 - 1
+    streams = IvOracle(spec.seed, spec.iv_bits).streams(spec.functions, spec.files)
+    out = []
+    for u, v in zip(rows, cols):
+        shift = (last - u) * width
+        acc = 0
+        for stream in streams[v * eta2 : (v + 1) * eta2]:
+            acc = (acc << width) | ((stream >> shift) & mask)
+        out.append(acc)
+    return out
+
+
+@dataclass(frozen=True)
+class _Packets:
+    """One job's carriers, each split into its labelled packets.
+
+    Cells follow the array's shuffle plan.  ``tables[s][i][j]`` is the packet
+    of symbol s's cell i labelled by the column of its cell j, or 0 where
+    j == i; ``totals[s][j]`` is the XOR of label j's packets over all cells,
+    the payload that cell j's column sends.
+    """
+
+    plan: ShufflePlan
+    reducers: int
+    ivs_per_cell: int
+    iv_bits_total: int
+    carriers: list[int]
+    packet_bits: list[int]
+    tables: list[list[list[int]]]
+    totals: list[list[int]]
+
+
+def _split(arr: CodedArray, spec: JobSpec) -> _Packets:
+    """Check the job's preconditions and split every carrier into packets."""
     report = validate_mra(arr)
     if not report.ok:
         detail = report.violation.describe() if report.violation else "invalid"
@@ -307,99 +349,106 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
         )
     eta1, eta2 = N // F, Q // K
     carrier_bits = eta1 * eta2 * t
-
-    stats = arr.stats
-    for s, g in stats.multiplicity.items():
+    for s, g in arr.stats.multiplicity.items():
         if carrier_bits % (g - 1):
             raise JobPreconditionError(
                 f"symbol {s}: {g - 1} packets do not evenly divide "
                 f"{carrier_bits} carrier bits"
             )
 
-    cells: dict[int, list[tuple[int, int]]] = {}
-    for f, k in np.argwhere(arr.grid != STAR):
-        cells.setdefault(int(arr.grid[f, k]), []).append((int(f), int(k)))
-    col_of: dict[int, list[int]] = {s: [k for _, k in cc] for s, cc in cells.items()}
-    col_syms: dict[int, list[int]] = {}
-    for s, cc in cells.items():
-        for _, k in cc:
-            col_syms.setdefault(k, []).append(s)
-
-    oracle = IvOracle(spec.seed, t)
-    # Split every carrier into its labeled packets up front: the carrier of
-    # cell (u, v) holds the IVs reducer v needs from batch u, and packet
-    # labels are the other columns carrying the same symbol, ascending.
-    packets: dict[tuple[int, int], dict[int, int]] = {}
-    for s, cc in cells.items():
-        g = stats.multiplicity[s]
-        plen = carrier_bits // (g - 1)
+    plan = arr.shuffle_plan
+    carriers = _carriers(spec, eta1, eta2, plan.rows.tolist(), plan.cols.tolist())
+    offsets = plan.offsets.tolist()
+    packet_bits, tables, totals = [], [], []
+    for lo, hi in zip(offsets, offsets[1:]):
+        # packets are labelled by the symbol's other columns in cell order
+        plen = carrier_bits // (hi - lo - 1)
         mask = (1 << plen) - 1
-        for u, v in cc:
-            carrier = _concat_ivs(
-                oracle,
-                range(v * eta2, (v + 1) * eta2),
-                range(u * eta1, (u + 1) * eta1),
-                t,
-            )
-            labels = [c for c in col_of[s] if c != v]
-            packets[(u, v)] = {
-                label: (carrier >> ((g - 2 - j) * plen)) & mask
-                for j, label in enumerate(labels)
-            }
+        shifts = range(carrier_bits - plen, -1, -plen)
+        table = []
+        for i, carrier in enumerate(carriers[lo:hi]):
+            row = [(carrier >> shift) & mask for shift in shifts]
+            row.insert(i, 0)
+            table.append(row)
+        packet_bits.append(plen)
+        tables.append(table)
+        totals.append([reduce(xor, column) for column in zip(*table)])
+    return _Packets(
+        plan, K, eta1 * eta2, Q * N * t, carriers, packet_bits, tables, totals
+    )
 
-    messages: list[Message] = []
-    index: dict[tuple[int, int], int] = {}
-    for k in range(K):
-        for s in sorted(set(col_syms.get(k, []))):
-            g = stats.multiplicity[s]
-            plen = carrier_bits // (g - 1)
-            x = 0
-            for u, v in cells[s]:
-                if v == k:
-                    continue
-                # every XORed term must be derivable from the sender's own
-                # batches; the crossing condition guarantees the star
-                if arr.grid[u, k] != STAR:
-                    raise AssertionError(
-                        f"sender {k} cannot compute carrier ({u}, {v})"
-                    )
-                x ^= packets[(u, v)][k]
-            index[(k, s)] = len(messages)
-            messages.append(Message(k, s, plen, x))
-    total_bits = sum(m.bits for m in messages)
-    transcript = ShuffleTranscript(tuple(messages), total_bits)
 
-    iv_mask = (1 << t) - 1
-    results: list[ReducerResult] = []
-    for k in range(K):
-        ok = True
-        recovered = 0
-        for f in np.flatnonzero(arr.grid[:, k] != STAR):
-            f = int(f)
-            s = int(arr.grid[f, k])
-            labels = [c for c in col_of[s] if c != k]
-            plen = carrier_bits // len(labels)
-            acc = 0
-            for ki in labels:
-                x = messages[index[(ki, s)]].payload
-                for u, v in cells[s]:
-                    if v == ki or (u, v) == (f, k):
-                        continue
-                    if arr.grid[u, k] != STAR:
-                        raise AssertionError(
-                            f"reducer {k} cannot cancel carrier ({u}, {v})"
-                        )
-                    x ^= packets[(u, v)][ki]
-                acc = (acc << plen) | x
-            for j, q in enumerate(range(k * eta2, (k + 1) * eta2)):
-                for jj, n in enumerate(range(f * eta1, (f + 1) * eta1)):
-                    pos = j * eta1 + jj
-                    shift = (eta1 * eta2 - 1 - pos) * t
-                    got = (acc >> shift) & iv_mask
-                    recovered += 1
-                    if got != oracle.value(q, n):
-                        ok = False
-        results.append(ReducerResult(k, ok, recovered))
+def _multicast(p: _Packets) -> ShuffleTranscript:
+    """Each column sends, per symbol it holds, the XOR of the packets
+    labelled by it; senders ascending, then symbols ascending."""
+    sent = []
+    for s, plen, payloads in zip(p.plan.symbols.tolist(), p.packet_bits, p.totals):
+        sent.extend((s, plen, payload) for payload in payloads)
+    cols = p.plan.cols.tolist()
+    messages = tuple(
+        Message(cols[i], *sent[i])
+        for i in np.argsort(p.plan.cols, kind="stable").tolist()
+    )
+    return ShuffleTranscript(messages, sum(m.bits for m in messages))
 
-    report = DecodeReport(tuple(results), total_bits, Q * N * t)
-    return transcript, report
+
+def _decode(p: _Packets, transcript: ShuffleTranscript) -> DecodeReport:
+    """Every reducer rebuilds each carrier of its column from the payloads
+    in ``transcript`` and checks it against the oracle's carrier."""
+    payload = {(m.sender, m.symbol): m.payload for m in transcript.messages}
+    cols = p.plan.cols.tolist()
+    offsets = p.plan.offsets.tolist()
+    ok = [True] * p.reducers
+    recovered = [0] * p.reducers
+    for s, lo, hi, plen, table, totals in zip(
+        p.plan.symbols.tolist(), offsets, offsets[1:], p.packet_bits, p.tables,
+        p.totals,
+    ):
+        labels = cols[lo:hi]
+        # side information of cell i for label j: total_j ^ packet(i, j),
+        # the XOR of packet j over every cell but i and j; so
+        # x = payload_j ^ total_j ^ packet(i, j)
+        keys = [payload[(k, s)] ^ total for k, total in zip(labels, totals)]
+        shifts = range((hi - lo - 2) * plen, -1, -plen)
+        for i, (k, row) in enumerate(zip(labels, table)):
+            xs = list(map(xor, keys, row))
+            del xs[i]
+            acc = reduce(or_, map(lshift, xs, shifts))
+            recovered[k] += p.ivs_per_cell
+            if acc != p.carriers[lo + i]:
+                ok[k] = False
+    results = tuple(
+        ReducerResult(k, ok[k], recovered[k]) for k in range(p.reducers)
+    )
+    return DecodeReport(results, transcript.total_bits, p.iv_bits_total)
+
+
+def _reduce(
+    arr: CodedArray, spec: JobSpec, transcript: ShuffleTranscript
+) -> DecodeReport:
+    """Decode ``transcript``, whose payloads may differ from the job's own."""
+    return _decode(_split(arr, spec), transcript)
+
+
+def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeReport]:
+    """Execute map, coded shuffle, and reduce; verify every recovered IV.
+
+    Reducer k is assigned the function block [k*eta2, (k+1)*eta2) and batch f
+    holds files [f*eta1, (f+1)*eta1).  The carrier of a cell (u, v) is the
+    concatenation of the IVs reducer v needs from batch u (functions
+    ascending, then files): per function q, one contiguous slice of q's IV
+    stream, which is generated once per job.  A symbol of multiplicity g
+    splits each of its carriers into g - 1 equal packets labelled by the
+    symbol's other columns, and column k multicasts the XOR of the packets
+    labelled k over the symbol's other cells.
+
+    The array's cached shuffle plan lists each symbol's cells and has
+    checked once that every XOR term lies on a star of the column using it.
+    Decoding reads the payloads from the transcript only.  With total_j the
+    XOR of label j's packets over all cells, the reducer of cell i cancels
+    label j's other terms with total_j ^ packet(i, j), so each symbol costs
+    O(g^2) XORs.  Each rebuilt carrier is compared with the oracle's.
+    """
+    p = _split(arr, spec)
+    transcript = _multicast(p)
+    return transcript, _decode(p, transcript)

@@ -67,6 +67,36 @@ def bf_multiplicities(grid) -> dict[int, int]:
     return out
 
 
+def bf_first_orphan(grid):
+    """First row-major cell whose symbol occurs once, as ((f, k), symbol)."""
+    mult = bf_multiplicities(grid)
+    for f, row in enumerate(grid):
+        for k, v in enumerate(row):
+            if v != STAR and mult[v] == 1:
+                return (f, k), v
+    return None
+
+
+def bf_symbol_cells(grid) -> dict[int, list[tuple[int, int]]]:
+    """Each symbol's cells in row-major order, symbols ascending."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for f, row in enumerate(grid):
+        for k, v in enumerate(row):
+            if v != STAR:
+                out.setdefault(v, []).append((f, k))
+    return dict(sorted(out.items()))
+
+
+def bf_carrier(oracle, u: int, v: int, eta1: int, eta2: int) -> int:
+    """The IVs reducer v needs from batch u, one ``oracle.value`` call each:
+    functions ascending, then files, first IV in the most significant bits."""
+    acc = 0
+    for q in range(v * eta2, (v + 1) * eta2):
+        for n in range(u * eta1, (u + 1) * eta1):
+            acc = (acc << oracle.t) | oracle.value(q, n)
+    return acc
+
+
 def bf_validate_mra(grid) -> bool:
     mult = bf_multiplicities(grid)
     if not mult or min(mult.values()) < 2:

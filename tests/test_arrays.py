@@ -24,9 +24,11 @@ from codedshuffle.kernels import first_pair_violation
 
 from oracles import (
     bf_cyclic_shift,
+    bf_first_orphan,
     bf_first_pair_violation,
     bf_l_cyclic,
     bf_pair_conditions,
+    bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
 )
@@ -163,6 +165,56 @@ def test_same_row_pair_fails():
 def test_missing_crossing_star_fails():
     rep = validate_mra(grid([0, 1], [1, 0]))
     assert rep.checks["C2-1"] and not rep.checks["C2-2"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ([0, STAR], [STAR, 0]),  # no orphan
+        ([STAR, 1, 0], [1, STAR, 2], [0, STAR, STAR]),  # one, at (1, 2)
+        ([3, STAR, 5], [7, 3, STAR], [STAR, 9, 5]),  # several, first (1, 0)
+        ([STAR, STAR], [STAR, STAR]),  # no symbols at all
+    ],
+)
+def test_first_orphan_matches_bruteforce(rows):
+    arr = grid(*rows)
+    expect = bf_first_orphan(arr.grid.tolist())
+    viol = codedshuffle.arrays._first_orphan(arr)
+    assert (viol and (viol.cells[0], viol.symbol)) == expect
+    rep = validate_mra(arr)
+    if expect is not None:
+        assert rep.violation.condition == "C1"
+        assert (rep.violation.cells, rep.violation.symbol) == ((expect[0],), expect[1])
+
+
+def test_shuffle_plan_is_lazy_cached_and_grouped(golden):
+    for name, fixture in golden.items():
+        arr = CodedArray(fixture.grid)
+        validate_mra(arr)
+        validate_pda(arr)
+        assert "shuffle_plan" not in arr.__dict__
+        if not validate_mra(arr).ok:
+            continue
+        plan = arr.shuffle_plan
+        assert arr.shuffle_plan is plan
+        cells = bf_symbol_cells(arr.grid.tolist())
+        assert plan.symbols.tolist() == list(cells), name
+        got = {
+            s: list(zip(plan.rows[lo:hi].tolist(), plan.cols[lo:hi].tolist()))
+            for s, lo, hi in zip(
+                plan.symbols.tolist(), plan.offsets[:-1].tolist(), plan.offsets[1:].tolist()
+            )
+        }
+        assert got == cells, name
+        for a in (plan.symbols, plan.offsets, plan.rows, plan.cols):
+            assert not a.flags.writeable
+
+
+def test_shuffle_plan_rejects_missing_crossing_star():
+    # symbol 0's cells (0,0) and (1,1): column 1 cannot read row 0
+    arr = grid([0, 1], [1, 0])
+    with pytest.raises(AssertionError, match="cannot compute carrier"):
+        arr.shuffle_plan
 
 
 def test_validate_pda_golden(golden):
@@ -306,6 +358,14 @@ def test_pair_scan_matches_bruteforce(g):
     assert (hit is None) == all(bf_pair_conditions(g.tolist()))
     # the exact pair reported: first in row-major order, later cell first
     assert hit == bf_first_pair_violation(g.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grids())
+def test_first_orphan_property(g):
+    viol = codedshuffle.arrays._first_orphan(CodedArray(g))
+    got = viol and (viol.cells[0], viol.symbol)
+    assert got == bf_first_orphan(g.tolist())
 
 
 def test_pair_scan_reports_earliest_violation_across_symbols():

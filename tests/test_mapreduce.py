@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedshuffle import (
     STAR,
@@ -29,7 +31,16 @@ from codedshuffle import (
     run_job,
     validate_mra,
 )
-from codedshuffle.mapreduce import IvOracle, JobPreconditionError
+from codedshuffle.mapreduce import (
+    IvOracle,
+    JobPreconditionError,
+    Message,
+    ShuffleTranscript,
+    _carriers,
+    _reduce,
+)
+
+from oracles import bf_carrier
 
 
 # --- graphs -----------------------------------------------------------------
@@ -128,6 +139,24 @@ def test_oracle_spans_hash_blocks():
     o = IvOracle(1, 100)
     assert o.value(0, 5) == IvOracle(1, 100).value(0, 5)
     assert o.value(0, 5) != o.value(0, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 700),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_carriers_match_oracle(seed, t, eta1, eta2, rows, cols):
+    # t up to 700 makes IVs straddle the oracle's 512-bit blocks
+    spec = JobSpec(rows * eta1, cols * eta2, t, seed)
+    cells = [(u, v) for u in range(rows) for v in range(cols)]
+    got = _carriers(spec, eta1, eta2, *zip(*cells))
+    oracle = IvOracle(seed, t)
+    assert got == [bf_carrier(oracle, u, v, eta1, eta2) for u, v in cells]
 
 
 # --- the shuffle ----------------------------------------------------------------
@@ -261,3 +290,29 @@ def test_transcript_digests_pinned():
                     h.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
         got[name] = h.hexdigest()
     assert got == _PINNED_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "name", ["mra_irregular", "ct_4_2_2", "gc_4_2_k23", "cyclic_pda_12"]
+)
+def test_corrupted_payload_fails_exactly_its_readers(golden, name):
+    arr = golden[name]
+    t = choose_iv_bits(arr, 3, 2, 1)
+    spec = JobSpec(arr.rows * 2, arr.cols, t, 11)
+    tr, rep = run_job(arr, spec)
+    assert _reduce(arr, spec, tr) == rep
+    cols_of = {}
+    for f, k in np.argwhere(arr.grid != STAR).tolist():
+        cols_of.setdefault(arr.entry(f, k), set()).add(k)
+    n = len(tr.messages)
+    for pick in sorted({0, n // 2, n - 1}):
+        m = tr.messages[pick]
+        for bit in sorted({0, m.bits - 1}):
+            bad = Message(m.sender, m.symbol, m.bits, m.payload ^ (1 << bit))
+            messages = tr.messages[:pick] + (bad,) + tr.messages[pick + 1 :]
+            got = _reduce(arr, spec, ShuffleTranscript(messages, tr.total_bits))
+            readers = cols_of[m.symbol] - {m.sender}
+            assert readers
+            assert [r.ok for r in got.per_reducer] == [
+                k not in readers for k in range(arr.cols)
+            ], (name, pick, bit)
