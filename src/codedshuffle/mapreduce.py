@@ -293,10 +293,10 @@ class DecodeReport:
 
 
 def _carriers(spec: JobSpec, eta1: int, eta2: int, rows, cols) -> list[int]:
-    """Carrier of each cell (rows[i], cols[i]): the IVs reducer v needs from
-    batch u, functions ascending, then files.
+    """Carrier of each cell (u, v) = (rows[i], cols[i]): the IVs reducer v
+    needs from batch u, functions ascending, then files.
 
-    For each function q of reducer v that is bits [u*eta1*t, (u+1)*eta1*t)
+    For each function q of reducer v these are bits [u*eta1*t, (u+1)*eta1*t)
     of stream q, so every stream is generated once and sliced.
     """
     width = eta1 * spec.iv_bits
