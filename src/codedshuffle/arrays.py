@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .kernels import STAR, first_pair_violation
+from .kernels import STAR, first_pair_violation, group_cells
 
 __all__ = [
     "STAR",
@@ -140,35 +140,12 @@ class CodedArray:
 
     @cached_property
     def shuffle_plan(self) -> "ShufflePlan":
-        """Each symbol's cells in row-major order, for the coded shuffle.
-
-        Every XOR term a sender or reducer uses must lie on a star of its
-        column, which the crossing condition guarantees; this is checked
-        here once per array and raises AssertionError otherwise.
+        """Each symbol's cells in row-major order: the read-only
+        :func:`~codedshuffle.kernels.group_cells` of the grid.  It checks
+        nothing; ``validate_mra`` in ``mapreduce._split`` is the crossing
+        check that puts every XOR term on a star of the column using it.
         """
-        nonstar = ~self.star_mask
-        fs, ks = np.nonzero(nonstar)  # row-major
-        order = np.argsort(self.grid[nonstar], kind="stable")
-        rows, cols = fs[order], ks[order]
-        mult = self.stats.multiplicity
-        counts = np.fromiter(mult.values(), dtype=np.int64, count=len(mult))
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        # cell i's carrier enters the XOR of every other cell j's column, so
-        # in each symbol's g x g block grid[rows][:, cols] only the diagonal
-        # may hold symbols; symbols of equal g are checked together
-        for g in np.unique(counts).tolist():
-            cells = offsets[:-1][counts == g, None] + np.arange(g)
-            r, c = rows[cells], cols[cells]
-            block = self.grid[r[:, :, None], c[:, None, :]] != STAR
-            block[:, np.arange(g), np.arange(g)] = False
-            if block.any():
-                n, i, j = np.argwhere(block)[0]
-                raise AssertionError(
-                    f"sender {c[n, j]} cannot compute carrier ({r[n, i]}, {c[n, i]})"
-                )
-        plan = ShufflePlan(
-            np.fromiter(mult, dtype=np.int64, count=len(mult)), offsets, rows, cols
-        )
+        plan = ShufflePlan(*group_cells(self.grid))
         for a in (plan.symbols, plan.offsets, plan.rows, plan.cols):
             a.setflags(write=False)
         return plan
@@ -500,11 +477,8 @@ def truncate_columns(arr: CodedArray, keep: Iterable[int]) -> CodedArray:
         raise ValueError("keep must name at least one column")
     if cols[0] < 0 or cols[-1] >= arr.cols:
         raise ValueError(f"column index out of range: {cols}")
-    sub = arr.grid[:, cols]
-    nonstar = sub[sub != STAR]
-    if nonstar.size:
-        vals, counts = np.unique(nonstar, return_counts=True)
-        orphans = vals[counts == 1]
-        if orphans.size:
-            raise TruncationError(int(orphans.min()))
-    return CodedArray(sub).normalize()
+    sub = CodedArray(arr.grid[:, cols])
+    orphans = [s for s, g in sub.stats.multiplicity.items() if g == 1]
+    if orphans:
+        raise TruncationError(orphans[0])
+    return sub.normalize()

@@ -1,8 +1,8 @@
-"""Validation kernel: the numpy pairwise crossing-condition scan.
+"""Validation kernel: cells grouped by symbol and the crossing-condition scan.
 
-The scan over equal-symbol cell pairs is the only part of array validation
-whose cost grows quadratically with symbol multiplicity; it checks all pairs
-of one symbol in a single vectorized pass.
+:func:`group_cells` serves both the pair scan and the coded shuffle's plan.
+The scan checks all symbols of one multiplicity g together, as one boolean
+(n, g, g) star gather per chunk of at most ``_BLOCK_CELLS`` gathered cells.
 """
 
 from __future__ import annotations
@@ -10,6 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 STAR = -1
+
+# Gathered cells per chunk of same-g symbols; one symbol is never split, so a
+# chunk holds max(1, _BLOCK_CELLS // g**2) symbols.
+_BLOCK_CELLS = 1 << 18
+
+
+def group_cells(grid: np.ndarray):
+    """Non-star cells grouped by symbol.
+
+    Returns ``(symbols, offsets, rows, cols)``: symbol ``symbols[s]``
+    (ascending) occupies the cells ``(rows[i], cols[i])`` for
+    ``offsets[s] <= i < offsets[s + 1]``, in row-major order.
+    """
+    fs, ks = np.nonzero(grid != STAR)  # row-major
+    syms = grid[fs, ks]
+    order = np.argsort(syms, kind="stable")
+    syms = syms[order]
+    starts = np.flatnonzero(np.diff(syms, prepend=STAR))
+    offsets = np.append(starts, syms.shape[0])
+    return syms[starts], offsets, fs[order], ks[order]
 
 
 def first_pair_violation(grid: np.ndarray):
@@ -21,37 +41,36 @@ def first_pair_violation(grid: np.ndarray):
     code 2 a missing crossing star.  The reported pair is the first one in
     row-major scan order (ordered by the later cell, then the earlier).
     """
-    cells = np.argwhere(grid != STAR)
-    if cells.shape[0] < 2:
-        return None
-    fs = cells[:, 0]
-    ks = cells[:, 1]
-    # Cells are indexed in row-major scan order; `order` groups them by
-    # symbol while preserving that order within each group.
-    syms = grid[fs, ks]
-    order = np.argsort(syms, kind="stable")
-    bounds = np.flatnonzero(np.diff(syms[order])) + 1
-    starts = [0, *bounds.tolist(), order.shape[0]]
-    best = None  # (j, i, code) of the first violation, j the later cell
-    for lo, hi in zip(starts, starts[1:]):
-        if hi - lo < 2:
-            continue
-        idx = order[lo:hi]
-        gf = fs[idx]
-        gk = ks[idx]
-        ii, jj = np.triu_indices(idx.shape[0], k=1)
-        same = (gf[ii] == gf[jj]) | (gk[ii] == gk[jj])
-        crossing = (grid[gf[ii], gk[jj]] != STAR) | (grid[gf[jj], gk[ii]] != STAR)
-        viol = same | crossing
-        if not viol.any():
-            continue
-        cand_i = idx[ii[viol]]
-        cand_j = idx[jj[viol]]
-        pos = np.lexsort((cand_i, cand_j))[0]
-        cand = (int(cand_j[pos]), int(cand_i[pos]), 1 if same[viol][pos] else 2)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
+    _, offsets, rows, cols = group_cells(grid)
+    counts = np.diff(offsets)
+    nonstar = grid != STAR
+    best = None  # (later, earlier) row-major positions of the first violation
+    for g in np.unique(counts[counts >= 2]).tolist():
+        starts = offsets[:-1][counts == g]
+        pairs = ~np.tri(g, dtype=bool)  # [i, j] with i < j: cell i comes first
+        step = max(1, _BLOCK_CELLS // (g * g))
+        for lo in range(0, starts.shape[0], step):
+            cells = starts[lo : lo + step, None] + np.arange(g)
+            r, c = rows[cells], cols[cells]
+            # block[n, i, j]: crossing cell (r[n, i], c[n, j]) is not a star;
+            # a shared row or column makes it the symbol's own cell
+            block = nonstar[r[:, :, None], c[:, None, :]]
+            block |= block.transpose(0, 2, 1)
+            block &= pairs
+            hit_j = block.any(axis=1)
+            groups = np.flatnonzero(hit_j.any(axis=1))
+            if groups.size == 0:
+                continue
+            js = hit_j[groups].argmax(axis=1)
+            is_ = block[groups, :, js].argmax(axis=1)
+            later = r[groups, js] * grid.shape[1] + c[groups, js]
+            earlier = r[groups, is_] * grid.shape[1] + c[groups, is_]
+            pos = later.argmin()  # each group's later cell is its own
+            cand = (int(later[pos]), int(earlier[pos]))
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return None
-    j, i, code = best
-    return code, (int(fs[i]), int(ks[i])), (int(fs[j]), int(ks[j]))
+    (f2, k2), (f1, k1) = (divmod(x, grid.shape[1]) for x in best)
+    code = 1 if f1 == f2 or k1 == k2 else 2
+    return code, (f1, k1), (f2, k2)

@@ -442,8 +442,8 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     symbol's other columns, and column k multicasts the XOR of the packets
     labelled k over the symbol's other cells.
 
-    The array's cached shuffle plan lists each symbol's cells and has
-    checked once that every XOR term lies on a star of the column using it.
+    The array's cached shuffle plan lists each symbol's cells, and
+    ``validate_mra`` puts every XOR term on a star of the column using it.
     Decoding reads the payloads from the transcript only.  With total_j the
     XOR of label j's packets over all cells, the reducer of cell i cancels
     label j's other terms with total_j ^ packet(i, j), so each symbol costs

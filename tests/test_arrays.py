@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codedshuffle.arrays
+import codedshuffle.kernels
 from codedshuffle import (
     STAR,
     ArrayFormatError,
@@ -210,13 +213,6 @@ def test_shuffle_plan_is_lazy_cached_and_grouped(golden):
             assert not a.flags.writeable
 
 
-def test_shuffle_plan_rejects_missing_crossing_star():
-    # symbol 0's cells (0,0) and (1,1): column 1 cannot read row 0
-    arr = grid([0, 1], [1, 0])
-    with pytest.raises(AssertionError, match="cannot compute carrier"):
-        arr.shuffle_plan
-
-
 def test_validate_pda_golden(golden):
     rep = validate_pda(golden["basic_pda"])
     assert rep.ok and rep.details["Z"] == 2
@@ -266,6 +262,10 @@ def test_truncate_orphan(golden):
     with pytest.raises(TruncationError) as err:
         truncate_columns(golden["mra_irregular"], {0, 1, 2, 3})
     assert err.value.symbol == 3
+    # symbols 0 and 2 are both orphaned; the smallest is named
+    with pytest.raises(TruncationError) as err:
+        truncate_columns(golden["mra_irregular"], {2, 0})
+    assert err.value.symbol == 0
 
 
 def test_truncate_identity(golden):
@@ -351,13 +351,44 @@ def small_grids(draw):
     return np.array(cells, dtype=np.int64).reshape(rows, cols)
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_grids())
-def test_pair_scan_matches_bruteforce(g):
+def _check_pair_scan(g):
     hit = first_pair_violation(CodedArray(g).grid)
     assert (hit is None) == all(bf_pair_conditions(g.tolist()))
     # the exact pair reported: first in row-major order, later cell first
     assert hit == bf_first_pair_violation(g.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grids())
+def test_pair_scan_matches_bruteforce(g):
+    _check_pair_scan(g)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(small_grids())
+def test_pair_scan_matches_bruteforce_one_symbol_per_chunk(monkeypatch, g):
+    # every symbol is its own chunk, so the earliest violation is chosen
+    # across chunks as well as within one
+    monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", 1)
+    _check_pair_scan(g)
+
+
+def test_pair_scan_memory_is_bounded():
+    # one symbol of multiplicity 1024: the bound holds a few (1024, 1024)
+    # boolean star gathers, but not int64 indices for its 523 776 pairs
+    g = np.full((1024, 1024), STAR, dtype=np.int64)
+    np.fill_diagonal(g, 0)
+    tracemalloc.start()
+    try:
+        assert first_pair_violation(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=200, deadline=None)

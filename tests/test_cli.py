@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import codedshuffle
 from codedshuffle import load_fixture, parse_array
 from codedshuffle.cli import main
 
@@ -194,11 +197,15 @@ def test_cli_determinism(run, tmp_path):
 
 
 def test_console_entrypoint():
+    # the child imports the package the suite imports, installed or not
+    src = str(Path(codedshuffle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "codedshuffle.cli", "loads", "nnc",
          "--lambda", "12", "--r", "2", "--alpha", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["L_achievable"] == "1/9"

@@ -238,6 +238,10 @@ def test_run_job_preconditions(golden):
         run_job(arr, JobSpec(4, 5, 1, 0))  # symbol 0 needs 2 | t
     with pytest.raises(JobPreconditionError, match="map-reduce"):
         run_job(golden["basic_pda"], JobSpec(4, 4, 2, 0))
+    # symbol 0 at (0,0) and (1,1) lacks the crossing star at (0,1): column 1
+    # could not compute its carrier, and validate_mra is the only check
+    with pytest.raises(JobPreconditionError, match="C2-2"):
+        run_job(CodedArray(np.array([[0, 1], [1, 0]])), JobSpec(2, 2, 2, 0))
 
 
 def test_run_job_on_constructed():
