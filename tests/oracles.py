@@ -97,6 +97,68 @@ def bf_carrier(oracle, u: int, v: int, eta1: int, eta2: int) -> int:
     return acc
 
 
+def bf_run_job(grid, oracle, eta1: int, eta2: int, messages=None):
+    """Reference coded shuffle, one ``oracle.value`` call per IV.
+
+    A symbol with cells c_0, ..., c_{g-1} (row-major) splits the carrier of
+    each cell into g - 1 equal packets, most significant first, labelled by
+    the symbol's other cells in order; the column of cell j sends the XOR of
+    the packets labelled j.  Column k holds the IVs of batch u only where it
+    has a star in row u.  Every term it needs from another batch, to build
+    what it sends or to cancel the other terms of what it receives, is a
+    failure of column k.
+
+    Returns ``(messages, per_reducer)``: ``(sender, symbol, bits, payload)``
+    tuples by sender, then symbol, and ``(ok, recovered_ivs)`` per column.
+    With ``messages`` given, the reducers decode those payloads instead.
+    """
+    width = eta1 * eta2 * oracle.t
+    cols = len(grid[0])
+    ok = [True] * cols
+    recovered = [0] * cols
+    carrier = {}
+
+    def packet(cells, i, j, k):
+        """Packet of cells[i] labelled j, as column k computes it."""
+        u, v = cells[i]
+        if grid[u][k] != STAR:
+            ok[k] = False
+        if (u, v) not in carrier:
+            carrier[u, v] = bf_carrier(oracle, u, v, eta1, eta2)
+        plen = width // (len(cells) - 1)
+        p = j - (j > i)
+        return (carrier[u, v] >> ((len(cells) - 2 - p) * plen)) & ((1 << plen) - 1)
+
+    symbols = bf_symbol_cells(grid)
+    own = []
+    for s, cells in symbols.items():
+        for j, (_, v) in enumerate(cells):
+            payload = 0
+            for i in range(len(cells)):
+                if i != j:
+                    payload ^= packet(cells, i, j, v)
+            own.append((v, s, width // (len(cells) - 1), payload))
+    own.sort(key=lambda m: m[0])
+
+    sent = {(k, s): payload for k, s, _, payload in messages or own}
+    for s, cells in symbols.items():
+        plen = width // (len(cells) - 1)
+        for i, (u, k) in enumerate(cells):
+            acc = 0
+            for j, (_, v) in enumerate(cells):
+                if j == i:
+                    continue
+                x = sent[v, s]
+                for l in range(len(cells)):
+                    if l not in (i, j):
+                        x ^= packet(cells, l, j, k)
+                acc = (acc << plen) | x
+            recovered[k] += eta1 * eta2
+            if acc != bf_carrier(oracle, u, k, eta1, eta2):
+                ok[k] = False
+    return own, list(zip(ok, recovered))
+
+
 def bf_validate_mra(grid) -> bool:
     mult = bf_multiplicities(grid)
     if not mult or min(mult.values()) < 2:

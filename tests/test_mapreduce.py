@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from codedshuffle.mapreduce import (
     _reduce,
 )
 
-from oracles import bf_carrier
+from oracles import bf_carrier, bf_run_job
 
 
 # --- graphs -----------------------------------------------------------------
@@ -320,3 +321,66 @@ def test_corrupted_payload_fails_exactly_its_readers(golden, name):
             assert [r.ok for r in got.per_reducer] == [
                 k not in readers for k in range(arr.cols)
             ], (name, pick, bit)
+
+
+# --- the reference decoder ----------------------------------------------------------
+
+
+def assert_matches_reference(arr, eta1, eta2, t, seed):
+    spec = JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed)
+    tr, rep = run_job(arr, spec)
+    grid = arr.grid.tolist()
+    want, per_reducer = bf_run_job(grid, IvOracle(seed, t), eta1, eta2)
+    assert [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages] == want
+    assert tr.total_bits == rep.total_bits == sum(m[2] for m in want)
+    assert [(r.ok, r.recovered_ivs) for r in rep.per_reducer] == per_reducer
+    assert all(ok for ok, _ in per_reducer)
+    # the reducers of the reference read run_job's payloads just as well
+    got = [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages]
+    assert bf_run_job(grid, IvOracle(seed, t), eta1, eta2, got)[1] == per_reducer
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if validate_mra(load_fixture(n)).ok]
+)
+def test_run_job_matches_reference_on_fixtures(name):
+    arr = load_fixture(name)
+    for eta1, eta2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        # t_base 97 makes IVs straddle the oracle's 512-bit blocks
+        for t_base in (1, 97):
+            assert_matches_reference(
+                arr, eta1, eta2, choose_iv_bits(arr, t_base, eta1, eta2), 5
+            )
+
+
+def test_run_job_matches_reference_on_sweep_sample(constructor_sweep):
+    arrays = [arr for *_, arr in constructor_sweep["alg1"]]
+    arrays += [arr for _, arr in constructor_sweep["alg2"]]
+    arrays += [arr for *_, arr in constructor_sweep["nnc"]]
+    rng = random.Random(2026)
+    for eta1, eta2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for arr in rng.sample(arrays, 10):
+            t = choose_iv_bits(arr, 1, eta1, eta2)
+            assert_matches_reference(arr, eta1, eta2, t, 17)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # C2-2: symbol 0 at (0,0) and (1,1) lacks the crossing star at (0,1)
+        [[0, 1], [1, 0]],
+        # C2-1: symbol 0 twice in row 0
+        [[0, 0, STAR], [STAR, STAR, 0]],
+    ],
+)
+def test_reference_fails_without_crossing_stars(monkeypatch, grid):
+    arr = CodedArray(np.array(grid))
+    assert not validate_mra(arr).ok
+    ok = validate_mra(load_fixture("mra_irregular"))
+    monkeypatch.setattr("codedshuffle.mapreduce.validate_mra", lambda a: ok)
+    t = choose_iv_bits(arr, 4)
+    tr, _ = run_job(arr, JobSpec(arr.rows, arr.cols, t, 1))
+    got = [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages]
+    want, per_reducer = bf_run_job(grid, IvOracle(1, t), 1, 1)
+    assert got == want
+    assert not all(ok for ok, _ in per_reducer)
