@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import lshift, or_, xor
 
 import numpy as np
 
@@ -165,6 +164,15 @@ def choose_iv_bits(
     return t_base * factor
 
 
+# Largest files * functions * iv_bits of a job: the executor holds one byte
+# per IV bit, so this bounds its memory at 64 MiB plus its packet tables.
+MAX_JOB_IV_BITS = 1 << 26
+
+# Bytes per chunk of one multiplicity class's packet table; one symbol is
+# never split, so a chunk holds max(1, _BLOCK_BYTES // (g * g * plen)) symbols.
+_BLOCK_BYTES = 1 << 18
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Simulation parameters: file/function counts, IV width, seed."""
@@ -177,6 +185,12 @@ class JobSpec:
     def __post_init__(self):
         if self.files < 1 or self.functions < 1 or self.iv_bits < 1:
             raise ValueError("files, functions and iv_bits must be positive")
+        size = self.files * self.functions * self.iv_bits
+        if size > MAX_JOB_IV_BITS:
+            raise ValueError(
+                f"files * functions * iv_bits = {size} exceeds the job size "
+                f"cap MAX_JOB_IV_BITS = 2**26 = {MAX_JOB_IV_BITS}"
+            )
 
 
 class IvOracle:
@@ -187,6 +201,7 @@ class IvOracle:
     """
 
     _BLOCK_BITS = 512
+    _KEY = struct.Struct("<QQQ")  # (seed, q, block)
 
     def __init__(self, seed: int, iv_bits: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
@@ -195,7 +210,7 @@ class IvOracle:
 
     def _digest(self, q: int, b: int) -> bytes:
         """Block b of stream q: 512 bits, most significant first."""
-        return hashlib.blake2b(struct.pack("<QQQ", self.seed, q, b)).digest()
+        return hashlib.blake2b(self._KEY.pack(self.seed, q, b)).digest()
 
     def _block(self, q: int, b: int) -> int:
         key = (q, b)
@@ -216,17 +231,20 @@ class IvOracle:
         acc >>= span - end
         return acc & ((1 << self.t) - 1)
 
-    def streams(self, functions: int, count: int) -> list[int]:
-        """IVs 0..count-1 of each function q < functions as one integer of
-        count*t bits, IV 0 in the most significant bits."""
-        bits = count * self.t
-        blocks = range(-(-bits // self._BLOCK_BITS))
-        excess = len(blocks) * self._BLOCK_BITS - bits
-        digest = self._digest
-        return [
-            int.from_bytes(b"".join([digest(q, b) for b in blocks]), "big") >> excess
-            for q in range(functions)
-        ]
+    def streams(self, functions: int, count: int) -> np.ndarray:
+        """IVs 0..count-1 of every function q < functions as a
+        (functions, count*t) uint8 bit matrix: row q is the start of q's
+        stream, so IV n of function q is ``[q, n*t:(n+1)*t]``, most
+        significant bit first.  Each row unpacks q's joined digests and
+        drops the bits past the last IV."""
+        blocks = range(-(-count * self.t // self._BLOCK_BITS))
+        seed, key, blake2b = self.seed, self._KEY.pack, hashlib.blake2b
+        # _digest(q, b), inlined: this loop is most of a small job's time
+        joined = b"".join(
+            [blake2b(key(seed, q, b)).digest() for q in range(functions) for b in blocks]
+        )
+        packed = np.frombuffer(joined, np.uint8).reshape(functions, -1)
+        return np.unpackbits(packed, axis=1, count=count * self.t)
 
 
 @dataclass(frozen=True)
@@ -237,22 +255,109 @@ class Message:
     payload: int
 
 
+class _MessageColumns(Sequence):
+    """Read-only messages stored as columns in send order.
+
+    ``payload`` holds each message's payload big-endian, left-padded to
+    whole bytes, at ``offsets[i]:offsets[i + 1]``.  A :class:`Message` is
+    built only when one is indexed or iterated; slicing gives a tuple.
+    """
+
+    __slots__ = ("sender", "symbol", "bits", "payload", "offsets")
+
+    def __init__(self, sender, symbol, bits, payload, offsets):
+        self.sender, self.symbol, self.bits = sender, symbol, bits
+        self.payload, self.offsets = payload, offsets
+        for a in (sender, symbol, bits, offsets):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, messages) -> "_MessageColumns":
+        messages = tuple(messages)
+        payloads = [m.payload.to_bytes((m.bits + 7) // 8, "big") for m in messages]
+        offsets = np.zeros(len(messages) + 1, np.int64)
+        np.cumsum([len(p) for p in payloads], out=offsets[1:])
+        payload = np.frombuffer(b"".join(payloads), np.uint8)
+        return cls(
+            np.array([m.sender for m in messages], np.int64),
+            np.array([m.symbol for m in messages], np.int64),
+            np.array([m.bits for m in messages], np.int64),
+            payload,
+            offsets,
+        )
+
+    def __len__(self) -> int:
+        return self.sender.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i : i + 2].tolist()
+        return Message(
+            int(self.sender[i]),
+            int(self.symbol[i]),
+            int(self.bits[i]),
+            int.from_bytes(self.payload[lo:hi].tobytes(), "big"),
+        )
+
+    def __iter__(self):
+        data = self.payload.tobytes()
+        cuts = self.offsets.tolist()
+        for k, s, b, lo, hi in zip(
+            self.sender.tolist(), self.symbol.tolist(), self.bits.tolist(),
+            cuts, cuts[1:],
+        ):
+            yield Message(k, s, b, int.from_bytes(data[lo:hi], "big"))
+
+    def _key(self) -> tuple[bytes, ...]:
+        return (
+            self.sender.tobytes(), self.symbol.tobytes(), self.bits.tobytes(),
+            self.payload.tobytes(),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, _MessageColumns):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} messages>"
+
+
 @dataclass(frozen=True)
 class ShuffleTranscript:
-    """Ordered multicast messages: senders ascending, symbols ascending."""
+    """Multicast messages in send order: senders ascending, then symbols.
 
-    messages: tuple[Message, ...]
+    The messages are stored as columns: sender, symbol, bits and payload
+    bytes.  ``messages`` accepts any sequence of :class:`Message`, which is
+    turned into columns here, and reads back as a read-only sequence with
+    an O(1) ``len()`` that builds a ``Message`` only when one is indexed or
+    iterated.
+    """
+
+    messages: Sequence[Message]
     total_bits: int
+
+    def __post_init__(self):
+        if not isinstance(self.messages, _MessageColumns):
+            object.__setattr__(self, "messages", _MessageColumns.of(self.messages))
 
     def dump(self) -> str:
         """One line per message: ``k s len_bits hex_payload``."""
-        lines = []
-        for m in self.messages:
-            nbytes = (m.bits + 7) // 8
-            lines.append(
-                f"{m.sender} {m.symbol} {m.bits} "
-                f"{m.payload.to_bytes(nbytes, 'big').hex()}"
+        m = self.messages
+        text = m.payload.tobytes().hex()
+        cuts = (2 * m.offsets).tolist()
+        lines = [
+            f"{k} {s} {b} {text[lo:hi]}"
+            for k, s, b, lo, hi in zip(
+                m.sender.tolist(), m.symbol.tolist(), m.bits.tolist(),
+                cuts, cuts[1:],
             )
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -292,49 +397,8 @@ class DecodeReport:
         }
 
 
-def _carriers(spec: JobSpec, eta1: int, eta2: int, rows, cols) -> list[int]:
-    """Carrier of each cell (u, v) = (rows[i], cols[i]): the IVs reducer v
-    needs from batch u, functions ascending, then files.
-
-    For each function q of reducer v these are bits [u*eta1*t, (u+1)*eta1*t)
-    of stream q, so every stream is generated once and sliced.
-    """
-    width = eta1 * spec.iv_bits
-    mask = (1 << width) - 1
-    last = spec.files // eta1 - 1
-    streams = IvOracle(spec.seed, spec.iv_bits).streams(spec.functions, spec.files)
-    out = []
-    for u, v in zip(rows, cols):
-        shift = (last - u) * width
-        acc = 0
-        for stream in streams[v * eta2 : (v + 1) * eta2]:
-            acc = (acc << width) | ((stream >> shift) & mask)
-        out.append(acc)
-    return out
-
-
-@dataclass(frozen=True)
-class _Packets:
-    """One job's carriers, each split into its labelled packets.
-
-    Cells follow the array's shuffle plan.  ``tables[s][i][j]`` is the packet
-    of symbol s's cell i labelled by the column of its cell j, or 0 where
-    j == i; ``totals[s][j]`` is the XOR of label j's packets over all cells,
-    the payload that cell j's column sends.
-    """
-
-    plan: ShufflePlan
-    reducers: int
-    ivs_per_cell: int
-    iv_bits_total: int
-    carriers: list[int]
-    packet_bits: list[int]
-    tables: list[list[list[int]]]
-    totals: list[list[int]]
-
-
-def _split(arr: CodedArray, spec: JobSpec) -> _Packets:
-    """Check the job's preconditions and split every carrier into packets."""
+def _check_job(arr: CodedArray, spec: JobSpec) -> tuple[int, int]:
+    """Check the job's preconditions; returns (eta1, eta2)."""
     report = validate_mra(arr)
     if not report.ok:
         detail = report.violation.describe() if report.violation else "invalid"
@@ -355,79 +419,120 @@ def _split(arr: CodedArray, spec: JobSpec) -> _Packets:
                 f"symbol {s}: {g - 1} packets do not evenly divide "
                 f"{carrier_bits} carrier bits"
             )
+    return eta1, eta2
 
+
+def _iv_bits(spec: JobSpec, eta1: int, eta2: int) -> np.ndarray:
+    """Every IV bit of the job as a (K, eta2, F, eta1*t) view of the
+    oracle's streams: ``[v, :, u, :]`` is the carrier of cell (u, v)."""
+    t = spec.iv_bits
+    streams = IvOracle(spec.seed, t).streams(spec.functions, spec.files)
+    return streams.reshape(spec.functions // eta2, eta2, spec.files // eta1, eta1 * t)
+
+
+def _carriers(ivs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Carrier bits of the cells (rows[i], cols[i]), shape rows.shape + (W,):
+    the IVs reducer v needs from batch u, functions ascending, then files."""
+    return ivs[cols, :, rows, :].reshape(*rows.shape, -1)
+
+
+def _chunks(plan: ShufflePlan, width: int):
+    """Yield (g, plen, cells) per chunk of same-g symbols: ``cells`` (n, g)
+    indexes the plan, one row per symbol."""
+    counts = np.diff(plan.offsets)
+    for g in np.unique(counts).tolist():
+        starts = plan.offsets[:-1][counts == g]
+        plen = width // (g - 1)
+        step = max(1, _BLOCK_BYTES // (g * g * plen))
+        for lo in range(0, starts.shape[0], step):
+            yield g, plen, starts[lo : lo + step, None] + np.arange(g)
+
+
+def _execute(
+    arr: CodedArray, spec: JobSpec, transcript: ShuffleTranscript | None = None
+) -> tuple[ShuffleTranscript, DecodeReport]:
+    """Encode the job's transcript, or take ``transcript``, and decode it."""
+    eta1, eta2 = _check_job(arr, spec)
     plan = arr.shuffle_plan
-    carriers = _carriers(spec, eta1, eta2, plan.rows.tolist(), plan.cols.tolist())
-    offsets = plan.offsets.tolist()
-    packet_bits, tables, totals = [], [], []
-    for lo, hi in zip(offsets, offsets[1:]):
-        # packets are labelled by the symbol's other columns in cell order
-        plen = carrier_bits // (hi - lo - 1)
-        mask = (1 << plen) - 1
-        shifts = range(carrier_bits - plen, -1, -plen)
-        table = []
-        for i, carrier in enumerate(carriers[lo:hi]):
-            row = [(carrier >> shift) & mask for shift in shifts]
-            row.insert(i, 0)
-            table.append(row)
-        packet_bits.append(plen)
-        tables.append(table)
-        totals.append([reduce(xor, column) for column in zip(*table)])
-    return _Packets(
-        plan, K, eta1 * eta2, Q * N * t, carriers, packet_bits, tables, totals
-    )
+    width = eta1 * eta2 * spec.iv_bits
+    counts = np.diff(plan.offsets)
+    cell_bits = np.repeat(width // (counts - 1), counts)
+    order = np.argsort(plan.cols, kind="stable")  # send order of the cells
+    senders = plan.cols[order]
+    symbols = np.repeat(plan.symbols, counts)[order]
+    bits = cell_bits[order]
+    if transcript is None:
+        offsets = np.zeros(order.shape[0] + 1, np.int64)
+        np.cumsum((bits + 7) // 8, out=offsets[1:])
+        messages = _MessageColumns(
+            senders, symbols, bits, np.empty(offsets[-1], np.uint8), offsets
+        )
+        sent = np.arange(order.shape[0])
+    else:
+        messages = transcript.messages
+        sent = np.lexsort((messages.symbol, messages.sender))
+        if not (
+            sent.shape == order.shape
+            and np.array_equal(messages.sender[sent], senders)
+            and np.array_equal(messages.symbol[sent], symbols)
+            and np.array_equal(messages.bits[sent], bits)
+        ):
+            raise ValueError("transcript does not hold one message per cell of the job")
+    # the r-th cell in send order is the transcript's r-th message by
+    # (sender, symbol); row[c] is the transcript row of plan cell c
+    row = np.empty_like(order)
+    row[order] = sent
 
+    ivs = _iv_bits(spec, eta1, eta2)
+    cell_ok = np.ones(order.shape[0], bool)
+    for g, plen, cells in _chunks(plan, width):
+        n = cells.shape[0]
+        carriers = _carriers(ivs, plan.rows[cells], plan.cols[cells])
+        packets = carriers.reshape(n, g, g - 1, plen)
+        # table[:, i, j]: the packet of cell i labelled by cell j, 0 if i == j
+        off = ~np.eye(g, dtype=bool)
+        table = np.zeros((n, g, g, plen), np.uint8)
+        table[:, off] = packets.reshape(n, g * (g - 1), plen)
+        totals = np.bitwise_xor.reduce(table, axis=1)
+        pad = -plen % 8
+        at = messages.offsets[row[cells]][:, :, None] + np.arange((plen + pad) // 8)
+        if transcript is None:
+            padded = np.zeros((n, g, plen + pad), np.uint8)
+            padded[:, :, pad:] = totals
+            messages.payload[at] = np.packbits(padded, axis=-1)
+        got = np.unpackbits(messages.payload[at], axis=-1)
+        # side information of cell i for label j: total_j ^ packet(i, j), the
+        # XOR of packet j over every cell but i and j; so cell i rebuilds
+        # packet(i, j) as payload_j ^ total_j ^ packet(i, j)
+        keys = got[:, :, pad:] ^ totals
+        labels = np.nonzero(off)[1].reshape(g, g - 1)
+        rebuilt = keys[:, labels] ^ packets
+        ok = (rebuilt == packets).all(axis=(2, 3))
+        # a payload wider than its packet fails its readers
+        wide = got[:, :, :pad].any(axis=-1)
+        ok &= wide.sum(axis=1, keepdims=True) == wide
+        cell_ok[cells] = ok
 
-def _multicast(p: _Packets) -> ShuffleTranscript:
-    """Each column sends, per symbol it holds, the XOR of the packets
-    labelled by it; senders ascending, then symbols ascending."""
-    sent = []
-    for s, plen, payloads in zip(p.plan.symbols.tolist(), p.packet_bits, p.totals):
-        sent.extend((s, plen, payload) for payload in payloads)
-    cols = p.plan.cols.tolist()
-    messages = tuple(
-        Message(cols[i], *sent[i])
-        for i in np.argsort(p.plan.cols, kind="stable").tolist()
-    )
-    return ShuffleTranscript(messages, sum(m.bits for m in messages))
-
-
-def _decode(p: _Packets, transcript: ShuffleTranscript) -> DecodeReport:
-    """Every reducer rebuilds each carrier of its column from the payloads
-    in ``transcript`` and checks it against the oracle's carrier."""
-    payload = {(m.sender, m.symbol): m.payload for m in transcript.messages}
-    cols = p.plan.cols.tolist()
-    offsets = p.plan.offsets.tolist()
-    ok = [True] * p.reducers
-    recovered = [0] * p.reducers
-    for s, lo, hi, plen, table, totals in zip(
-        p.plan.symbols.tolist(), offsets, offsets[1:], p.packet_bits, p.tables,
-        p.totals,
-    ):
-        labels = cols[lo:hi]
-        # side information of cell i for label j: total_j ^ packet(i, j),
-        # the XOR of packet j over every cell but i and j; so
-        # x = payload_j ^ total_j ^ packet(i, j)
-        keys = [payload[(k, s)] ^ total for k, total in zip(labels, totals)]
-        shifts = range((hi - lo - 2) * plen, -1, -plen)
-        for i, (k, row) in enumerate(zip(labels, table)):
-            xs = list(map(xor, keys, row))
-            del xs[i]
-            acc = reduce(or_, map(lshift, xs, shifts))
-            recovered[k] += p.ivs_per_cell
-            if acc != p.carriers[lo + i]:
-                ok[k] = False
+    if transcript is None:
+        messages.payload.setflags(write=False)
+        transcript = ShuffleTranscript(messages, int(cell_bits.sum()))
+    K = arr.cols
+    failed = np.bincount(plan.cols, weights=~cell_ok, minlength=K)
+    recovered = np.bincount(plan.cols, minlength=K) * (eta1 * eta2)
     results = tuple(
-        ReducerResult(k, ok[k], recovered[k]) for k in range(p.reducers)
+        ReducerResult(k, ok, n)
+        for k, (ok, n) in enumerate(zip((failed == 0).tolist(), recovered.tolist()))
     )
-    return DecodeReport(results, transcript.total_bits, p.iv_bits_total)
+    return transcript, DecodeReport(
+        results, transcript.total_bits, spec.files * spec.functions * spec.iv_bits
+    )
 
 
 def _reduce(
     arr: CodedArray, spec: JobSpec, transcript: ShuffleTranscript
 ) -> DecodeReport:
     """Decode ``transcript``, whose payloads may differ from the job's own."""
-    return _decode(_split(arr, spec), transcript)
+    return _execute(arr, spec, transcript)[1]
 
 
 def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeReport]:
@@ -436,19 +541,23 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     Reducer k is assigned the function block [k*eta2, (k+1)*eta2) and batch f
     holds files [f*eta1, (f+1)*eta1).  The carrier of a cell (u, v) is the
     concatenation of the IVs reducer v needs from batch u (functions
-    ascending, then files): per function q, one contiguous slice of q's IV
-    stream, which is generated once per job.  A symbol of multiplicity g
-    splits each of its carriers into g - 1 equal packets labelled by the
-    symbol's other columns, and column k multicasts the XOR of the packets
-    labelled k over the symbol's other cells.
+    ascending, then files).  A symbol of multiplicity g splits each of its
+    carriers into g - 1 equal packets labelled by the symbol's other
+    columns, and column k multicasts the XOR of the packets labelled k over
+    the symbol's other cells.
 
-    The array's cached shuffle plan lists each symbol's cells, and
-    ``validate_mra`` puts every XOR term on a star of the column using it.
-    Decoding reads the payloads from the transcript only.  With total_j the
-    XOR of label j's packets over all cells, the reducer of cell i cancels
-    label j's other terms with total_j ^ packet(i, j), so each symbol costs
-    O(g^2) XORs.  Each rebuilt carrier is compared with the oracle's.
+    The executor works on bits, one byte per IV bit: the oracle's streams
+    form one (Q, N*t) bit matrix per job, and each multiplicity class of
+    the array's cached shuffle plan is one numpy pass (chunked by
+    ``_BLOCK_BYTES``): one gather of its carriers, one (n, g, g, plen)
+    packet table with a zero label on each cell's own column, and one XOR
+    reduce over the cells for the payloads, which are written into the
+    transcript's payload column.  ``validate_mra`` puts every XOR term on a
+    star of the column using it.  Decoding reads the payloads back from
+    the transcript only.  With total_j the XOR of label j's packets over
+    all cells, the reducer of cell i cancels label j's other terms with
+    total_j ^ packet(i, j), so every carrier is rebuilt with one vectorised
+    XOR and compared with the oracle's.  Per-reducer verdicts come from one
+    ``np.bincount`` over the plan's columns.
     """
-    p = _split(arr, spec)
-    transcript = _multicast(p)
-    return transcript, _decode(p, transcript)
+    return _execute(arr, spec)

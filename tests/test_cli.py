@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,17 @@ def test_simulate_divisibility_exit(run, tmp_path):
         "simulate", path, "--files", "3", "--functions", "5", "--iv-bits", "auto"
     )
     assert code == 2
+
+
+def test_simulate_job_size_cap_exit(run, tmp_path):
+    path = _write(tmp_path, "mra_irregular")
+    t0 = time.perf_counter()
+    code, out, err = run(
+        "simulate", path, "--files", "4000000", "--functions", "5000000"
+    )
+    assert code == 2 and out == ""
+    assert "MAX_JOB_IV_BITS" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_simulate_transcript_dump(run, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,11 +34,13 @@ from codedshuffle import (
     validate_mra,
 )
 from codedshuffle.mapreduce import (
+    MAX_JOB_IV_BITS,
     IvOracle,
     JobPreconditionError,
     Message,
     ShuffleTranscript,
     _carriers,
+    _iv_bits,
     _reduce,
 )
 
@@ -152,12 +155,17 @@ def test_oracle_spans_hash_blocks():
     st.integers(1, 3),
 )
 def test_carriers_match_oracle(seed, t, eta1, eta2, rows, cols):
-    # t up to 700 makes IVs straddle the oracle's 512-bit blocks
+    # t up to 700 makes IVs straddle the oracle's 512-bit blocks, and most
+    # widths leave carriers and packets off byte boundaries
     spec = JobSpec(rows * eta1, cols * eta2, t, seed)
-    cells = [(u, v) for u in range(rows) for v in range(cols)]
-    got = _carriers(spec, eta1, eta2, *zip(*cells))
+    us, vs = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    got = _carriers(_iv_bits(spec, eta1, eta2), us, vs)
+    assert got.shape == (rows, cols, eta1 * eta2 * t)
     oracle = IvOracle(seed, t)
-    assert got == [bf_carrier(oracle, u, v, eta1, eta2) for u, v in cells]
+    for u in range(rows):
+        for v in range(cols):
+            bits = "".join(map(str, got[u, v].tolist()))
+            assert int(bits, 2) == bf_carrier(oracle, u, v, eta1, eta2)
 
 
 # --- the shuffle ----------------------------------------------------------------
@@ -257,6 +265,69 @@ def test_run_job_on_constructed():
     _, rep = run_job(arr, JobSpec(10, 10, t, 9))
     assert rep.all_ok
     assert rep.measured_load == load_from_array(arr)
+
+
+def test_job_size_is_capped():
+    JobSpec(1, 1, MAX_JOB_IV_BITS)
+    with pytest.raises(ValueError, match="MAX_JOB_IV_BITS"):
+        JobSpec(2, 1, MAX_JOB_IV_BITS // 2 + 1)
+    with pytest.raises(ValueError, match="MAX_JOB_IV_BITS"):
+        JobSpec(4_000_000, 5_000_000, 1)
+
+
+def test_run_job_memory_is_bounded():
+    # the heaviest decode_sweep job: 1.53 Mbit of IVs, one byte per bit
+    arr = algorithm2(GcParameters(6, 2, (2, 3, 3, 3)))
+    spec = JobSpec(arr.rows, arr.cols, choose_iv_bits(arr, 630), 17)
+    assert spec.files * spec.functions * spec.iv_bits == 1_530_900
+    # the crossing scan and the shuffle plan are cached per array, not per job
+    assert validate_mra(arr).ok and arr.shuffle_plan
+    tracemalloc.start()
+    try:
+        _, rep = run_job(arr, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok
+    assert peak < 4 * 2**20
+
+
+def test_hand_built_transcript_dumps_and_decodes_the_same(golden):
+    for name in ("mra_irregular", "gc_4_2_k23", "cyclic_pda_12"):
+        arr = golden[name]
+        # t_base 97 gives packets off byte boundaries
+        spec = JobSpec(arr.rows, arr.cols * 2, choose_iv_bits(arr, 97, 1, 2), 4)
+        tr, rep = run_job(arr, spec)
+        built = ShuffleTranscript(tuple(tr.messages), tr.total_bits)
+        assert built.dump() == tr.dump()
+        assert built == tr
+        assert _reduce(arr, spec, built) == _reduce(arr, spec, tr) == rep
+        # the decoder looks messages up by (sender, symbol), not by position
+        shuffled = tuple(tr.messages)[::-1]
+        assert _reduce(arr, spec, ShuffleTranscript(shuffled, tr.total_bits)) == rep
+        with pytest.raises(ValueError, match="one message per cell"):
+            _reduce(arr, spec, ShuffleTranscript(tuple(tr.messages)[1:], 0))
+
+
+def test_messages_are_built_on_demand(golden):
+    arr = golden["gc_4_2_k23"]
+    tr, _ = run_job(arr, JobSpec(arr.rows, arr.cols, choose_iv_bits(arr, 7), 2))
+    # messages 0, 1 and -1 of this job as the integer executor sent them
+    first = [Message(0, 0, 35, 0x77B4732C4), Message(0, 1, 35, 0x778FA5A9)]
+    last = Message(25, 10, 14, 0x25AB)
+    ms = tr.messages
+    assert len(ms) == 42
+    assert [ms[0], ms[1]] == first and ms[-1] == ms[41] == last
+    assert ms[:2] == tuple(first) and ms[-1:] == (last,)
+    assert ms[::-1][0] == last and ms[5:2] == ()
+    listed = list(ms)
+    assert listed[:2] == first and listed[-1] == last
+    assert listed == [ms[i] for i in range(len(ms))]
+    assert {m.bits for m in ms} == {14, 35}
+    with pytest.raises(IndexError):
+        ms[42]
+    with pytest.raises(TypeError):
+        ms[0] = last
 
 
 # sha256 over every (eta1, eta2, seed, t_base) point below of the transcript
