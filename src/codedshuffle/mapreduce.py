@@ -164,12 +164,14 @@ def choose_iv_bits(
     return t_base * factor
 
 
-# Largest files * functions * iv_bits of a job: the executor holds one byte
-# per IV bit, so this bounds its memory at 64 MiB plus its packet tables.
+# Largest files * functions * iv_bits of a job.  The executor holds every IV
+# bit packed (8 MiB at the cap) and hashes one 512-bit block per 64 bytes, so
+# the cap bounds both its memory and its run time.
 MAX_JOB_IV_BITS = 1 << 26
 
-# Bytes per chunk of one multiplicity class's packet table; one symbol is
-# never split, so a chunk holds max(1, _BLOCK_BYTES // (g * g * plen)) symbols.
+# Bytes per chunk of one multiplicity class's packet table, one byte per bit;
+# one symbol is never split, so a chunk holds
+# max(1, _BLOCK_BYTES // (g * g * plen)) symbols.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -232,19 +234,18 @@ class IvOracle:
         return acc & ((1 << self.t) - 1)
 
     def streams(self, functions: int, count: int) -> np.ndarray:
-        """IVs 0..count-1 of every function q < functions as a
-        (functions, count*t) uint8 bit matrix: row q is the start of q's
-        stream, so IV n of function q is ``[q, n*t:(n+1)*t]``, most
-        significant bit first.  Each row unpacks q's joined digests and
-        drops the bits past the last IV."""
+        """IVs 0..count-1 of every function q < functions, packed: row q of
+        the (functions, B) uint8 matrix is the start of q's stream, so IV n
+        of function q is bits [n*t, (n+1)*t) of row q, most significant bit
+        first.  B is 64 bytes per 512-bit block, so a row runs on to the end
+        of the block holding its last IV bit."""
         blocks = range(-(-count * self.t // self._BLOCK_BITS))
         seed, key, blake2b = self.seed, self._KEY.pack, hashlib.blake2b
         # _digest(q, b), inlined: this loop is most of a small job's time
         joined = b"".join(
             [blake2b(key(seed, q, b)).digest() for q in range(functions) for b in blocks]
         )
-        packed = np.frombuffer(joined, np.uint8).reshape(functions, -1)
-        return np.unpackbits(packed, axis=1, count=count * self.t)
+        return np.frombuffer(joined, np.uint8).reshape(functions, -1)
 
 
 @dataclass(frozen=True)
@@ -413,33 +414,45 @@ def _check_job(arr: CodedArray, spec: JobSpec) -> tuple[int, int]:
         )
     eta1, eta2 = N // F, Q // K
     carrier_bits = eta1 * eta2 * t
-    for s, g in arr.stats.multiplicity.items():
-        if carrier_bits % (g - 1):
-            raise JobPreconditionError(
-                f"symbol {s}: {g - 1} packets do not evenly divide "
-                f"{carrier_bits} carrier bits"
-            )
+    if any(carrier_bits % (g - 1) for g in arr.stats.histogram):
+        s, g = next(
+            (s, g) for s, g in arr.stats.multiplicity.items() if carrier_bits % (g - 1)
+        )
+        raise JobPreconditionError(
+            f"symbol {s}: {g - 1} packets do not evenly divide "
+            f"{carrier_bits} carrier bits"
+        )
     return eta1, eta2
 
 
-def _iv_bits(spec: JobSpec, eta1: int, eta2: int) -> np.ndarray:
-    """Every IV bit of the job as a (K, eta2, F, eta1*t) view of the
-    oracle's streams: ``[v, :, u, :]`` is the carrier of cell (u, v)."""
-    t = spec.iv_bits
-    streams = IvOracle(spec.seed, t).streams(spec.functions, spec.files)
-    return streams.reshape(spec.functions // eta2, eta2, spec.files // eta1, eta1 * t)
-
-
-def _carriers(ivs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _carriers(
+    streams: np.ndarray, eta1: int, eta2: int, t: int,
+    rows: np.ndarray, cols: np.ndarray,
+) -> np.ndarray:
     """Carrier bits of the cells (rows[i], cols[i]), shape rows.shape + (W,):
-    the IVs reducer v needs from batch u, functions ascending, then files."""
-    return ivs[cols, :, rows, :].reshape(*rows.shape, -1)
+    the IVs reducer v needs from batch u, functions ascending, then files.
+
+    For each function q of reducer v these are bits [u*eta1*t,
+    (u+1)*eta1*t) of row q of the packed ``streams``: one gather of the
+    bytes holding them, a shift of each byte window to its first bit, and
+    one unpack.
+    """
+    width = eta1 * t
+    start = rows * width
+    funcs = cols[..., None] * eta2 + np.arange(eta2)
+    window = (start >> 3)[..., None] + np.arange((width + 7) // 8 + 1)
+    # the last window may run one byte past a row; those bits are dropped
+    window = np.minimum(window, streams.shape[1] - 1)
+    got = streams[funcs[..., None], window[..., None, :]].astype(np.uint16)
+    shift = (start & 7)[..., None, None]
+    aligned = ((got[..., :-1] << shift) | (got[..., 1:] >> (8 - shift))).astype(np.uint8)
+    bits = np.unpackbits(aligned, axis=-1, count=width)
+    return bits.reshape(*rows.shape, -1)
 
 
-def _chunks(plan: ShufflePlan, width: int):
+def _chunks(plan: ShufflePlan, counts: np.ndarray, width: int):
     """Yield (g, plen, cells) per chunk of same-g symbols: ``cells`` (n, g)
-    indexes the plan, one row per symbol."""
-    counts = np.diff(plan.offsets)
+    indexes the plan, one row per symbol; ``counts`` is each symbol's g."""
     for g in np.unique(counts).tolist():
         starts = plan.offsets[:-1][counts == g]
         plen = width // (g - 1)
@@ -482,34 +495,36 @@ def _execute(
     # (sender, symbol); row[c] is the transcript row of plan cell c
     row = np.empty_like(order)
     row[order] = sent
+    first_byte = messages.offsets[row]
 
-    ivs = _iv_bits(spec, eta1, eta2)
+    t = spec.iv_bits
+    streams = IvOracle(spec.seed, t).streams(spec.functions, spec.files)
     cell_ok = np.ones(order.shape[0], bool)
-    for g, plen, cells in _chunks(plan, width):
+    for g, plen, cells in _chunks(plan, counts, width):
         n = cells.shape[0]
-        carriers = _carriers(ivs, plan.rows[cells], plan.cols[cells])
-        packets = carriers.reshape(n, g, g - 1, plen)
-        # table[:, i, j]: the packet of cell i labelled by cell j, 0 if i == j
-        off = ~np.eye(g, dtype=bool)
-        table = np.zeros((n, g, g, plen), np.uint8)
-        table[:, off] = packets.reshape(n, g * (g - 1), plen)
-        totals = np.bitwise_xor.reduce(table, axis=1)
         pad = -plen % 8
-        at = messages.offsets[row[cells]][:, :, None] + np.arange((plen + pad) // 8)
+        carriers = _carriers(
+            streams, eta1, eta2, t, plan.rows[cells], plan.cols[cells]
+        )
+        packets = carriers.reshape(n, g, g - 1, plen)
+        # table[:, i, j]: the packet of cell i labelled by cell j, left-padded
+        # to whole bytes; 0 where i == j
+        off = ~np.eye(g, dtype=bool)
+        table = np.zeros((n, g, g, pad + plen), np.uint8)
+        table[:, off, pad:] = packets.reshape(n, g * (g - 1), plen)
+        totals = np.bitwise_xor.reduce(table, axis=1)
+        at = first_byte[cells][:, :, None] + np.arange((pad + plen) // 8)
         if transcript is None:
-            padded = np.zeros((n, g, plen + pad), np.uint8)
-            padded[:, :, pad:] = totals
-            messages.payload[at] = np.packbits(padded, axis=-1)
-        got = np.unpackbits(messages.payload[at], axis=-1)
+            messages.payload[at] = np.packbits(totals, axis=-1)
         # side information of cell i for label j: total_j ^ packet(i, j), the
         # XOR of packet j over every cell but i and j; so cell i rebuilds
         # packet(i, j) as payload_j ^ total_j ^ packet(i, j)
-        keys = got[:, :, pad:] ^ totals
+        keys = np.unpackbits(messages.payload[at], axis=-1) ^ totals
         labels = np.nonzero(off)[1].reshape(g, g - 1)
-        rebuilt = keys[:, labels] ^ packets
+        rebuilt = keys[:, labels, pad:] ^ packets
         ok = (rebuilt == packets).all(axis=(2, 3))
         # a payload wider than its packet fails its readers
-        wide = got[:, :, :pad].any(axis=-1)
+        wide = keys[:, :, :pad].any(axis=-1)
         ok &= wide.sum(axis=1, keepdims=True) == wide
         cell_ok[cells] = ok
 
@@ -546,18 +561,19 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     columns, and column k multicasts the XOR of the packets labelled k over
     the symbol's other cells.
 
-    The executor works on bits, one byte per IV bit: the oracle's streams
-    form one (Q, N*t) bit matrix per job, and each multiplicity class of
-    the array's cached shuffle plan is one numpy pass (chunked by
-    ``_BLOCK_BYTES``): one gather of its carriers, one (n, g, g, plen)
-    packet table with a zero label on each cell's own column, and one XOR
-    reduce over the cells for the payloads, which are written into the
-    transcript's payload column.  ``validate_mra`` puts every XOR term on a
-    star of the column using it.  Decoding reads the payloads back from
-    the transcript only.  With total_j the XOR of label j's packets over
-    all cells, the reducer of cell i cancels label j's other terms with
-    total_j ^ packet(i, j), so every carrier is rebuilt with one vectorised
-    XOR and compared with the oracle's.  Per-reducer verdicts come from one
-    ``np.bincount`` over the plan's columns.
+    Each multiplicity class of the array's cached shuffle plan is one numpy
+    pass over bits, one byte per bit, in chunks of at most ``_BLOCK_BYTES``:
+    one gather of its carriers from the oracle's packed streams, one
+    (n, g, g, plen) packet table with a zero label on each cell's own
+    column, and one XOR reduce over the cells for the payloads, which are
+    written into the transcript's payload column.  ``validate_mra`` puts
+    every XOR term on a star of the column using it.
+
+    Decoding reads the payloads back from the transcript only.  With
+    total_j the XOR of label j's packets over all cells, the reducer of
+    cell i cancels label j's other terms with total_j ^ packet(i, j), so
+    every carrier is rebuilt with one vectorised XOR and compared with the
+    oracle's.  Per-reducer verdicts come from ``np.bincount`` over the
+    plan's columns.
     """
     return _execute(arr, spec)

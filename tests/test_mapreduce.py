@@ -40,7 +40,6 @@ from codedshuffle.mapreduce import (
     Message,
     ShuffleTranscript,
     _carriers,
-    _iv_bits,
     _reduce,
 )
 
@@ -159,7 +158,8 @@ def test_carriers_match_oracle(seed, t, eta1, eta2, rows, cols):
     # widths leave carriers and packets off byte boundaries
     spec = JobSpec(rows * eta1, cols * eta2, t, seed)
     us, vs = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    got = _carriers(_iv_bits(spec, eta1, eta2), us, vs)
+    streams = IvOracle(seed, t).streams(spec.functions, spec.files)
+    got = _carriers(streams, eta1, eta2, t, us, vs)
     assert got.shape == (rows, cols, eta1 * eta2 * t)
     oracle = IvOracle(seed, t)
     for u in range(rows):
@@ -275,11 +275,19 @@ def test_job_size_is_capped():
         JobSpec(4_000_000, 5_000_000, 1)
 
 
-def test_run_job_memory_is_bounded():
-    # the heaviest decode_sweep job: 1.53 Mbit of IVs, one byte per bit
-    arr = algorithm2(GcParameters(6, 2, (2, 3, 3, 3)))
-    spec = JobSpec(arr.rows, arr.cols, choose_iv_bits(arr, 630), 17)
-    assert spec.files * spec.functions * spec.iv_bits == 1_530_900
+@pytest.mark.parametrize(
+    "kvec,eta,iv_bits",
+    [
+        # the costliest decode_sweep job and the sweep's most IV bits
+        ((2, 3, 3, 3), 1, 1_530_900),
+        ((3, 3, 3, 3), 2, 3_175_200),
+    ],
+)
+def test_run_job_memory_is_bounded(kvec, eta, iv_bits):
+    arr = algorithm2(GcParameters(6, 2, kvec))
+    t = choose_iv_bits(arr, 1, eta, eta)
+    spec = JobSpec(arr.rows * eta, arr.cols * eta, t, 17)
+    assert spec.files * spec.functions * spec.iv_bits == iv_bits
     # the crossing scan and the shuffle plan are cached per array, not per job
     assert validate_mra(arr).ok and arr.shuffle_plan
     tracemalloc.start()
@@ -307,6 +315,19 @@ def test_hand_built_transcript_dumps_and_decodes_the_same(golden):
         assert _reduce(arr, spec, ShuffleTranscript(shuffled, tr.total_bits)) == rep
         with pytest.raises(ValueError, match="one message per cell"):
             _reduce(arr, spec, ShuffleTranscript(tuple(tr.messages)[1:], 0))
+        # a payload wider than its packet fails exactly its readers
+        m = tr.messages[1]
+        assert m.bits % 8
+        wide = Message(m.sender, m.symbol, m.bits, m.payload | 1 << m.bits)
+        got = _reduce(
+            arr, spec, ShuffleTranscript((tr.messages[0], wide) + tr.messages[2:], 0)
+        )
+        readers = set(np.flatnonzero((arr.grid == m.symbol).any(axis=0)).tolist())
+        readers -= {m.sender}
+        assert readers
+        assert [r.ok for r in got.per_reducer] == [
+            k not in readers for k in range(arr.cols)
+        ]
 
 
 def test_messages_are_built_on_demand(golden):
