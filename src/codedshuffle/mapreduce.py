@@ -464,11 +464,14 @@ def _chunks(plan: ShufflePlan, counts: np.ndarray, width: int):
 def _execute(
     arr: CodedArray, spec: JobSpec, transcript: ShuffleTranscript | None = None
 ) -> tuple[ShuffleTranscript, DecodeReport]:
-    """Encode the job's transcript, or take ``transcript``, and decode it."""
+    """Encode the job's transcript, or take ``transcript`` as sent, and
+    decode it.  A given transcript must hold one message per cell of the
+    job, matched by (sender, symbol) in any order, with the job's packet
+    widths; otherwise ValueError."""
     eta1, eta2 = _check_job(arr, spec)
     plan = arr.shuffle_plan
     width = eta1 * eta2 * spec.iv_bits
-    counts = np.diff(plan.offsets)
+    counts = plan.offsets[1:] - plan.offsets[:-1]
     cell_bits = np.repeat(width // (counts - 1), counts)
     order = np.argsort(plan.cols, kind="stable")  # send order of the cells
     senders = plan.cols[order]
@@ -502,31 +505,33 @@ def _execute(
     cell_ok = np.ones(order.shape[0], bool)
     for g, plen, cells in _chunks(plan, counts, width):
         n = cells.shape[0]
-        pad = -plen % 8
-        carriers = _carriers(
+        # packets[:, i, p]: packet p of cell i, labelled by cell labels[i, p],
+        # the p-th cell other than i
+        packets = _carriers(
             streams, eta1, eta2, t, plan.rows[cells], plan.cols[cells]
-        )
-        packets = carriers.reshape(n, g, g - 1, plen)
-        # table[:, i, j]: the packet of cell i labelled by cell j, left-padded
-        # to whole bytes; 0 where i == j
-        off = ~np.eye(g, dtype=bool)
-        table = np.zeros((n, g, g, pad + plen), np.uint8)
-        table[:, off, pad:] = packets.reshape(n, g * (g - 1), plen)
+        ).reshape(n, g, g - 1, plen)
+        later = np.arange(1, g)
+        labels = later - (later <= np.arange(g)[:, None])
+        # table[:, i, j]: the packet of cell i labelled j, 0 where i == j
+        table = np.zeros((n, g, g, plen), np.uint8)
+        table[:, np.arange(g)[:, None], labels] = packets
         totals = np.bitwise_xor.reduce(table, axis=1)
+        # payloads are left-padded to whole bytes
+        pad = -plen % 8
         at = first_byte[cells][:, :, None] + np.arange((pad + plen) // 8)
         if transcript is None:
-            messages.payload[at] = np.packbits(totals, axis=-1)
+            padded = np.zeros((n, g, pad + plen), np.uint8)
+            padded[:, :, pad:] = totals
+            messages.payload[at] = np.packbits(padded, axis=-1)
+        got = np.unpackbits(messages.payload[at], axis=-1)
         # side information of cell i for label j: total_j ^ packet(i, j), the
         # XOR of packet j over every cell but i and j; so cell i rebuilds
         # packet(i, j) as payload_j ^ total_j ^ packet(i, j)
-        keys = np.unpackbits(messages.payload[at], axis=-1) ^ totals
-        labels = np.nonzero(off)[1].reshape(g, g - 1)
-        rebuilt = keys[:, labels, pad:] ^ packets
-        ok = (rebuilt == packets).all(axis=(2, 3))
-        # a payload wider than its packet fails its readers
-        wide = keys[:, :, :pad].any(axis=-1)
-        ok &= wide.sum(axis=1, keepdims=True) == wide
-        cell_ok[cells] = ok
+        rebuilt = (got[:, :, pad:] ^ totals)[:, labels] ^ packets
+        ok = (rebuilt == packets).reshape(n, g, -1).all(axis=-1)
+        # a payload wider than its packet sets pad bits and fails its readers
+        wide = got[:, :, :pad].any(axis=-1)
+        cell_ok[cells] = ok & ~wide[:, labels].any(axis=-1)
 
     if transcript is None:
         messages.payload.setflags(write=False)
