@@ -302,15 +302,6 @@ class _MessageColumns(Sequence):
             int.from_bytes(self.payload[lo:hi].tobytes(), "big"),
         )
 
-    def __iter__(self):
-        data = self.payload.tobytes()
-        cuts = self.offsets.tolist()
-        for k, s, b, lo, hi in zip(
-            self.sender.tolist(), self.symbol.tolist(), self.bits.tolist(),
-            cuts, cuts[1:],
-        ):
-            yield Message(k, s, b, int.from_bytes(data[lo:hi], "big"))
-
     def _key(self) -> tuple[bytes, ...]:
         return (
             self.sender.tobytes(), self.symbol.tobytes(), self.bits.tobytes(),
@@ -324,9 +315,6 @@ class _MessageColumns(Sequence):
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} messages>"
 
 
 @dataclass(frozen=True)
