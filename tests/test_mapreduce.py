@@ -423,12 +423,12 @@ def assert_matches_reference(arr, eta1, eta2, t, seed):
     tr, rep = run_job(arr, spec)
     grid = arr.grid.tolist()
     want, per_reducer = bf_run_job(grid, IvOracle(seed, t), eta1, eta2)
-    assert [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages] == want
+    got = [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages]
+    assert got == want
     assert tr.total_bits == rep.total_bits == sum(m[2] for m in want)
     assert [(r.ok, r.recovered_ivs) for r in rep.per_reducer] == per_reducer
     assert all(ok for ok, _ in per_reducer)
     # the reducers of the reference read run_job's payloads just as well
-    got = [(m.sender, m.symbol, m.bits, m.payload) for m in tr.messages]
     assert bf_run_job(grid, IvOracle(seed, t), eta1, eta2, got)[1] == per_reducer
 
 
