@@ -257,6 +257,35 @@ def bf_lex_rank(subset, universe: int) -> int:
     raise ValueError("subset not found")
 
 
+def bf_algorithm1(mappers: int, r: int, alpha: int) -> list[list[int]]:
+    """The subset-topology grid cell by cell: rows are the r-subsets and
+    columns the alpha-subsets in lexicographic order, a star where they
+    intersect, else the rank of their union among the (r+alpha)-subsets."""
+    rank: dict[tuple[int, ...], int] = {}
+    grid = []
+    for t in combinations(range(mappers), r):
+        tset = set(t)
+        row = []
+        for u in combinations(range(mappers), alpha):
+            if not tset.isdisjoint(u):
+                row.append(STAR)
+                continue
+            union = tuple(sorted(t + u))
+            if union not in rank:
+                rank[union] = bf_lex_rank(union, mappers)
+            row.append(rank[union])
+        grid.append(row)
+    return grid
+
+
+def bf_serialize(grid) -> str:
+    """The text exchange format, one token at a time."""
+    lines = [f"{len(grid)} {len(grid[0])}"]
+    for row in grid:
+        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def bf_is_lower_envelope(points, curve_corners) -> bool:
     """Corners must be a convex chain lying on/below all points and touching
     the first and last point."""

@@ -31,6 +31,7 @@ from oracles import (
     bf_first_pair_violation,
     bf_l_cyclic,
     bf_pair_conditions,
+    bf_serialize,
     bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
@@ -85,6 +86,55 @@ def test_parse_errors(text):
 def test_comments_are_ignored():
     arr = parse_array("# hello\n1 2\n# mid\n* 0\n")
     assert arr.rows == 1 and arr.cols == 2
+
+
+@st.composite
+def text_grids(draw):
+    """Grids of stars and symbols up to the int64 limit: all-star, star-free
+    or mixed, 1 x 1 included, some with one row or column all stars."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    symbol = st.integers(0, 2**63 - 1)
+    cell = draw(
+        st.sampled_from([st.just(STAR), symbol, st.one_of(st.just(STAR), symbol)])
+    )
+    g = np.array(
+        draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    line = draw(st.sampled_from([None, "row", "column"]))
+    if line == "row":
+        g[draw(st.integers(0, rows - 1)), :] = STAR
+    elif line == "column":
+        g[:, draw(st.integers(0, cols - 1))] = STAR
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_grids())
+def test_serialize_matches_bruteforce(g):
+    arr = CodedArray(g)
+    text = arr.serialize()
+    assert text == bf_serialize(g.tolist())
+    assert parse_array(text) == arr
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789*# \t\n\r-+_x\u0661\u00a0"),
+        text_grids().map(lambda g: CodedArray(g).serialize()),
+    )
+)
+def test_parse_either_round_trips_or_raises_format_error(text):
+    # the parser contract: any text gives an array whose text form parses
+    # back to it, or ArrayFormatError, never another exception
+    try:
+        arr = parse_array(text)
+    except ArrayFormatError:
+        return
+    assert parse_array(arr.serialize()) == arr
 
 
 # --- statistics --------------------------------------------------------------

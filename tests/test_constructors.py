@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -25,7 +27,7 @@ from codedshuffle import (
 )
 from codedshuffle.constructors import ConstructionError, GcParameters
 
-from oracles import bf_lex_rank
+from oracles import bf_algorithm1, bf_lex_rank
 
 
 # --- subset ranking -----------------------------------------------------------
@@ -91,6 +93,44 @@ def test_algorithm1_bounds():
         algorithm1(4, 2, 3)  # r + alpha > mappers
     with pytest.raises(ConstructionError):
         algorithm1(4, 1, 4)  # alpha too large
+
+
+@pytest.mark.parametrize("lam", range(2, 11))
+def test_algorithm1_matches_reference(lam):
+    for alpha in range(1, lam):
+        for r in range(1, lam - alpha + 1):
+            assert algorithm1(lam, r, alpha).grid.tolist() == bf_algorithm1(lam, r, alpha)
+
+
+# sha256 of serialize() for the large arrays the benchmark builds
+_ALG1_TEXT_DIGESTS = {
+    (16, 2, 2): "69467b2191ba041539a295d8ea88a8f9d17233f902677247cdfae405d97ebc19",
+    (12, 5, 5): "57c1d7dffac83605386bb7f5955a94a66f3ddea4468d5e3b7af29e865498889d",
+    (12, 6, 6): "058e23023f824f4c64d829506a5eaf32da6347481f1406f0bc33aaf8079b5582",
+    (12, 2, 4): "af255cb11f7fc04210634b9d9689ae136194ea840ffd4f28d3cfbbc81149f71e",
+}
+
+
+@pytest.mark.parametrize("point", list(_ALG1_TEXT_DIGESTS))
+def test_algorithm1_text_digests_pinned(point):
+    text = algorithm1(*point).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == _ALG1_TEXT_DIGESTS[point]
+
+
+def test_algorithm1_memory_is_bounded():
+    # 924 x 924: the int64 grid and its read-only copy are 6.5 MiB each
+    def peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    arr, build_peak = peak(lambda: algorithm1(12, 6, 6))
+    _, text_peak = peak(arr.serialize)
+    assert build_peak < 16 * 2**20
+    assert text_peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("lam", range(2, 9))
