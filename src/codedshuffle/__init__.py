@@ -7,7 +7,6 @@ from .arrays import (
     ArrayFormatError,
     ArrayStats,
     CodedArray,
-    ShufflePlan,
     TruncationError,
     ValidationReport,
     Violation,

@@ -30,7 +30,6 @@ __all__ = [
     "TruncationError",
     "CodedArray",
     "ArrayStats",
-    "ShufflePlan",
     "Violation",
     "ValidationReport",
     "parse_array",
@@ -142,8 +141,9 @@ class CodedArray:
     def shuffle_plan(self) -> "ShufflePlan":
         """Each symbol's cells in row-major order: the read-only
         :func:`~codedshuffle.kernels.group_cells` of the grid.  It checks
-        nothing; ``validate_mra`` in ``mapreduce._split`` is the crossing
-        check that puts every XOR term on a star of the column using it.
+        nothing; ``validate_mra`` in ``mapreduce._check_job`` is the
+        crossing check that puts every XOR term on a star of the column
+        using it.
         """
         plan = ShufflePlan(*group_cells(self.grid))
         for a in (plan.symbols, plan.offsets, plan.rows, plan.cols):
@@ -167,17 +167,22 @@ class CodedArray:
     def entry(self, f: int, k: int) -> int:
         return int(self.grid[f, k])
 
-    def column_star_counts(self) -> list[int]:
-        return list(self.stats.column_stars)
-
     def serialize(self) -> str:
-        """Canonical text form; re-parsing yields an equal array."""
-        lines = [f"{self.rows} {self.cols}"]
-        for f in range(self.rows):
-            toks = [
-                "*" if v == STAR else str(int(v)) for v in self.grid[f]
-            ]
-            lines.append(" ".join(toks))
+        """Canonical text form; re-parsing yields an equal array.
+
+        Each row starts as K star tokens and only its symbol tokens are
+        placed, so the Python work grows with the symbol cells and rows.
+        """
+        K = self.cols
+        at = np.flatnonzero(self.grid != STAR)  # symbol cells, row-major
+        syms = self.grid.ravel()[at]
+        cuts = np.searchsorted(at, np.arange(self.rows + 1) * K).tolist()
+        lines = [f"{self.rows} {K}"]
+        for f, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            row = ["*"] * K
+            for k, s in zip((at[lo:hi] - f * K).tolist(), syms[lo:hi].tolist()):
+                row[k] = str(s)
+            lines.append(" ".join(row))
         return "\n".join(lines) + "\n"
 
     def equal_up_to_relabeling(self, other: "CodedArray") -> bool:
@@ -286,10 +291,6 @@ class ArrayStats:
     common_g: int | None
     cyclic_shift: int | None
 
-    @property
-    def nonstar_cells(self) -> int:
-        return sum(g * n for g, n in self.histogram.items())
-
 
 @dataclass(frozen=True, eq=False)
 class ShufflePlan:
@@ -397,7 +398,7 @@ def validate_mra(arr: CodedArray) -> ValidationReport:
 
 def validate_pda(arr: CodedArray) -> ValidationReport:
     """Check A1 (uniform column stars), A2 (dense symbols), and crossings."""
-    counts = arr.column_star_counts()
+    counts = list(arr.stats.column_stars)
     z = counts[0]
     a1_ok = all(c == z for c in counts)
     a1_viol = None

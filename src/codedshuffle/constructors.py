@@ -19,7 +19,7 @@ byte-identical serialized arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -86,6 +86,13 @@ def lex_unrank(rank: int, size: int, universe: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _subsets(mappers: int, size: int) -> np.ndarray:
+    """The size-subsets of range(mappers) in lexicographic order, one
+    ascending row each."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(mappers), size)), np.intp)
+    return flat.reshape(-1, size)
+
+
 def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     """Combinatorial-topology array: C(mappers, r) x C(mappers, alpha).
 
@@ -94,17 +101,30 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     intersect, otherwise the lexicographic rank of T | U among the
     (alpha+r)-subsets, making the result C(r+alpha, r)-regular with
     C(mappers, alpha+r) symbols.
+
+    Disjointness comes from one boolean product of the subsets' membership
+    matrices (one byte per cell), and each symbol from the closed-form rank
+    C(mappers, m) - 1 - sum_j C(mappers-1-t_j, m-j) of the sorted union
+    t_0 < ... < t_{m-1}, m = r + alpha, so no Python work is done per cell.
     """
     lam = mappers
     ct_parameters(lam, r, alpha)
-    row_sets = list(combinations(range(lam), r))
-    col_sets = list(combinations(range(lam), alpha))
-    grid = np.full((len(row_sets), len(col_sets)), STAR, dtype=np.int64)
-    for i, t in enumerate(row_sets):
-        tset = set(t)
-        for j, u in enumerate(col_sets):
-            if tset.isdisjoint(u):
-                grid[i, j] = lex_rank(t + u, lam)
+    row_sets, col_sets = _subsets(lam, r), _subsets(lam, alpha)
+    mappers_axis = np.arange(lam)
+    rows = (row_sets[:, :, None] == mappers_axis).any(axis=1)
+    cols = (col_sets[:, :, None] == mappers_axis).any(axis=1)
+    f, k = np.nonzero(~(rows @ cols.T))
+    m = r + alpha
+    union = np.sort(np.hstack([row_sets[f], col_sets[k]]), axis=1)
+    # The rank reads C(a, b) only at a - b <= lam-1-m, where it is at most
+    # C(lam-1, m); the other entries stay 0, so the table is exact in int64
+    # whenever the symbols are.
+    binom = np.array(
+        [[comb(a, b) if a - b < lam - m else 0 for b in range(m + 1)] for a in range(lam)],
+        np.int64,
+    )
+    grid = np.full((rows.shape[0], cols.shape[0]), STAR, dtype=np.int64)
+    grid[f, k] = comb(lam, m) - 1 - binom[lam - 1 - union, m - np.arange(m)].sum(axis=1)
     return CodedArray(grid)
 
 

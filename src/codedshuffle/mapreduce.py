@@ -256,21 +256,40 @@ class Message:
     payload: int
 
 
-class _MessageColumns(Sequence):
-    """Read-only messages stored as columns in send order.
+class _Columns(Sequence):
+    """Read-only records stored as numpy columns, one per slot.  A record
+    is built only when one is indexed or iterated; slicing gives a tuple,
+    and equality and hash compare the columns."""
 
-    ``payload`` holds each message's payload big-endian, left-padded to
-    whole bytes, at ``offsets[i]:offsets[i + 1]``.  A :class:`Message` is
-    built only when one is indexed or iterated; slicing gives a tuple.
-    """
+    __slots__ = ()
 
-    __slots__ = ("sender", "symbol", "bits", "payload", "offsets")
-
-    def __init__(self, sender, symbol, bits, payload, offsets):
-        self.sender, self.symbol, self.bits = sender, symbol, bits
-        self.payload, self.offsets = payload, offsets
-        for a in (sender, symbol, bits, offsets):
+    def __init__(self, *columns):
+        for name, a in zip(self.__slots__, columns):
             a.setflags(write=False)
+            setattr(self, name, a)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._record(range(len(self))[i])
+
+    def _key(self) -> tuple[bytes, ...]:
+        return tuple(getattr(self, name).tobytes() for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _MessageColumns(_Columns):
+    """Messages in send order.  ``payload`` holds each message's payload
+    big-endian, left-padded to whole bytes, at ``offsets[i]:offsets[i + 1]``."""
+
+    __slots__ = ("sender", "symbol", "bits", "offsets", "payload")
 
     @classmethod
     def of(cls, messages) -> "_MessageColumns":
@@ -278,22 +297,18 @@ class _MessageColumns(Sequence):
         payloads = [m.payload.to_bytes((m.bits + 7) // 8, "big") for m in messages]
         offsets = np.zeros(len(messages) + 1, np.int64)
         np.cumsum([len(p) for p in payloads], out=offsets[1:])
-        payload = np.frombuffer(b"".join(payloads), np.uint8)
         return cls(
             np.array([m.sender for m in messages], np.int64),
             np.array([m.symbol for m in messages], np.int64),
             np.array([m.bits for m in messages], np.int64),
-            payload,
             offsets,
+            np.frombuffer(b"".join(payloads), np.uint8),
         )
 
     def __len__(self) -> int:
         return self.sender.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        i = range(len(self))[i]
+    def _record(self, i: int) -> Message:
         lo, hi = self.offsets[i : i + 2].tolist()
         return Message(
             int(self.sender[i]),
@@ -301,20 +316,6 @@ class _MessageColumns(Sequence):
             int(self.bits[i]),
             int.from_bytes(self.payload[lo:hi].tobytes(), "big"),
         )
-
-    def _key(self) -> tuple[bytes, ...]:
-        return (
-            self.sender.tobytes(), self.symbol.tobytes(), self.bits.tobytes(),
-            self.payload.tobytes(),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, _MessageColumns):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -357,21 +358,56 @@ class ReducerResult:
     recovered_ivs: int
 
 
+class _ReducerColumns(_Columns):
+    """Per-reducer results, one row per reducer."""
+
+    __slots__ = ("reducer", "ok", "recovered_ivs")
+
+    @classmethod
+    def of(cls, results) -> "_ReducerColumns":
+        results = tuple(results)
+        return cls(
+            np.array([r.reducer for r in results], np.int64),
+            np.array([r.ok for r in results], bool),
+            np.array([r.recovered_ivs for r in results], np.int64),
+        )
+
+    def __len__(self) -> int:
+        return self.ok.shape[0]
+
+    def _record(self, i: int) -> ReducerResult:
+        return ReducerResult(
+            int(self.reducer[i]), bool(self.ok[i]), int(self.recovered_ivs[i])
+        )
+
+
 @dataclass(frozen=True)
 class DecodeReport:
-    per_reducer: tuple[ReducerResult, ...]
+    """Decode verdicts of one job.
+
+    ``per_reducer`` accepts any sequence of :class:`ReducerResult`, which
+    is turned into columns here, and reads back as a read-only sequence
+    that builds a ``ReducerResult`` only when one is indexed or iterated.
+    """
+
+    per_reducer: Sequence[ReducerResult]
     total_bits: int
     denominator: int
 
+    def __post_init__(self):
+        if not isinstance(self.per_reducer, _ReducerColumns):
+            object.__setattr__(self, "per_reducer", _ReducerColumns.of(self.per_reducer))
+
     @property
     def all_ok(self) -> bool:
-        return all(r.ok for r in self.per_reducer)
+        return bool(self.per_reducer.ok.all())
 
     @property
     def measured_load(self) -> Fraction:
         return Fraction(self.total_bits, self.denominator)
 
     def to_json_dict(self) -> dict:
+        c = self.per_reducer
         return {
             "measured_load": f"{self.total_bits}/{self.denominator}",
             "measured_load_reduced": (
@@ -380,8 +416,10 @@ class DecodeReport:
             "total_bits": self.total_bits,
             "all_decoded": self.all_ok,
             "per_reducer": [
-                {"reducer": r.reducer, "ok": r.ok, "recovered_ivs": r.recovered_ivs}
-                for r in self.per_reducer
+                {"reducer": k, "ok": ok, "recovered_ivs": n}
+                for k, ok, n in zip(
+                    c.reducer.tolist(), c.ok.tolist(), c.recovered_ivs.tolist()
+                )
             ],
         }
 
@@ -468,9 +506,7 @@ def _execute(
     if transcript is None:
         offsets = np.zeros(order.shape[0] + 1, np.int64)
         np.cumsum((bits + 7) // 8, out=offsets[1:])
-        messages = _MessageColumns(
-            senders, symbols, bits, np.empty(offsets[-1], np.uint8), offsets
-        )
+        payload = np.empty(offsets[-1], np.uint8)
         sent = np.arange(order.shape[0])
     else:
         messages = transcript.messages
@@ -482,11 +518,12 @@ def _execute(
             and np.array_equal(messages.bits[sent], bits)
         ):
             raise ValueError("transcript does not hold one message per cell of the job")
+        offsets, payload = messages.offsets, messages.payload
     # the r-th cell in send order is the transcript's r-th message by
     # (sender, symbol); row[c] is the transcript row of plan cell c
     row = np.empty_like(order)
     row[order] = sent
-    first_byte = messages.offsets[row]
+    first_byte = offsets[row]
 
     t = spec.iv_bits
     streams = IvOracle(spec.seed, t).streams(spec.functions, spec.files)
@@ -510,8 +547,8 @@ def _execute(
         if transcript is None:
             padded = np.zeros((n, g, pad + plen), np.uint8)
             padded[:, :, pad:] = totals
-            messages.payload[at] = np.packbits(padded, axis=-1)
-        got = np.unpackbits(messages.payload[at], axis=-1)
+            payload[at] = np.packbits(padded, axis=-1)
+        got = np.unpackbits(payload[at], axis=-1)
         # side information of cell i for label j: total_j ^ packet(i, j), the
         # XOR of packet j over every cell but i and j; so cell i rebuilds
         # packet(i, j) as payload_j ^ total_j ^ packet(i, j)
@@ -522,15 +559,12 @@ def _execute(
         cell_ok[cells] = ok & ~wide[:, labels].any(axis=-1)
 
     if transcript is None:
-        messages.payload.setflags(write=False)
+        messages = _MessageColumns(senders, symbols, bits, offsets, payload)
         transcript = ShuffleTranscript(messages, int(cell_bits.sum()))
     K = arr.cols
     failed = np.bincount(plan.cols, weights=~cell_ok, minlength=K)
     recovered = np.bincount(plan.cols, minlength=K) * (eta1 * eta2)
-    results = tuple(
-        ReducerResult(k, ok, n)
-        for k, (ok, n) in enumerate(zip((failed == 0).tolist(), recovered.tolist()))
-    )
+    results = _ReducerColumns(np.arange(K), failed == 0, recovered)
     return transcript, DecodeReport(
         results, transcript.total_bits, spec.files * spec.functions * spec.iv_bits
     )

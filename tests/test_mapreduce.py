@@ -35,6 +35,7 @@ from codedshuffle import (
 )
 from codedshuffle.mapreduce import (
     MAX_JOB_IV_BITS,
+    DecodeReport,
     IvOracle,
     JobPreconditionError,
     Message,
@@ -349,6 +350,35 @@ def test_messages_are_built_on_demand(golden):
         ms[42]
     with pytest.raises(TypeError):
         ms[0] = last
+
+
+def test_reducer_results_are_built_on_demand(golden):
+    arr = golden["gc_4_2_k23"]
+    spec = JobSpec(arr.rows, arr.cols, choose_iv_bits(arr, 7), 2)
+    tr, rep = run_job(arr, spec)
+    m = tr.messages[0]
+    flipped = Message(m.sender, m.symbol, m.bits, m.payload ^ 1)
+    bad = _reduce(arr, spec, ShuffleTranscript((flipped,) + tr.messages[1:], 0))
+    assert rep.all_ok and not bad.all_ok
+    for report in (rep, bad):
+        rs = report.per_reducer
+        assert len(rs) == arr.cols == 26
+        listed = list(rs)
+        assert [r.reducer for r in listed] == list(range(26))
+        assert rs[0] == listed[0] and rs[-1] == rs[25] == listed[-1]
+        assert rs[1:3] == tuple(listed[1:3]) and rs[5:2] == ()
+        with pytest.raises(IndexError):
+            rs[26]
+        with pytest.raises(TypeError):
+            rs[0] = listed[1]
+        # a report built from ReducerResult values equals the executor's
+        built = DecodeReport(tuple(listed), report.total_bits, report.denominator)
+        assert built == report and hash(built) == hash(report)
+        assert built.all_ok == report.all_ok
+        assert built.to_json_dict() == report.to_json_dict()
+    assert rep != bad
+    failed = [r.reducer for r in bad.per_reducer if not r.ok]
+    assert failed and m.sender not in failed
 
 
 # sha256 over every (eta1, eta2, seed, t_base) point below of the transcript
