@@ -315,7 +315,11 @@ def _clique_partition(cols: int, r: int, alpha: int, g: int):
         assigned[head] = False
         return False
 
-    if not solve():
+    found = solve()
+    # grow and solve refer to each other; clearing them frees the adjacency
+    # sets now instead of at the next cyclic garbage collection
+    del grow, solve
+    if not found:
         return None
     return [[cells[x] for x in grp] for grp in groups]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import tracemalloc
 from itertools import combinations
@@ -276,6 +277,20 @@ def test_family_rules_raise_one_message(callers, point, message):
         with pytest.raises(ConstructionError) as exc:
             caller(*point)
         assert str(exc.value) == message, caller.__name__
+
+
+def test_nnc_search_leaves_no_reference_cycles():
+    # the fill search's adjacency sets must be freed when it returns, not
+    # at the next cyclic garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        nnc_pda(12, 2, 4)
+        with pytest.raises(ConstructionError):
+            nnc_pda(6, 1, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nnc_infeasible_points_raise():
