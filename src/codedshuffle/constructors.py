@@ -19,7 +19,7 @@ byte-identical serialized arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -89,8 +89,9 @@ def lex_unrank(rank: int, size: int, universe: int) -> tuple[int, ...]:
 def _subsets(mappers: int, size: int) -> np.ndarray:
     """The size-subsets of range(mappers) in lexicographic order, one
     ascending row each."""
-    flat = np.fromiter(chain.from_iterable(combinations(range(mappers), size)), np.intp)
-    return flat.reshape(-1, size)
+    # not np.fromiter: it grows its buffer by reallocation, which left about
+    # 0.5 MB of heap holes between the arrays a sweep keeps
+    return np.array(list(combinations(range(mappers), size)), np.intp).reshape(-1, size)
 
 
 def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
