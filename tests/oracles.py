@@ -278,6 +278,63 @@ def bf_algorithm1(mappers: int, r: int, alpha: int) -> list[list[int]]:
     return grid
 
 
+_INT64_MAX = 2**63 - 1
+_INT64_DIGITS = len(str(_INT64_MAX))
+
+
+def bf_parse_array(text: str) -> list[list[int]]:
+    """The text exchange format, one token at a time.
+
+    Returns the grid as lists of ints (stars as ``STAR``) or raises
+    ``ValueError`` with the message the production parser must give.
+    """
+    if not text:
+        raise ValueError("empty input")
+    if not text.endswith("\n"):
+        raise ValueError("trailing newline required")
+    lines = [
+        ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise ValueError("empty grid")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError("header must be 'F K'")
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"bad header: {lines[0]!r}") from None
+    if rows < 1 or cols < 1:
+        raise ValueError("empty grid")
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
+    grid = []
+    for f, line in enumerate(lines[1:]):
+        toks = line.split()
+        if len(toks) != cols:
+            raise ValueError(f"row {f} has {len(toks)} entries, expected {cols}")
+        row = []
+        for k, tok in enumerate(toks):
+            if tok == "*":
+                row.append(STAR)
+                continue
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(
+                    f"token {tok!r} at ({f}, {k}) is neither '*' nor a "
+                    "non-negative integer"
+                )
+            digits = tok
+            if len(tok) >= _INT64_DIGITS:
+                digits = tok.lstrip("0") or "0"
+                if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+                    raise ValueError(
+                        f"token {tok!r} at ({f}, {k}) exceeds the int64 range"
+                    )
+            row.append(int(digits))
+        grid.append(row)
+    return grid
+
+
 def bf_serialize(grid) -> str:
     """The text exchange format, one token at a time."""
     lines = [f"{len(grid)} {len(grid[0])}"]

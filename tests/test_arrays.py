@@ -31,6 +31,7 @@ from oracles import (
     bf_first_pair_violation,
     bf_l_cyclic,
     bf_pair_conditions,
+    bf_parse_array,
     bf_serialize,
     bf_symbol_cells,
     bf_validate_mra,
@@ -135,6 +136,72 @@ def test_parse_either_round_trips_or_raises_format_error(text):
     except ArrayFormatError:
         return
     assert parse_array(arr.serialize()) == arr
+
+
+# line breaks of str.splitlines, whitespace of str.split, a non-ASCII digit
+_PARSE_EXTRA = "\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000\u0661"
+_PARSE_ALPHABET = "0123456789*# \t\n" + _PARSE_EXTRA
+
+
+@st.composite
+def texts_with_junk(draw):
+    """A valid grid's text with a few characters inserted anywhere."""
+    text = CodedArray(draw(text_grids())).serialize()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        junk = draw(st.text(alphabet=_PARSE_ALPHABET + "x-+", min_size=1, max_size=3))
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+@st.composite
+def texts_with_wide_tokens(draw):
+    """Rows of zero-padded tokens 18 to 25 characters wide, some near 2**63."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.integers(0, 10**18), st.integers(2**63 - 3, 2**63 + 3), st.just(STAR)
+    )
+    lines = [f"{rows} {cols}"]
+    for _ in range(rows):
+        toks = []
+        for _ in range(cols):
+            v = draw(value)
+            toks.append("*" if v == STAR else str(v).zfill(draw(st.integers(18, 25))))
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def texts_with_wide_headers(draw):
+    """Headers that declare far more columns than the rows hold."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(3, 2**80))
+    body = draw(st.lists(st.text(alphabet="0123456789* ", max_size=6), min_size=rows,
+                         max_size=rows))
+    return "\n".join([f"{rows} {cols}", *(f"* {b}" for b in body)]) + "\n"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=_PARSE_ALPHABET),
+        texts_with_junk(),
+        texts_with_wide_tokens(),
+        texts_with_wide_headers(),
+    )
+)
+def test_parse_matches_reference(text):
+    # the same grid as the token-at-a-time reference, or its exact message
+    try:
+        want = bf_parse_array(text)
+    except ValueError as exc:
+        with pytest.raises(ArrayFormatError) as got:
+            parse_array(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_array(text).grid.tolist() == want
 
 
 # --- statistics --------------------------------------------------------------
