@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import codedshuffle
 from codedshuffle import load_fixture, parse_array
@@ -104,6 +106,26 @@ def test_validate_oversize_token_exit_code(run, tmp_path):
     code, _, err = run("validate", str(path))
     assert code == 2
     assert "int64" in err
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        st.text().map(str.encode),
+        st.text(alphabet="0123456789*# \t\n\r").map(str.encode),
+        st.binary(),
+    )
+)
+def test_validate_never_raises(run, tmp_path, data):
+    # any file, UTF-8 or not, ends in a documented exit code
+    path = tmp_path / "any.txt"
+    path.write_bytes(data)
+    code, _, _ = run("validate", str(path))
+    assert code in (0, 1, 2)
 
 
 def test_truncate_roundtrip(run, tmp_path):
