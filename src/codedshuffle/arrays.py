@@ -242,6 +242,8 @@ def parse_array(text: str) -> CodedArray:
     if len(header) != 2:
         raise ArrayFormatError("header must be 'F K'")
     try:
+        if not all(h.isascii() and h.isdigit() for h in header):
+            raise ValueError("F and K must be ASCII decimal")
         rows, cols = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ArrayFormatError(f"bad header: {lines[0]!r}") from exc

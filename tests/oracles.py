@@ -301,6 +301,8 @@ def bf_parse_array(text: str) -> list[list[int]]:
     if len(header) != 2:
         raise ValueError("header must be 'F K'")
     try:
+        if not all(h.isascii() and h.isdigit() for h in header):
+            raise ValueError
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"bad header: {lines[0]!r}") from None

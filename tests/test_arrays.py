@@ -77,6 +77,9 @@ def test_roundtrip_is_byte_identical(golden):
         "1 2\n* \u0661\n",  # non-ASCII digit
         "1 2\n* 9223372036854775808\n",  # above int64
         "1 4611686018427387904\n* *\n",  # header width far above the row's
+        "\u0661 \u0662\n* *\n",  # non-ASCII header digits
+        "+1 2\n* *\n",  # signed header
+        "1 1_0\n" + "* " * 10 + "\n",  # header with a digit separator
     ],
 )
 def test_parse_errors(text):
