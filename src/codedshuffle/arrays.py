@@ -221,13 +221,44 @@ class CodedArray:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_DIGITS = len(str(_INT64_MAX))
 
+# Data rows are parsed in blocks of about this many characters (a block
+# holds at least one row), which bounds the parser's temporaries.
+_BLOCK_CHARS = 1 << 18
+
+# bytes.translate table: the class of each byte of a block.  A token is a
+# run of non-zero classes; inside a line, str.split separates ASCII text
+# only at space, tab and \x1f.  Two neighbouring bytes whose classes sum to
+# _BAD or more hold a fault: a byte of no token class, or a star beside
+# another token byte.
+_GAP, _DIGIT, _STAR, _BAD = range(4)
+_CLASS = bytes(
+    _GAP if b in b" \t\x1f\n" else
+    _DIGIT if b in b"0123456789" else
+    _STAR if b == ord("*") else _BAD
+    for b in range(256)
+)
+# place values of the digits of tokens shorter than _INT64_DIGITS
+_POW10 = 10 ** np.arange(_INT64_DIGITS - 1, dtype=np.int64)
+
 
 def parse_array(text: str) -> CodedArray:
     """Parse the text exchange format.
 
-    Format: a header line ``F K``, then F lines of K whitespace-separated
-    tokens (``*`` or a decimal non-negative integer).  ``#`` lines are
-    comments.  A trailing newline is required.
+    Format: a header line ``F K`` of ASCII decimals, then F lines of K
+    whitespace-separated tokens (``*`` or an ASCII decimal non-negative
+    integer within int64).  ``#`` lines are comments.  A trailing newline
+    is required.
+
+    The data rows are read in blocks of about ``_BLOCK_CHARS`` characters,
+    each with a few numpy passes over its bytes: token bounds and tokens per
+    row from the byte classes, symbols from the place values of their
+    digits, scattered into a grid that starts as stars.  Tokens of
+    ``_INT64_DIGITS`` or more digits are read with ``int``.  The passes only
+    flag the first suspect row of a block; :func:`_check_row` then reads
+    that row token by token and raises the message naming its fault.  The
+    grid is allocated only when the text is long enough to hold it, so a
+    header that declares more cells than the text has raises at its first
+    short row.
     """
     if not text:
         raise ArrayFormatError("empty input")
@@ -253,34 +284,90 @@ def parse_array(text: str) -> CodedArray:
         raise ArrayFormatError(
             f"expected {rows} data rows, found {len(lines) - 1}"
         )
-    values = []
-    for f, line in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != cols:
+    # A row of K tokens and its line break take at least 2K characters, so
+    # a text too short for the grid has a short row, which raises.
+    grid = None
+    if 2 * rows * cols <= len(text):
+        grid = np.full((rows, cols), STAR, dtype=np.int64)
+    lo = size = 0
+    for hi, line in enumerate(lines[1:], 1):
+        size += len(line) + 1
+        if size >= _BLOCK_CHARS or hi == rows:
+            _parse_block(lines[lo + 1 : hi + 1], lo, cols, grid)
+            lo, size = hi, 0
+    del lines  # let the row strings go before CodedArray copies the grid
+    return CodedArray(grid)
+
+
+def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) -> None:
+    """Check data rows ``f0, f0 + 1, ...`` and write their symbols to ``grid``."""
+    text = "\n".join(block)
+    if not text.isascii():
+        # any Unicode whitespace becomes a space; other non-ASCII characters
+        # become '?' below, so their tokens are faults
+        text = "\n".join(ln if ln.isascii() else " ".join(ln.split()) for ln in block)
+    buf = b"\n" + text.encode("ascii", "replace") + b"\n"
+    c = np.frombuffer(buf.translate(_CLASS), dtype=np.uint8)
+    tok = c != _GAP
+    starts = (tok[1:] > tok[:-1]).nonzero()[0] + 1
+    # row r of the block lies between newlines[r] and newlines[r + 1]
+    newlines = (np.frombuffer(buf, dtype=np.uint8) == ord("\n")).nonzero()[0]
+    before = starts.searchsorted(newlines)
+    suspect = before[1:] - before[:-1] != cols
+    bad = (c[1:] + c[:-1] >= _BAD).nonzero()[0] + 1
+    if bad.size:
+        suspect[newlines.searchsorted(bad) - 1] = True
+    # digit runs; in a row without faults each is a whole symbol token
+    digit = c == _DIGIT
+    edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
+    run_at, run_end = edges[0::2], edges[1::2]
+    size = run_end - run_at
+    wide = {}
+    for r in (size >= _INT64_DIGITS).nonzero()[0].tolist():
+        digits = buf[run_at[r] : run_end[r]].lstrip(b"0") or b"0"
+        if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+            suspect[newlines.searchsorted(run_at[r]) - 1] = True
+        else:
+            wide[r] = int(digits)
+    if suspect.any():
+        f = int(suspect.argmax())
+        _check_row(f0 + f, block[f], cols)
+    if grid is None or size.size == 0:
+        return
+    # every row holds ``cols`` tokens, so token i of the block is cell i of
+    # its rows; each digit is weighted by the digits after it in its run
+    digit_at = digit.nonzero()[0]
+    place = (run_end - 1).repeat(size) - digit_at
+    np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
+    terms = _POW10[place] * (np.frombuffer(buf, dtype=np.uint8)[digit_at] - ord("0"))
+    cells = f0 * cols + starts.searchsorted(run_at)
+    flat = grid.reshape(-1)
+    flat[cells] = np.add.reduceat(terms, size.cumsum() - size)
+    for r, value in wide.items():
+        flat[cells[r]] = value
+
+
+def _check_row(f: int, line: str, cols: int) -> None:
+    """Raise the first fault of data row ``f``, token by token."""
+    toks = line.split()
+    if len(toks) != cols:
+        raise ArrayFormatError(f"row {f} has {len(toks)} entries, expected {cols}")
+    for k, tok in enumerate(toks):
+        if tok == "*":
+            continue
+        if not (tok.isascii() and tok.isdigit()):
             raise ArrayFormatError(
-                f"row {f} has {len(toks)} entries, expected {cols}"
+                f"token {tok!r} at ({f}, {k}) is neither '*' nor a "
+                "non-negative integer"
             )
-        row = []
-        for k, tok in enumerate(toks):
-            if tok == "*":
-                row.append(STAR)
-                continue
-            if not (tok.isascii() and tok.isdigit()):
+        if len(tok) >= _INT64_DIGITS:
+            # shorter tokens always fit; int() refuses very long strings
+            digits = tok.lstrip("0") or "0"
+            if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
                 raise ArrayFormatError(
-                    f"token {tok!r} at ({f}, {k}) is neither '*' nor a "
-                    "non-negative integer"
+                    f"token {tok!r} at ({f}, {k}) exceeds the int64 range"
                 )
-            digits = tok
-            if len(tok) >= _INT64_DIGITS:
-                # shorter tokens always fit; int() refuses very long strings
-                digits = tok.lstrip("0") or "0"
-                if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
-                    raise ArrayFormatError(
-                        f"token {tok!r} at ({f}, {k}) exceeds the int64 range"
-                    )
-            row.append(int(digits))
-        values.append(row)
-    return CodedArray(np.array(values, dtype=np.int64))
+    raise AssertionError(f"row {f} was flagged but has no fault")
 
 
 @dataclass(frozen=True)

@@ -185,17 +185,16 @@ def texts_with_wide_headers(draw):
     return "\n".join([f"{rows} {cols}", *(f"* {b}" for b in body)]) + "\n"
 
 
-@settings(max_examples=1000, deadline=None)
-@given(
-    st.one_of(
-        st.text(),
-        st.text(alphabet=_PARSE_ALPHABET),
-        texts_with_junk(),
-        texts_with_wide_tokens(),
-        texts_with_wide_headers(),
-    )
+parse_texts = st.one_of(
+    st.text(),
+    st.text(alphabet=_PARSE_ALPHABET),
+    texts_with_junk(),
+    texts_with_wide_tokens(),
+    texts_with_wide_headers(),
 )
-def test_parse_matches_reference(text):
+
+
+def _check_parse(text):
     # the same grid as the token-at-a-time reference, or its exact message
     try:
         want = bf_parse_array(text)
@@ -205,6 +204,24 @@ def test_parse_matches_reference(text):
         assert str(got.value) == str(exc)
     else:
         assert parse_array(text).grid.tolist() == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parse_texts)
+def test_parse_matches_reference(text):
+    _check_parse(text)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(parse_texts, st.integers(1, 24))
+def test_parse_matches_reference_in_small_blocks(monkeypatch, text, block):
+    # blocks of one or a few rows: faults and symbols in later blocks
+    monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+    _check_parse(text)
 
 
 # --- statistics --------------------------------------------------------------

@@ -21,6 +21,7 @@ from codedshuffle import (
     mrg_nnc,
     nnc_load,
     nnc_pda,
+    parse_array,
     shift_symbols,
     validate_l_cyclic,
     validate_mra,
@@ -129,9 +130,12 @@ def test_algorithm1_memory_is_bounded():
             tracemalloc.stop()
 
     arr, build_peak = peak(lambda: algorithm1(12, 6, 6))
-    _, text_peak = peak(arr.serialize)
+    text, text_peak = peak(arr.serialize)
+    parsed, parse_peak = peak(lambda: parse_array(text))
     assert build_peak < 16 * 2**20
     assert text_peak < 8 * 2**20
+    assert parse_peak < 16 * 2**20
+    assert parsed == arr
 
 
 @pytest.mark.parametrize("lam", range(2, 9))
