@@ -254,11 +254,11 @@ def parse_array(text: str) -> CodedArray:
     row from the byte classes, symbols from the place values of their
     digits, scattered into a grid that starts as stars.  Tokens of
     ``_INT64_DIGITS`` or more digits are read with ``int``.  The passes only
-    flag the first suspect row of a block; :func:`_check_row` then reads
-    that row token by token and raises the message naming its fault.  The
-    grid is allocated only when the text is long enough to hold it, so a
-    header that declares more cells than the text has raises at its first
-    short row.
+    flag suspect rows; :func:`_check_row` reads the first one token by token
+    and raises the message naming its fault, so a valid row never reaches a
+    per-token Python loop.  The grid is allocated only when the text is
+    long enough to hold it, so a header that declares more cells than the
+    text has raises at its first short row.
     """
     if not text:
         raise ArrayFormatError("empty input")
@@ -321,9 +321,9 @@ def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) 
     digit = c == _DIGIT
     edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
     run_at, run_end = edges[0::2], edges[1::2]
-    size = run_end - run_at
+    run_len = run_end - run_at
     wide = {}
-    for r in (size >= _INT64_DIGITS).nonzero()[0].tolist():
+    for r in (run_len >= _INT64_DIGITS).nonzero()[0].tolist():
         digits = buf[run_at[r] : run_end[r]].lstrip(b"0") or b"0"
         if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
             suspect[newlines.searchsorted(run_at[r]) - 1] = True
@@ -332,17 +332,17 @@ def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) 
     if suspect.any():
         f = int(suspect.argmax())
         _check_row(f0 + f, block[f], cols)
-    if grid is None or size.size == 0:
+    if grid is None or run_len.size == 0:
         return
     # every row holds ``cols`` tokens, so token i of the block is cell i of
     # its rows; each digit is weighted by the digits after it in its run
     digit_at = digit.nonzero()[0]
-    place = (run_end - 1).repeat(size) - digit_at
+    place = (run_end - 1).repeat(run_len) - digit_at
     np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
     terms = _POW10[place] * (np.frombuffer(buf, dtype=np.uint8)[digit_at] - ord("0"))
     cells = f0 * cols + starts.searchsorted(run_at)
     flat = grid.reshape(-1)
-    flat[cells] = np.add.reduceat(terms, size.cumsum() - size)
+    flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
     for r, value in wide.items():
         flat[cells[r]] = value
 
