@@ -307,11 +307,12 @@ def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) 
         # become '?' below, so their tokens are faults
         text = "\n".join(ln if ln.isascii() else " ".join(ln.split()) for ln in block)
     buf = b"\n" + text.encode("ascii", "replace") + b"\n"
+    raw = np.frombuffer(buf, dtype=np.uint8)
     c = np.frombuffer(buf.translate(_CLASS), dtype=np.uint8)
     tok = c != _GAP
     starts = (tok[1:] > tok[:-1]).nonzero()[0] + 1
     # row r of the block lies between newlines[r] and newlines[r + 1]
-    newlines = (np.frombuffer(buf, dtype=np.uint8) == ord("\n")).nonzero()[0]
+    newlines = (raw == ord("\n")).nonzero()[0]
     before = starts.searchsorted(newlines)
     suspect = before[1:] - before[:-1] != cols
     bad = (c[1:] + c[:-1] >= _BAD).nonzero()[0] + 1
@@ -339,7 +340,7 @@ def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) 
     digit_at = digit.nonzero()[0]
     place = (run_end - 1).repeat(run_len) - digit_at
     np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
-    terms = _POW10[place] * (np.frombuffer(buf, dtype=np.uint8)[digit_at] - ord("0"))
+    terms = _POW10[place] * (raw[digit_at] - ord("0"))
     cells = f0 * cols + starts.searchsorted(run_at)
     flat = grid.reshape(-1)
     flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
