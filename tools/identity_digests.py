@@ -81,11 +81,11 @@ def with_fault(text: str, i: int) -> str:
     elif kind == 2:
         del rows[f]
     else:
-        # the first row from f on that holds a symbol
-        while all(t == "*" for t in toks):
+        # a symbol of the first row from f on that holds one
+        while not (syms := [j for j, t in enumerate(toks) if t != "*"]):
             f = (f + 1) % len(rows)
             toks = rows[f].split()
-        at = [j for j, t in enumerate(toks) if t != "*"][k % (len(toks) - toks.count("*"))]
+        at = syms[k % len(syms)]
         toks[at] = toks[at].zfill(20)
     if kind != 2:
         rows[f] = " ".join(toks)
