@@ -20,6 +20,7 @@ from .arrays import (
 from .constructors import (
     ConstructionError,
     GcParameters,
+    SearchBudgetExceeded,
     algorithm1,
     algorithm2,
     lex_rank,

@@ -2,7 +2,8 @@
 
 Subcommands: construct | validate | truncate | simulate | loads | sweep |
 repro.  Exit codes: 0 success, 1 reproduction failure, 2 precondition or
-usage error, 3 decode failure.
+usage error (including a fill search that gave up at its step cap), 3
+decode failure.
 """
 
 from __future__ import annotations
@@ -506,7 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage message
+        return exc.code
     try:
         return args.func(args)
     except (

@@ -28,6 +28,7 @@ from .arrays import STAR, CodedArray
 
 __all__ = [
     "ConstructionError",
+    "SearchBudgetExceeded",
     "GcParameters",
     "ct_parameters",
     "check_nnc_parameters",
@@ -221,20 +222,25 @@ def algorithm2(params: GcParameters) -> CodedArray:
 
 # --- r-cyclic g-regular family -------------------------------------------
 #
-# Column k carries stars on rows [r*k, r*k + alpha*r); a non-star cell is
-# addressed (k, i) with row (r*k + alpha*r + i) mod columns.  Two cells may
-# share a symbol only when each one's row is starred in the other's column,
-# which reduces to a window condition on R = r*(k1 - k2) mod columns.  A
-# g-regular fill is a partition of the cells into size-g cliques of that
-# compatibility graph.
+# Column k carries stars on rows [r*k, r*k + alpha*r) mod the row count.  Two
+# integer cells may share a symbol only when each one's row is starred in the
+# other's column, which the star mask answers directly (a cell's own entry is
+# no star, so such cells also differ in row and column).  A g-regular fill is
+# a partition of the integer cells into size-g cliques of that adjacency.
 #
-# The full array repeats with period n = columns / r (column k and column
-# k + n carry identical star blocks, rows group into bands of r), so the
-# search runs first on the reduced n x n one-step-shift grid and the result
-# is blown back up r-fold in both directions; that path reproduces the
-# published arrays cell-for-cell.  Some parameter sets admit a fill only
-# without the band alignment (or not at all), so a full-size search backs
-# the reduced one up.
+# The array repeats with period n = columns / r (column k and column k + n
+# carry identical star blocks, rows group into bands of r), so the search
+# runs first on the reduced n x n one-step-shift grid and the result is blown
+# back up r-fold; that path reproduces the published arrays cell-for-cell.
+# Some parameter sets admit a fill only without the band alignment (or not
+# at all), so a full-size search backs the reduced one up.
+
+MAX_FILL_STEPS = 300_000
+"""Cells one fill search may place, besides those opening a clique."""
+
+
+class SearchBudgetExceeded(ConstructionError):
+    """Raised when a fill search stops at MAX_FILL_STEPS undecided."""
 
 
 def check_nnc_parameters(mappers: int, r: int, alpha: int) -> None:
@@ -250,79 +256,81 @@ def check_nnc_parameters(mappers: int, r: int, alpha: int) -> None:
         )
 
 
-def _cell_compatible(
-    cols: int, r: int, alpha: int, k1: int, i1: int, k2: int, i2: int
-) -> bool:
+def _star_layout(size: int, r: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size x size wrap-around star mask and its integer cells as
+    (row, column) pairs: column by column, each column's cells in wrap order
+    from the end of its star block."""
     z = alpha * r
-    m = cols - z
-    big_r = (r * (k1 - k2)) % cols
-    if big_r == 0:
-        return False
-    return max(m - i1, i2 + 1) <= big_r <= min(cols - 1 - i1, z + i2)
+    k = np.arange(size)
+    mask = (k[:, None] - r * k) % size < z
+    rows = (r * k[:, None] + z + np.arange(size - z)) % size
+    return mask, np.stack([rows.ravel(), np.repeat(k, size - z)], axis=1)
 
 
-def _clique_partition(cols: int, r: int, alpha: int, g: int):
-    """Deterministic exact search for a size-g clique partition.
+def _bitset(flags: np.ndarray) -> int:
+    """The positions of the true entries as the set bits of an int."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
-    Cells are explored in lexicographic order: the smallest unassigned cell
-    opens a new clique, extensions are tried smallest-first over the current
-    candidate pool, and branches die when the pool cannot reach size g.
-    Returns the cliques in discovery order, or None when none exists.
+
+def _clique_partition(mask: np.ndarray, cells: np.ndarray, g: int):
+    """Deterministic exact search for a size-g clique partition of ``cells``.
+
+    ``mask`` is the array's star mask, ``cells`` its integer cells as
+    (row, column) pairs in search order, and g >= 2 divides their number.
+    The first free cell opens a new clique, extensions are tried in order
+    over the current candidate pool, and a candidate is skipped when what
+    would remain of its pool cannot finish the clique.  Returns the cliques
+    in discovery order as a (cliques, g) array of positions in ``cells``, or
+    None when the search proves that no partition exists.  Raises
+    SearchBudgetExceeded when a partition needs, or the search takes, more
+    than MAX_FILL_STEPS steps.
     """
-    m = cols - alpha * r
-    cells = [(k, i) for k in range(cols) for i in range(m)]
-    total = len(cells)
-    adj: list[set[int]] = [set() for _ in range(total)]
-    for x in range(total):
-        k1, i1 = cells[x]
-        for y in range(x + 1, total):
-            k2, i2 = cells[y]
-            if _cell_compatible(cols, r, alpha, k1, i1, k2, i2):
-                adj[x].add(y)
-                adj[y].add(x)
-    assigned = [False] * total
-    groups: list[list[int]] = []
-
-    def grow(group: list[int], pool: list[int]) -> bool:
-        if len(group) == g:
-            return solve()
-        need = g - len(group)
-        for pos, cand in enumerate(pool):
-            if assigned[cand]:
-                continue
-            rest = [x for x in pool[pos + 1 :] if x in adj[cand] and not assigned[x]]
-            if len(rest) < need - 1:
-                continue
-            assigned[cand] = True
-            group.append(cand)
-            if grow(group, rest):
-                return True
-            group.pop()
-            assigned[cand] = False
-        return False
-
-    def solve() -> bool:
-        try:
-            head = assigned.index(False)
-        except ValueError:
-            return True
-        assigned[head] = True
-        group = [head]
-        groups.append(group)
-        pool = sorted(x for x in adj[head] if not assigned[x])
-        if grow(group, pool):
-            return True
-        groups.pop()
-        assigned[head] = False
-        return False
-
-    found = solve()
-    # grow and solve refer to each other; clearing them frees the adjacency
-    # sets now instead of at the next cyclic garbage collection
-    del grow, solve
-    if not found:
-        return None
-    return [[cells[x] for x in grp] for grp in groups]
+    if len(cells) - len(cells) // g > MAX_FILL_STEPS:
+        raise SearchBudgetExceeded(
+            f"a {g}-regular fill of {len(cells)} cells needs more than "
+            f"MAX_FILL_STEPS = {MAX_FILL_STEPS} steps"
+        )
+    f, k = cells.T
+    # Sets of positions in cells are ints with bit x set for position x.
+    # Cell y is adjacent to cell x when y is in starred_in[f[x]] (its column
+    # stars x's row) and in starring[k[x]] (x's column stars its row).
+    starred_in = [_bitset(mask[row, k]) for row in range(mask.shape[0])]
+    starring = [_bitset(mask[f, col]) for col in range(mask.shape[1])]
+    f, k = f.tolist(), k.tolist()
+    free = (1 << len(cells)) - 1
+    trail: list[tuple[int, int]] = []  # placed cells, each with its untried pool
+    pool = None
+    steps = 0
+    while True:
+        if pool is None:
+            if not free:
+                return np.array([cell for cell, _ in trail], np.intp).reshape(-1, g)
+            head = (free & -free).bit_length() - 1
+            free ^= 1 << head
+            trail.append((head, 0))
+            pool = starred_in[f[head]] & starring[k[head]] & free
+        need = g - len(trail) % g
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            cell = low.bit_length() - 1
+            rest = pool & starred_in[f[cell]] & starring[k[cell]]
+            if rest.bit_count() >= need - 1:
+                steps += 1
+                if steps > MAX_FILL_STEPS:
+                    raise SearchBudgetExceeded(
+                        f"{g}-regular fill search gave up undecided after "
+                        f"MAX_FILL_STEPS = {MAX_FILL_STEPS} steps"
+                    )
+                free ^= low
+                trail.append((cell, pool))
+                pool = rest if need > 1 else None
+                break
+        else:
+            if not trail:
+                return None
+            cell, pool = trail.pop()
+            free |= 1 << cell
 
 
 def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
@@ -331,10 +339,10 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     Column k carries stars on rows [r*k, r*k + alpha*r) mod mappers; the
     integer fill realizes coding gain g = 2*mappers / (mappers - (alpha-1)*r)
     with (mappers - alpha*r) * (mappers - (alpha-1)*r) / 2 symbols.
+    Raises SearchBudgetExceeded when a fill search gives up undecided.
     """
     lam = mappers
     check_nnc_parameters(lam, r, alpha)
-    n = lam // r
     d = lam - (alpha - 1) * r
     if (2 * lam) % d != 0:
         raise ConstructionError(
@@ -344,35 +352,26 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
         raise ConstructionError("symbol count is not an integer")
     g = 2 * lam // d
     expected_s = (lam - alpha * r) * d // 2
+    mask, cells = _star_layout(lam // r, 1, alpha)
+    cliques, fold = _clique_partition(mask, cells, g), r
+    if cliques is None and r > 1:
+        mask, cells = _star_layout(lam, r, alpha)
+        cliques, fold = _clique_partition(mask, cells, g), 1
+    if cliques is None:
+        raise ConstructionError(
+            f"no {g}-regular fill exists for mappers={lam}, r={r}, "
+            f"alpha={alpha} (exhaustive search)"
+        )
+    # Blow the partition up fold-fold: each searched cell becomes a
+    # fold x fold block of cells (row offset a, column copy t), and the
+    # diagonal labeling (same a, same t across a clique) preserves the
+    # crossing condition because star blocks align to fold-row bands.
+    s = len(cliques)
+    f, k = cells[cliques].T
+    t, a = np.indices((fold, fold)).reshape(2, -1, 1, 1)
     grid = np.full((lam, lam), STAR, dtype=np.int64)
-    groups = _clique_partition(n, 1, alpha, g)
-    if groups is not None:
-        # Blow the reduced partition up r-fold: each reduced cell becomes an
-        # r x r block of cells (row offset a, column copy t), and the
-        # diagonal labeling (same a, same t across a clique) preserves the
-        # crossing condition because star blocks align to r-row bands.
-        s_reduced = len(groups)
-        for t in range(r):
-            for a in range(r):
-                for idx, group in enumerate(groups):
-                    sym = t * (r * s_reduced) + a * s_reduced + idx
-                    for c, i in group:
-                        f = r * ((c + alpha + i) % n) + a
-                        k = c + t * n
-                        grid[f, k] = sym
-        produced = r * r * s_reduced
-    else:
-        full = _clique_partition(lam, r, alpha, g) if r > 1 else None
-        if full is None:
-            raise ConstructionError(
-                f"no {g}-regular fill exists for mappers={lam}, r={r}, "
-                f"alpha={alpha} (exhaustive search)"
-            )
-        z = alpha * r
-        for idx, group in enumerate(full):
-            for k, i in group:
-                grid[(r * k + z + i) % lam, k] = idx
-        produced = len(full)
+    grid[fold * f + a, k + t * (lam // fold)] = (t * fold + a) * s + np.arange(s)
+    produced = fold * fold * s
     if produced != expected_s:
         raise ConstructionError(
             f"fill produced {produced} symbols, expected {expected_s}"

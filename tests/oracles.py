@@ -278,6 +278,39 @@ def bf_algorithm1(mappers: int, r: int, alpha: int) -> list[list[int]]:
     return grid
 
 
+def bf_clique_partition(mask, g: int):
+    """Some partition of the non-star cells of ``mask`` (True for a star)
+    into groups of g cells, every two of which lie in different rows and
+    columns and see both crossing entries starred; None when there is none.
+
+    Each group of the first uncovered cell and g - 1 later cells is tried
+    in turn; the groups are lists of (row, column) pairs.
+    """
+    cells = [
+        (f, k)
+        for f in range(len(mask))
+        for k in range(len(mask[0]))
+        if not mask[f][k]
+    ]
+
+    def fits(a, b):
+        (f1, k1), (f2, k2) = a, b
+        return f1 != f2 and k1 != k2 and mask[f1][k2] and mask[f2][k1]
+
+    def cover(left):
+        if not left:
+            return []
+        for mates in combinations(left[1:], g - 1):
+            group = [left[0], *mates]
+            if all(fits(a, b) for a, b in combinations(group, 2)):
+                rest = cover([c for c in left[1:] if c not in mates])
+                if rest is not None:
+                    return [group, *rest]
+        return None
+
+    return cover(cells)
+
+
 _INT64_MAX = 2**63 - 1
 _INT64_DIGITS = len(str(_INT64_MAX))
 

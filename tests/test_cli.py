@@ -53,6 +53,23 @@ def test_construct_nnc_summary(run, tmp_path):
     assert "S=12" in out and "g=4" in out and "Z=8" in out
 
 
+def test_construct_nnc_large_point(run, tmp_path):
+    out_path = tmp_path / "arr.txt"
+    code, out, _ = run(
+        "construct", "nnc", "--lambda", "60", "--r", "1", "--alpha", "31",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    assert out.strip() == "F=60 K=60 S=435 Z=31 g=4"
+
+
+def test_construct_nnc_step_cap_exit_code(run):
+    code, out, err = run("construct", "nnc", "--lambda", "26", "--r", "1", "--alpha", "23")
+    assert code == 2 and out == ""
+    assert "MAX_FILL_STEPS" in err
+    assert "no fill exists" not in err
+
+
 def test_construct_precondition_exit_code(run):
     code, _, err = run("construct", "nnc", "--lambda", "5", "--r", "2", "--alpha", "2")
     assert code == 2
@@ -126,6 +143,40 @@ def test_validate_never_raises(run, tmp_path, data):
     path.write_bytes(data)
     code, _, _ = run("validate", str(path))
     assert code in (0, 1, 2)
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(["construct", "loads"]),
+    st.lists(
+        st.one_of(
+            st.integers(-2, 16).map(str),
+            st.text(max_size=8).filter(lambda tok: not _is_int(tok)),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_nnc_parameters_never_raise(run, command, values):
+    # any small or non-integer --lambda/--r/--alpha ends in a documented
+    # exit code
+    argv = [command, "nnc"]
+    for flag, value in zip(("--lambda", "--r", "--alpha"), values):
+        argv += [flag, value]
+    code, _, _ = run(*argv)
+    assert code in (0, 2)
 
 
 def test_truncate_roundtrip(run, tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +28,16 @@ from codedshuffle import (
     validate_mra,
     validate_pda,
 )
-from codedshuffle.constructors import ConstructionError, GcParameters
+from codedshuffle.constructors import (
+    ConstructionError,
+    GcParameters,
+    SearchBudgetExceeded,
+    _clique_partition,
+    _star_layout,
+)
 
-from oracles import bf_algorithm1, bf_lex_rank
+from conftest import nnc_triples
+from oracles import bf_algorithm1, bf_clique_partition, bf_lex_rank
 
 
 # --- subset ranking -----------------------------------------------------------
@@ -302,6 +310,73 @@ def test_nnc_infeasible_points_raise():
     for lam, r, alpha in [(6, 1, 3), (9, 1, 4), (10, 1, 7), (12, 1, 5), (12, 2, 3)]:
         with pytest.raises(ConstructionError, match="exhaustive"):
             nnc_pda(lam, r, alpha)
+
+
+def _small_wrap_layouts(max_cells: int):
+    """(size, r, alpha) of each wrap-around star layout with at most
+    max_cells integer cells."""
+    for size in range(2, max_cells + 1):
+        for r in range(1, size + 1):
+            for alpha in range(1, size // r):
+                if size % r == 0 and size * (size - alpha * r) <= max_cells:
+                    yield size, r, alpha
+
+
+@pytest.mark.parametrize(
+    "layout", list(_small_wrap_layouts(16)), ids=lambda t: "-".join(map(str, t))
+)
+def test_clique_partition_matches_reference(layout):
+    mask, cells = _star_layout(*layout)
+    assert sorted(cells.tolist()) == np.argwhere(~mask).tolist()
+    for g in [g for g in range(2, len(cells) + 1) if len(cells) % g == 0]:
+        cliques = _clique_partition(mask, cells, g)
+        assert (cliques is None) == (bf_clique_partition(mask, g) is None), g
+        if cliques is None:
+            continue
+        assert sorted(cliques.ravel().tolist()) == list(range(len(cells)))
+        for clique in cells[cliques].tolist():
+            for (f1, k1), (f2, k2) in combinations(clique, 2):
+                assert f1 != f2 and k1 != k2 and mask[f1, k2] and mask[f2, k1]
+
+
+# sha256 over serialize() of each wrap-around point with up to 20 mappers
+# and integral coding gain that has a fill, in nnc_triples order, and the
+# points that have none
+_NNC_TEXT_DIGEST = "fbf31d7de46a0f4f75d6ad1446fae67b1ede260f7d7fef57db526d83d9d81e2b"
+_NNC_NO_FILL = [
+    (6, 1, 3), (9, 1, 4), (10, 1, 7), (12, 1, 5), (12, 2, 3), (14, 1, 11),
+    (15, 1, 6), (15, 1, 10), (18, 1, 7), (18, 1, 15), (18, 2, 4), (18, 3, 3),
+    (20, 1, 13), (20, 2, 7),
+]
+
+
+def test_nnc_fills_pinned():
+    digest = hashlib.sha256()
+    no_fill = []
+    for point in nnc_triples(20, min_g=2):
+        try:
+            digest.update(nnc_pda(*point).serialize().encode())
+        except ConstructionError as exc:
+            assert "exhaustive" in str(exc)
+            no_fill.append(point)
+    assert no_fill == _NNC_NO_FILL
+    assert digest.hexdigest() == _NNC_TEXT_DIGEST
+
+
+def test_nnc_builds_large_points():
+    # a fill places every cell, so these go far deeper than a recursive
+    # search could
+    for point in [(60, 1, 31), (80, 1, 41)]:
+        assert validate_mra(nnc_pda(*point)).ok
+
+
+@pytest.mark.parametrize("point", [(26, 1, 23), (1000, 1, 1)], ids=lambda t: "-".join(map(str, t)))
+def test_nnc_search_gives_up_at_step_cap(point):
+    # (26, 1, 23) reaches the cap mid-search; (1000, 1, 1) has too many
+    # cells to fill within it
+    with pytest.raises(SearchBudgetExceeded, match="MAX_FILL_STEPS") as exc:
+        nnc_pda(*point)
+    assert "no fill exists" not in str(exc.value)
 
 
 def test_nnc_sweep_parameters(constructor_sweep):
