@@ -370,7 +370,9 @@ def test_nnc_builds_large_points():
         assert validate_mra(nnc_pda(*point)).ok
 
 
-@pytest.mark.parametrize("point", [(26, 1, 23), (1000, 1, 1)], ids=lambda t: "-".join(map(str, t)))
+@pytest.mark.parametrize(
+    "point", [(26, 1, 23), (1000, 1, 1)], ids=lambda t: "-".join(map(str, t))
+)
 def test_nnc_search_gives_up_at_step_cap(point):
     # (26, 1, 23) reaches the cap mid-search; (1000, 1, 1) has too many
     # cells to fill within it
