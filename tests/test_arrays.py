@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from codedshuffle import (
     ArrayFormatError,
     CodedArray,
     TruncationError,
+    algorithm1,
     compute_stats,
     load_fixture,
     load_from_array,
@@ -36,6 +38,7 @@ from oracles import (
     bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
+    gather_first_pair_violation,
 )
 
 
@@ -552,6 +555,77 @@ def test_pair_scan_reports_earliest_violation_across_symbols():
     hit = (2, (0, 0), (1, 1))
     assert bf_first_pair_violation(g.tolist()) == hit
     assert first_pair_violation(g) == hit
+
+
+@st.composite
+def tall_grids(draw):
+    """Sparse grids of 60-140 rows, so that row bitsets span two or three
+    64-bit words; placed cells favour the rows beside word boundaries."""
+    rows = draw(st.integers(60, 140))
+    cols = draw(st.integers(1, 6))
+    g = np.full((rows, cols), STAR, dtype=np.int64)
+    edges = [f for f in (0, 62, 63, 64, 65, 126, 127, 128, 129) if f < rows]
+    row = st.one_of(st.sampled_from(edges + [rows - 1]), st.integers(0, rows - 1))
+    for _ in range(draw(st.integers(0, 16))):
+        g[draw(row), draw(st.integers(0, cols - 1))] = draw(st.integers(0, 3))
+    return g
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default-chunks", "one-symbol-chunks"])
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(tall_grids())
+def test_pair_scan_matches_bruteforce_on_tall_grids(monkeypatch, block, g):
+    if block is not None:
+        monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", block)
+    _check_pair_scan(g)
+
+
+def _pair_scan_mutations(grid: np.ndarray, rng: random.Random):
+    """Two broken copies of a grid: a symbol copied into a starred cell of
+    its own column (a shared column), and a fresh symbol written on a
+    crossing cell of two equal symbols (a missing crossing star)."""
+    out = []
+    star = grid == STAR
+    cells = np.argwhere(~star & star.any(axis=0))
+    if len(cells):
+        f, k = cells[rng.randrange(len(cells))]
+        g = grid.copy()
+        g[rng.choice(np.flatnonzero(star[:, k]).tolist()), k] = grid[f, k]
+        out.append(g)
+    syms, counts = np.unique(grid[~star], return_counts=True)
+    if (counts >= 2).any():
+        sym = rng.choice(syms[counts >= 2].tolist())
+        (f1, k1), (f2, k2) = rng.sample(np.argwhere(grid == sym).tolist(), 2)
+        g = grid.copy()
+        g[f1, k2] = syms.max() + 1
+        out.append(g)
+    return out
+
+
+def test_pair_scan_matches_gather_scan(constructor_sweep):
+    # the kernel against a frozen copy of the plain star-gather scan: a
+    # seeded sample of the sweep, the large subset-topology arrays, and two
+    # broken copies of each
+    sweep = [a for *_, a in constructor_sweep["alg1"]]
+    sweep += [a for _, a in constructor_sweep["alg2"]]
+    sweep += [a for *_, a in constructor_sweep["nnc"]]
+    rng = random.Random(1906)
+    arrays = rng.sample(sweep, 300)
+    arrays += [algorithm1(*p) for p in [(16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4)]]
+    broken = 0
+    for arr in arrays:
+        assert first_pair_violation(arr.grid) is None
+        assert gather_first_pair_violation(arr.grid) is None
+        for g in _pair_scan_mutations(arr.grid, rng):
+            hit = first_pair_violation(g)
+            assert hit is not None
+            assert hit == gather_first_pair_violation(g)
+            broken += 1
+    assert broken >= len(arrays)
 
 
 @st.composite
