@@ -1,8 +1,14 @@
 """Validation kernel: cells grouped by symbol and the crossing-condition scan.
 
 :func:`group_cells` serves both the pair scan and the coded shuffle's plan.
-The scan checks all symbols of one multiplicity g together, as one boolean
-(n, g, g) star gather per chunk of at most ``_BLOCK_CELLS`` gathered cells.
+The scan costs time in proportion to the symbol cells, not to the grid or
+the pairs.  It first screens all symbols of one multiplicity g together
+with packed row bitsets: one mask of W = ceil(F/64) uint64 words per symbol
+(its rows) and one per column (its non-star rows).  A symbol is clean
+exactly when its rows are distinct and, for each of its cells, the symbol's
+rows other than the cell's own miss the non-star rows of the cell's column.
+Only the symbols the screen flags go on to the exact boolean (n, g, g) star
+gather, which locates each one's first violating pair.
 """
 
 from __future__ import annotations
@@ -11,8 +17,10 @@ import numpy as np
 
 STAR = -1
 
-# Gathered cells per chunk of same-g symbols; one symbol is never split, so a
-# chunk holds max(1, _BLOCK_CELLS // g**2) symbols.
+# Chunk size for same-g symbols: at most this many words in the screen and
+# gathered cells in the locate pass.  One symbol is never split, so a chunk
+# holds max(1, _BLOCK_CELLS // (g * W)) or max(1, _BLOCK_CELLS // g**2)
+# symbols.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -23,13 +31,14 @@ def group_cells(grid: np.ndarray):
     (ascending) occupies the cells ``(rows[i], cols[i])`` for
     ``offsets[s] <= i < offsets[s + 1]``, in row-major order.
     """
-    fs, ks = np.nonzero(grid != STAR)  # row-major
-    syms = grid[fs, ks]
+    at = np.flatnonzero(grid != STAR)  # row-major
+    syms = grid.reshape(-1)[at]
     order = np.argsort(syms, kind="stable")
     syms = syms[order]
     starts = np.flatnonzero(np.diff(syms, prepend=STAR))
     offsets = np.append(starts, syms.shape[0])
-    return syms[starts], offsets, fs[order], ks[order]
+    fs, ks = np.divmod(at[order], grid.shape[1])
+    return syms[starts], offsets, fs, ks
 
 
 def first_pair_violation(grid: np.ndarray):
@@ -43,34 +52,85 @@ def first_pair_violation(grid: np.ndarray):
     """
     _, offsets, rows, cols = group_cells(grid)
     counts = np.diff(offsets)
-    nonstar = grid != STAR
+    flagged = _screen(offsets, rows, cols, grid.shape)
     best = None  # (later, earlier) row-major positions of the first violation
-    for g in np.unique(counts[counts >= 2]).tolist():
-        starts = offsets[:-1][counts == g]
-        pairs = ~np.tri(g, dtype=bool)  # [i, j] with i < j: cell i comes first
-        step = max(1, _BLOCK_CELLS // (g * g))
-        for lo in range(0, starts.shape[0], step):
-            cells = starts[lo : lo + step, None] + np.arange(g)
-            r, c = rows[cells], cols[cells]
-            # block[n, i, j]: crossing cell (r[n, i], c[n, j]) is not a star;
-            # a shared row or column makes it the symbol's own cell
-            block = nonstar[r[:, :, None], c[:, None, :]]
-            block |= block.transpose(0, 2, 1)
-            block &= pairs
-            hit_j = block.any(axis=1)
-            groups = np.flatnonzero(hit_j.any(axis=1))
-            if groups.size == 0:
-                continue
-            js = hit_j[groups].argmax(axis=1)
-            is_ = block[groups, :, js].argmax(axis=1)
-            later = r[groups, js] * grid.shape[1] + c[groups, js]
-            earlier = r[groups, is_] * grid.shape[1] + c[groups, is_]
-            pos = later.argmin()  # each group's later cell is its own
-            cand = (int(later[pos]), int(earlier[pos]))
-            if best is None or cand < best:
+    if flagged.any():
+        nonstar = grid != STAR
+        for g in np.unique(counts[flagged]).tolist():
+            starts = offsets[:-1][flagged & (counts == g)]
+            cand = _locate(nonstar, starts, g, rows, cols)
+            if cand is not None and (best is None or cand < best):
                 best = cand
     if best is None:
         return None
     (f2, k2), (f1, k1) = (divmod(x, grid.shape[1]) for x in best)
     code = 1 if f1 == f2 or k1 == k2 else 2
     return code, (f1, k1), (f2, k2)
+
+
+def _screen(offsets: np.ndarray, rows, cols, shape) -> np.ndarray:
+    """Which symbols may violate the crossing condition: exactly those that
+    repeat a row or have another of their rows non-star in one of their
+    cells' columns.  Takes :func:`group_cells` output; returns a flag per
+    symbol."""
+    counts = np.diff(offsets)
+    words = -(-shape[0] // 64)
+    word, bit = rows >> 6, np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    # Bitsets are held word-major, one row of words per word index, so the
+    # passes below run along contiguous rows.  nonstar_rows[:, k]: the
+    # non-star rows of column k; the cells are distinct, so adding their
+    # bits sets them.
+    nonstar_rows = np.zeros((words, shape[1]), np.uint64)
+    np.add.at(nonstar_rows.reshape(-1), word * shape[1] + cols, bit)
+    symbol = np.repeat(np.arange(counts.shape[0]), counts)  # of each cell
+    # rows never decrease within a symbol, so a repeat is a neighbour's
+    repeat = (rows[1:] == rows[:-1]) & (symbol[1:] == symbol[:-1])
+    flagged = np.zeros(counts.shape[0], bool)
+    flagged[symbol[1:][repeat]] = True
+    lo, budget = 0, max(1, _BLOCK_CELLS // words)
+    while lo < counts.shape[0]:
+        hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + budget, "right")) - 1)
+        a, b = offsets[lo], offsets[hi]
+        local = symbol[a:b] - lo
+        # own[:, s]: the rows of symbol lo + s; distinct rows set distinct
+        # bits, and a repeated row flags the symbol whatever its bitset holds
+        own = np.zeros((words, hi - lo), np.uint64)
+        np.add.at(own.reshape(-1), word[a:b] * (hi - lo) + local, bit[a:b])
+        # hits[:, i]: the rows of cell i's symbol that are non-star in its
+        # column, less its own row, which always is
+        hits = nonstar_rows.take(cols[a:b], axis=1)
+        hits &= own.take(local, axis=1)
+        hits[word[a:b], np.arange(b - a)] ^= bit[a:b]
+        flagged[lo:hi] |= np.logical_or.reduceat(hits.any(axis=0), offsets[lo:hi] - a)
+        lo = hi
+    return flagged
+
+
+def _locate(nonstar: np.ndarray, starts: np.ndarray, g: int, rows, cols):
+    """The first violating pair of the g-cell symbols at ``starts``, as
+    (later, earlier) row-major positions, or None when none violates."""
+    K = nonstar.shape[1]
+    pairs = ~np.tri(g, dtype=bool)  # [i, j] with i < j: cell i comes first
+    step = max(1, _BLOCK_CELLS // (g * g))
+    best = None
+    for lo in range(0, starts.shape[0], step):
+        cells = starts[lo : lo + step, None] + np.arange(g)
+        r, c = rows[cells], cols[cells]
+        # block[n, i, j]: crossing cell (r[n, i], c[n, j]) is not a star;
+        # a shared row or column makes it the symbol's own cell
+        block = nonstar[r[:, :, None], c[:, None, :]]
+        block |= block.transpose(0, 2, 1)
+        block &= pairs
+        hit_j = block.any(axis=1)
+        groups = np.flatnonzero(hit_j.any(axis=1))
+        if groups.size == 0:
+            continue
+        js = hit_j[groups].argmax(axis=1)
+        is_ = block[groups, :, js].argmax(axis=1)
+        later = r[groups, js] * K + c[groups, js]
+        earlier = r[groups, is_] * K + c[groups, is_]
+        pos = later.argmin()  # each group's later cell is its own
+        cand = (int(later[pos]), int(earlier[pos]))
+        if best is None or cand < best:
+            best = cand
+    return best
