@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import codedshuffle.arrays
@@ -95,13 +95,17 @@ def test_comments_are_ignored():
     assert arr.rows == 1 and arr.cols == 2
 
 
+# the symbols on each side of every token width change, 1 to 19 digits
+_WIDTH_EDGES = [0] + [s for k in range(1, 19) for s in (10**k - 1, 10**k)] + [2**63 - 1]
+
+
 @st.composite
 def text_grids(draw):
     """Grids of stars and symbols up to the int64 limit: all-star, star-free
     or mixed, 1 x 1 included, some with one row or column all stars."""
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
-    symbol = st.integers(0, 2**63 - 1)
+    symbol = st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(_WIDTH_EDGES))
     cell = draw(
         st.sampled_from([st.just(STAR), symbol, st.one_of(st.just(STAR), symbol)])
     )
@@ -119,6 +123,11 @@ def text_grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text_grids())
+# every token width in one row, ending in a symbol or in a star
+@example(np.array([_WIDTH_EDGES], dtype=np.int64))
+@example(np.array([_WIDTH_EDGES + [STAR], [STAR] + _WIDTH_EDGES], dtype=np.int64))
+# one column
+@example(np.array([[STAR]] + [[s] for s in _WIDTH_EDGES] + [[STAR]], dtype=np.int64))
 def test_serialize_matches_bruteforce(g):
     arr = CodedArray(g)
     text = arr.serialize()
@@ -518,17 +527,22 @@ def test_pair_scan_matches_bruteforce_one_symbol_per_chunk(monkeypatch, g):
 
 
 def test_pair_scan_memory_is_bounded():
-    # one symbol of multiplicity 1024: the bound holds a few (1024, 1024)
-    # boolean star gathers, but not int64 indices for its 523 776 pairs
+    # one symbol of multiplicity 1024, clean and then with one more copy in
+    # column 0, which sends it to the locate pass: the bound holds a few
+    # (1025, 1025) boolean star gathers, but not int64 indices for its
+    # 524 800 pairs
     g = np.full((1024, 1024), STAR, dtype=np.int64)
     np.fill_diagonal(g, 0)
-    tracemalloc.start()
-    try:
-        assert first_pair_violation(g) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    broken = g.copy()
+    broken[5, 0] = 0
+    for grid, want in [(g, None), (broken, bf_first_pair_violation(broken.tolist()))]:
+        tracemalloc.start()
+        try:
+            assert first_pair_violation(grid) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
