@@ -170,20 +170,28 @@ class CodedArray:
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an equal array.
 
-        Each row starts as K star tokens and only its symbol tokens are
-        placed, so the Python work grows with the symbol cells and rows.
+        The text is built as bytes with numpy passes whose cost grows with
+        the symbol cells: it starts as the all-star text, each symbol
+        token's extra digit bytes are inserted after its star byte, and its
+        digits are written one place value per pass.
         """
-        K = self.cols
+        F, K = self.grid.shape
+        head = f"{F} {K}\n".encode()
         at = np.flatnonzero(self.grid != STAR)  # symbol cells, row-major
-        syms = self.grid.ravel()[at]
-        cuts = np.searchsorted(at, np.arange(self.rows + 1) * K).tolist()
-        lines = [f"{self.rows} {K}"]
-        for f, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            row = ["*"] * K
-            for k, s in zip((at[lo:hi] - f * K).tolist(), syms[lo:hi].tolist()):
-                row[k] = str(s)
-            lines.append(" ".join(row))
-        return "\n".join(lines) + "\n"
+        syms = self.grid.reshape(-1)[at]
+        width = 1 + _DECADES.searchsorted(syms, "right")  # digits of each symbol
+        star_at = len(head) + 2 * at
+        text = np.insert(
+            np.frombuffer(head + (b"* " * (K - 1) + b"*\n") * F, np.uint8),
+            (star_at + 1).repeat(width - 1),
+            ord("0"),
+        )
+        # every token moves right by the bytes inserted before it
+        last = star_at + np.cumsum(width - 1)  # each token's last digit
+        for place in range(int(width.max(initial=0))):
+            on = width > place
+            text[last[on] - place] = ord("0") + syms[on] // 10**place % 10
+        return str(text, "ascii")
 
     def equal_up_to_relabeling(self, other: "CodedArray") -> bool:
         """True when a symbol bijection maps this grid onto ``other``."""
@@ -239,6 +247,8 @@ _CLASS = bytes(
 )
 # place values of the digits of tokens shorter than _INT64_DIGITS
 _POW10 = 10 ** np.arange(_INT64_DIGITS - 1, dtype=np.int64)
+# the least symbol of each token width from 2 to _INT64_DIGITS
+_DECADES = 10 ** np.arange(1, _INT64_DIGITS, dtype=np.int64)
 
 
 def parse_array(text: str) -> CodedArray:
