@@ -230,10 +230,11 @@ def algorithm2(params: GcParameters) -> CodedArray:
 #
 # The array repeats with period n = columns / r (column k and column k + n
 # carry identical star blocks, rows group into bands of r), so the search
-# runs first on the reduced n x n one-step-shift grid and the result is blown
-# back up r-fold; that path reproduces the published arrays cell-for-cell.
-# Some parameter sets admit a fill only without the band alignment (or not
-# at all), so a full-size search backs the reduced one up.
+# runs on the reduced n x n one-step-shift grid and the result is blown back
+# up r-fold; that path reproduces the published arrays cell-for-cell.  For
+# r > 1 it covers only the band-aligned fills.  No full-size search backs it
+# up: on every point with r > 1 and at most 90 mappers where the reduced
+# search finds no fill, a full-size search found none either, or gave up.
 
 MAX_FILL_STEPS = 300_000
 """Cells one fill search may place, besides those opening a clique."""
@@ -338,8 +339,10 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
 
     Column k carries stars on rows [r*k, r*k + alpha*r) mod mappers; the
     integer fill realizes coding gain g = 2*mappers / (mappers - (alpha-1)*r)
-    with (mappers - alpha*r) * (mappers - (alpha-1)*r) / 2 symbols.
-    Raises SearchBudgetExceeded when a fill search gives up undecided.
+    with (mappers - alpha*r) * (mappers - (alpha-1)*r) / 2 symbols.  For
+    r > 1 only fills aligned to r-row bands are searched, so a
+    ConstructionError there says that none of those exists.  Raises
+    SearchBudgetExceeded when the fill search gives up undecided.
     """
     lam = mappers
     check_nnc_parameters(lam, r, alpha)
@@ -352,26 +355,30 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
         raise ConstructionError("symbol count is not an integer")
     g = 2 * lam // d
     expected_s = (lam - alpha * r) * d // 2
-    mask, cells = _star_layout(lam // r, 1, alpha)
-    cliques, fold = _clique_partition(mask, cells, g), r
-    if cliques is None and r > 1:
-        mask, cells = _star_layout(lam, r, alpha)
-        cliques, fold = _clique_partition(mask, cells, g), 1
-    if cliques is None:
+    n = lam // r
+    mask, cells = _star_layout(n, 1, alpha)
+    cliques = _clique_partition(mask, cells, g)
+    if cliques is None and r == 1:
         raise ConstructionError(
             f"no {g}-regular fill exists for mappers={lam}, r={r}, "
             f"alpha={alpha} (exhaustive search)"
         )
-    # Blow the partition up fold-fold: each searched cell becomes a
-    # fold x fold block of cells (row offset a, column copy t), and the
-    # diagonal labeling (same a, same t across a clique) preserves the
-    # crossing condition because star blocks align to fold-row bands.
+    if cliques is None:
+        raise ConstructionError(
+            f"no {g}-regular fill aligned to {r}-row bands exists for "
+            f"mappers={lam}, r={r}, alpha={alpha} (exhaustive search of the "
+            f"reduced {n} x {n} layout; unaligned fills were not searched)"
+        )
+    # Blow the partition up r-fold: each searched cell becomes an r x r
+    # block of cells (row offset a, column copy t), and the diagonal
+    # labeling (same a, same t across a clique) preserves the crossing
+    # condition because star blocks align to r-row bands.
     s = len(cliques)
     f, k = cells[cliques].T
-    t, a = np.indices((fold, fold)).reshape(2, -1, 1, 1)
+    t, a = np.indices((r, r)).reshape(2, -1, 1, 1)
     grid = np.full((lam, lam), STAR, dtype=np.int64)
-    grid[fold * f + a, k + t * (lam // fold)] = (t * fold + a) * s + np.arange(s)
-    produced = fold * fold * s
+    grid[r * f + a, k + t * n] = (t * r + a) * s + np.arange(s)
+    produced = r * r * s
     if produced != expected_s:
         raise ConstructionError(
             f"fill produced {produced} symbols, expected {expected_s}"

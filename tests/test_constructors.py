@@ -312,6 +312,22 @@ def test_nnc_infeasible_points_raise():
             nnc_pda(lam, r, alpha)
 
 
+def test_nnc_no_fill_message_names_the_searched_layout():
+    # r = 1 searches the whole layout; r > 1 only the band-aligned fills
+    with pytest.raises(ConstructionError) as exc:
+        nnc_pda(6, 1, 3)
+    assert str(exc.value) == (
+        "no 3-regular fill exists for mappers=6, r=1, alpha=3 (exhaustive search)"
+    )
+    with pytest.raises(ConstructionError) as exc:
+        nnc_pda(12, 2, 3)
+    assert str(exc.value) == (
+        "no 3-regular fill aligned to 2-row bands exists for mappers=12, r=2, "
+        "alpha=3 (exhaustive search of the reduced 6 x 6 layout; unaligned "
+        "fills were not searched)"
+    )
+
+
 def _small_wrap_layouts(max_cells: int):
     """(size, r, alpha) of each wrap-around star layout with at most
     max_cells integer cells."""
