@@ -2,13 +2,13 @@
 
 :func:`group_cells` serves both the pair scan and the coded shuffle's plan.
 The scan costs time in proportion to the symbol cells, not to the grid or
-the pairs.  It first screens all symbols of one multiplicity g together
-with packed row bitsets: one mask of W = ceil(F/64) uint64 words per symbol
-(its rows) and one per column (its non-star rows).  A symbol is clean
-exactly when its rows are distinct and, for each of its cells, the symbol's
-rows other than the cell's own miss the non-star rows of the cell's column.
-Only the symbols the screen flags go on to the exact boolean (n, g, g) star
-gather, which locates each one's first violating pair.
+the pairs.  It first screens every symbol with packed row bitsets of
+W = ceil(F/64) uint64 words: one per symbol (its rows) and one per column
+(its non-star rows).  A symbol is clean exactly when its rows are distinct
+and, for each of its cells, the symbol's rows other than the cell's own miss
+the non-star rows of the cell's column.  Only the symbols the screen flags
+go on to the exact boolean (n, g, g) star gather, one per multiplicity g,
+which locates each one's first violating pair.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 
 STAR = -1
 
-# Chunk size for same-g symbols: at most this many words in the screen and
-# gathered cells in the locate pass.  One symbol is never split, so a chunk
-# holds max(1, _BLOCK_CELLS // (g * W)) or max(1, _BLOCK_CELLS // g**2)
-# symbols.
+# Chunk size: the screen takes symbols whose cells hold at most this many
+# bitset words, the locate pass same-g symbols with at most this many
+# gathered cells.  One symbol is never split, so a chunk holds at least one.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -75,35 +74,38 @@ def _screen(offsets: np.ndarray, rows, cols, shape) -> np.ndarray:
     symbol."""
     counts = np.diff(offsets)
     words = -(-shape[0] // 64)
-    word, bit = rows >> 6, np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
-    # Bitsets are held word-major, one row of words per word index, so the
-    # passes below run along contiguous rows.  nonstar_rows[:, k]: the
-    # non-star rows of column k; the cells are distinct, so adding their
-    # bits sets them.
+    # Bitsets are held word-major, one row per word index, so the passes run
+    # along contiguous rows.  nonstar_rows[:, k]: the non-star rows of
+    # column k; the cells are distinct, so adding their bits sets them.
     nonstar_rows = np.zeros((words, shape[1]), np.uint64)
-    np.add.at(nonstar_rows.reshape(-1), word * shape[1] + cols, bit)
-    symbol = np.repeat(np.arange(counts.shape[0]), counts)  # of each cell
-    # rows never decrease within a symbol, so a repeat is a neighbour's
-    repeat = (rows[1:] == rows[:-1]) & (symbol[1:] == symbol[:-1])
+    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * shape[1] + cols, _row_bit(rows))
     flagged = np.zeros(counts.shape[0], bool)
-    flagged[symbol[1:][repeat]] = True
     lo, budget = 0, max(1, _BLOCK_CELLS // words)
     while lo < counts.shape[0]:
         hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + budget, "right")) - 1)
         a, b = offsets[lo], offsets[hi]
-        local = symbol[a:b] - lo
+        r, local = rows[a:b], np.repeat(np.arange(hi - lo), counts[lo:hi])
+        word, bit = r >> 6, _row_bit(r)
         # own[:, s]: the rows of symbol lo + s; distinct rows set distinct
         # bits, and a repeated row flags the symbol whatever its bitset holds
         own = np.zeros((words, hi - lo), np.uint64)
-        np.add.at(own.reshape(-1), word[a:b] * (hi - lo) + local, bit[a:b])
+        np.add.at(own.reshape(-1), word * (hi - lo) + local, bit)
         # hits[:, i]: the rows of cell i's symbol that are non-star in its
         # column, less its own row, which always is
         hits = nonstar_rows.take(cols[a:b], axis=1)
         hits &= own.take(local, axis=1)
-        hits[word[a:b], np.arange(b - a)] ^= bit[a:b]
-        flagged[lo:hi] |= np.logical_or.reduceat(hits.any(axis=0), offsets[lo:hi] - a)
+        hits[word, np.arange(b - a)] ^= bit
+        hit = hits.any(axis=0)
+        # rows never decrease within a symbol, so a repeat is a neighbour's
+        hit[1:] |= (r[1:] == r[:-1]) & (local[1:] == local[:-1])
+        flagged[lo:hi] = np.logical_or.reduceat(hit, offsets[lo:hi] - a)
         lo = hi
     return flagged
+
+
+def _row_bit(rows: np.ndarray) -> np.ndarray:
+    """Each row's bit within its 64-bit word of a row bitset."""
+    return np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
 
 
 def _locate(nonstar: np.ndarray, starts: np.ndarray, g: int, rows, cols):
