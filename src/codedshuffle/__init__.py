@@ -61,19 +61,19 @@ from .metrics import (
 __version__ = "0.1.0"
 
 
+# Resolved once, as a directory of this package: the fixtures directory has
+# no __init__.py, and resolving it as a resource package of its own lists the
+# directory on every lookup.
+_FIXTURES = resources.files(__name__) / "fixtures"
+
+
 def load_fixture(name: str) -> CodedArray:
     """Load one of the packaged golden arrays by file stem."""
-    text = (
-        resources.files("codedshuffle.fixtures")
-        .joinpath(f"{name}.txt")
-        .read_text()
-    )
-    return parse_array(text)
+    return parse_array(_FIXTURES.joinpath(f"{name}.txt").read_text())
 
 
 def fixture_names() -> list[str]:
     """Stems of all packaged golden arrays."""
-    root = resources.files("codedshuffle.fixtures")
     return sorted(
-        p.name[:-4] for p in root.iterdir() if p.name.endswith(".txt")
+        p.name[:-4] for p in _FIXTURES.iterdir() if p.name.endswith(".txt")
     )

@@ -313,9 +313,13 @@ def _repro_checks():
         status = "FLAGGED" if flagged else ("PASS" if ok else "FAIL")
         checks.append((status, name, detail))
 
+    # each golden array is parsed once; arrays are immutable, so the checks
+    # below share them
+    fixtures = {name: load_fixture(name) for name, *_ in _FIXTURE_CHECKS}
+
     # 1. golden fixture validation
     for name, want_mra, want_pda, want_s, want_g, want_l in _FIXTURE_CHECKS:
-        arr = load_fixture(name)
+        arr = fixtures[name]
         stats = arr.stats
         ok = validate_mra(arr).ok == want_mra
         ok &= validate_pda(arr).ok == want_pda
@@ -337,13 +341,13 @@ def _repro_checks():
         ("nnc(4,2,1)", nnc_pda(4, 2, 1), "cyclic_pda_4", False),
     ]
     for label, built, fixture, exact in pairs:
-        ref = load_fixture(fixture)
+        ref = fixtures[fixture]
         ok = built == ref if exact else built.equal_up_to_relabeling(ref)
         how = "cell-for-cell" if exact else "up to relabeling"
         add(ok, f"construct {label}", f"matches {fixture} {how}")
 
-    big = load_fixture("mra_irregular")
-    ok = truncate_columns(big, [0, 1, 2]) == load_fixture("mra_3col")
+    big = fixtures["mra_irregular"]
+    ok = truncate_columns(big, [0, 1, 2]) == fixtures["mra_3col"]
     add(ok, "truncate keep {0,1,2}", "drops the two rightmost columns")
     try:
         truncate_columns(big, [0, 1, 2, 3])
@@ -358,7 +362,7 @@ def _repro_checks():
         ("cyclic_pda_12", 12, 12, 3, Fraction(1, 9), 48),
     ]
     for name, files, funcs, t, want, want_msgs in sims:
-        arr = load_fixture(name)
+        arr = fixtures[name]
         if t is None:
             t = choose_iv_bits(arr, 1, files // arr.rows, funcs // arr.cols)
         transcript, rep = run_job(arr, JobSpec(files, funcs, t, 0))
