@@ -256,10 +256,22 @@ def _bf_star_run_start(grid, k):
     stars = {f for f in range(rows) if grid[f][k] == STAR}
     if not stars:
         return None
+    # only row 0 of a fully starred column, or a star whose cyclic
+    # predecessor is no star, can start the run; trying just those, and
+    # stopping at a candidate's first gap, keeps the reference usable on
+    # columns of a thousand rows
     for s in range(rows):
-        if stars == {(s + i) % rows for i in range(len(stars))}:
-            return s
+        if s in stars and (s == 0 or (s - 1) % rows not in stars):
+            if all((s + i) % rows in stars for i in range(len(stars))):
+                return s
     return None
+
+
+def bf_star_run_starts(grid) -> list[int]:
+    """Start row of each column's single cyclic star run: 0 for a fully
+    starred column, -1 for a column without stars or with several runs."""
+    starts = [_bf_star_run_start(grid, k) for k in range(len(grid[0]))]
+    return [-1 if s is None else s for s in starts]
 
 
 def _bf_column_stars(grid):

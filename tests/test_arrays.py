@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from oracles import (
     bf_first_orphan,
     bf_first_pair_violation,
     bf_l_cyclic,
+    bf_multiplicities,
     bf_pair_conditions,
     bf_parse_array,
     bf_serialize,
+    bf_star_run_starts,
     bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
@@ -640,6 +643,55 @@ def test_pair_scan_matches_gather_scan(constructor_sweep):
             assert hit == gather_first_pair_violation(g)
             broken += 1
     assert broken >= len(arrays)
+
+
+def _check_stats(g: np.ndarray):
+    arr = CodedArray(g)
+    st_ = compute_stats(arr)
+    rows = g.tolist()
+    mult = bf_multiplicities(rows)
+    assert list(st_.multiplicity.items()) == sorted(mult.items())
+    assert st_.histogram == Counter(mult.values())
+    hist = set(mult.values())
+    assert st_.common_g == (hist.pop() if len(hist) == 1 else None)
+    assert st_.column_stars == tuple(
+        sum(row[k] == STAR for row in rows) for k in range(arr.cols)
+    )
+    assert st_.cyclic_shift == bf_cyclic_shift(rows)
+    assert arr.star_run_starts.tolist() == bf_star_run_starts(rows)
+
+
+def test_stats_match_bruteforce_on_constructed(constructor_sweep):
+    # a seeded sample of the sweep, the large subset-topology arrays, and
+    # each with a symbol copied into a starred cell of its column
+    sweep = [a for *_, a in constructor_sweep["alg1"]]
+    sweep += [a for _, a in constructor_sweep["alg2"]]
+    sweep += [a for *_, a in constructor_sweep["nnc"]]
+    rng = random.Random(1907)
+    arrays = rng.sample(sweep, 200)
+    arrays += [algorithm1(*p) for p in [(16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4)]]
+    for arr in arrays:
+        _check_stats(arr.grid)
+        _check_stats(_pair_scan_mutations(arr.grid, rng)[0])
+
+
+@st.composite
+def column_grids(draw):
+    """Small grids, some columns fully starred and some without stars."""
+    g = draw(star_layout_grids())
+    for k in range(g.shape[1]):
+        fill = draw(st.sampled_from(["keep", "stars", "symbols"]))
+        if fill == "stars":
+            g[:, k] = STAR
+        elif fill == "symbols":
+            g[:, k] = draw(st.lists(st.integers(0, 4), min_size=g.shape[0], max_size=g.shape[0]))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_grids())
+def test_stats_match_bruteforce(g):
+    _check_stats(g)
 
 
 @st.composite

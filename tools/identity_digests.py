@@ -6,7 +6,7 @@ Run from anywhere in a checkout:
     python3 tools/identity_digests.py
 
 It imports the package from the checkout's ``src`` and the sweep definition
-from ``tests/conftest.py``, and prints three sha256 values:
+from ``tests/conftest.py``, and prints four sha256 values:
 
 * ``arrays``: over ``serialize()`` of every array of the criterion-5 sweep
   (subset topology with up to 8 mappers, the concatenated family with up to
@@ -21,7 +21,13 @@ from ``tests/conftest.py``, and prints three sha256 values:
   or the error message) of each of those array texts with one fault in its
   grid body, chosen from the text's index i: fault i % 4 (a token replaced
   by ``x``, a token dropped, a row dropped, a symbol zero-padded to 20
-  digits) in row i % F at token i // 4 (mod the row's tokens or symbols).
+  digits) in row i % F at token i // 4 (mod the row's tokens or symbols);
+* ``stats``: over the ``compute_stats`` fields, the star-run starts and the
+  ``validate_mra``, ``validate_pda`` and ``validate_l_cyclic`` reports (at
+  the array's cyclic shift, else 1) of each of those arrays and of a copy
+  with one fault: the i-th array's symbol cell i * 7919 (mod the symbol
+  cells in partly starred columns, row-major) copied into starred cell i of
+  its column (mod its stars), as the benchmark's mutation does.
 
 Two commits compute the same thing exactly when all digests agree.  The
 job digest takes about 20 s on a 2-core VM.
@@ -34,19 +40,27 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from codedshuffle import (  # noqa: E402
+    STAR,
     ArrayFormatError,
+    CodedArray,
     ConstructionError,
     JobSpec,
     algorithm1,
     algorithm2,
     choose_iv_bits,
+    compute_stats,
     nnc_pda,
     parse_array,
     run_job,
+    validate_l_cyclic,
+    validate_mra,
+    validate_pda,
 )
 from conftest import alg1_triples, alg2_params, nnc_triples  # noqa: E402
 
@@ -100,14 +114,56 @@ def parse_outcome(text: str) -> bytes:
     return f"grid {grid.shape}\n".encode() + grid.tobytes()
 
 
+def with_mutation(arr: CodedArray, i: int) -> CodedArray:
+    """``arr`` with one symbol copied into a starred cell of its column
+    (see the module doc); ``arr`` itself when no column is partly starred."""
+    grid = arr.grid.copy()
+    star = grid == STAR
+    cells = np.argwhere(~star & star.any(axis=0))
+    if not len(cells):
+        return arr
+    f, k = cells[i * 7919 % len(cells)]
+    rows = np.flatnonzero(star[:, k])
+    grid[rows[i % len(rows)], k] = grid[f, k]
+    return CodedArray(grid)
+
+
+def report_json(report) -> dict:
+    return {
+        "checks": dict(report.checks),
+        "violation": report.violation and report.violation.describe(),
+        "details": dict(report.details),
+    }
+
+
+def stats_outcome(arr: CodedArray) -> bytes:
+    st = compute_stats(arr)
+    shift = 1 if st.cyclic_shift is None else st.cyclic_shift
+    out = {
+        "multiplicity": list(st.multiplicity.items()),
+        "histogram": list(st.histogram.items()),
+        "column_stars": st.column_stars,
+        "common_g": st.common_g,
+        "cyclic_shift": st.cyclic_shift,
+        "star_run_starts": arr.star_run_starts.tolist(),
+        "mra": report_json(validate_mra(arr)),
+        "pda": report_json(validate_pda(arr)),
+        "l_cyclic": report_json(validate_l_cyclic(arr, shift)),
+    }
+    return json.dumps(out).encode()
+
+
 def main() -> None:
     sweep = sweep_arrays()
     arrays = hashlib.sha256()
     parse = hashlib.sha256()
+    stats = hashlib.sha256()
     for i, arr in enumerate(sweep + [algorithm1(*p) for p in LARGE_ALG1]):
         text = arr.serialize()
         arrays.update(text.encode())
         parse.update(parse_outcome(with_fault(text, i)))
+        stats.update(stats_outcome(arr))
+        stats.update(stats_outcome(with_mutation(arr, i)))
     jobs = hashlib.sha256()
     count = 0
     for arr in sweep:
@@ -122,6 +178,7 @@ def main() -> None:
     print(f"arrays {arrays.hexdigest()} ({len(sweep)} sweep + {len(LARGE_ALG1)} large)")
     print(f"jobs   {jobs.hexdigest()} ({count} jobs)")
     print(f"parse  {parse.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} faulted texts)")
+    print(f"stats  {stats.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} arrays and their mutations)")
 
 
 if __name__ == "__main__":
