@@ -59,7 +59,11 @@ class TruncationError(ValueError):
 class CodedArray:
     """Immutable F x K grid of stars (-1) and non-negative integer symbols.
 
-    Derived facts (star mask, symbols, statistics, star-run starts, the
+    The array owns its grid.  A read-only, C-contiguous int64 ndarray that
+    owns its data is taken over as it is, so builders freeze their fresh
+    grids and hand them over without a copy; any other grid is copied into
+    a new read-only one, so later writes to the caller's array do not reach
+    it.  Derived facts (star mask, symbols, statistics, star-run starts, the
     crossing-condition scan and the shuffle plan) are computed on first use
     and cached on the instance, so the grid must stay read-only.
     """
@@ -67,13 +71,20 @@ class CodedArray:
     grid: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.int64)
+        g = self.grid
+        if not (
+            type(g) is np.ndarray
+            and g.dtype == np.int64
+            and g.flags.c_contiguous
+            and g.flags.owndata
+            and not g.flags.writeable
+        ):
+            g = np.array(g, dtype=np.int64, order="C")
+            g.setflags(write=False)
         if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise ArrayFormatError("grid must be a non-empty 2-D array")
         if (g < STAR).any():
             raise ArrayFormatError("entries must be * or non-negative integers")
-        g = np.ascontiguousarray(g.copy())
-        g.setflags(write=False)
         object.__setattr__(self, "grid", g)
 
     @property
@@ -105,16 +116,19 @@ class CodedArray:
 
     @cached_property
     def stats(self) -> "ArrayStats":
-        """Exact symbol multiplicities, histogram, and star layout."""
-        vals, counts = np.unique(self.grid[~self.star_mask], return_counts=True)
+        """Exact symbol multiplicities, histogram, and star layout, read
+        from the symbol cells."""
+        F, K = self.grid.shape
+        at = np.flatnonzero(self.grid != STAR)  # symbol cells, row-major
+        vals, counts = np.unique(self.grid.reshape(-1)[at], return_counts=True)
         histogram = dict(Counter(counts.tolist()))
-        column_stars = self.star_mask.sum(axis=0)
+        column_stars = F - np.bincount(at % K, minlength=K)
         return ArrayStats(
             multiplicity=MappingProxyType(dict(zip(vals.tolist(), counts.tolist()))),
             histogram=MappingProxyType(histogram),
             column_stars=tuple(column_stars.tolist()),
             common_g=next(iter(histogram)) if len(histogram) == 1 else None,
-            cyclic_shift=_cyclic_shift(column_stars, self.star_run_starts, self.rows),
+            cyclic_shift=_cyclic_shift(self, column_stars),
         )
 
     @cached_property
@@ -122,12 +136,19 @@ class CodedArray:
         """Start row of each column's single cyclic star run, else -1.
 
         A fully-starred column counts as one run starting at row 0; a column
-        without stars, or whose stars form several runs, gets -1.
+        without stars, or whose stars form several runs, gets -1.  A run
+        begins at row (f + 1) mod F of column k exactly when symbol cell
+        (f, k) is followed by a star, so one gather over the symbol cells
+        finds every column's runs.
         """
-        mask = self.star_mask
-        begins = mask & ~np.roll(mask, 1, axis=0)
-        starts = np.where(begins.sum(axis=0) == 1, begins.argmax(axis=0), -1)
-        starts[mask.all(axis=0)] = 0
+        F, K = self.grid.shape
+        f, k = np.divmod(np.flatnonzero(self.grid != STAR), K)
+        after = (f + 1) % F
+        begins = self.grid[after, k] == STAR
+        starts = np.full(K, -1, np.int64)
+        starts[k[begins]] = after[begins]
+        starts[np.bincount(k[begins], minlength=K) != 1] = -1
+        starts[np.bincount(k, minlength=K) == 0] = 0
         starts.setflags(write=False)
         return starts
 
@@ -162,6 +183,7 @@ class CodedArray:
         nonstar = grid != STAR
         lookup = {s: i for i, s in enumerate(self.symbols)}
         grid[nonstar] = np.vectorize(lookup.__getitem__)(grid[nonstar])
+        grid.setflags(write=False)
         return CodedArray(grid)
 
     def entry(self, f: int, k: int) -> int:
@@ -233,14 +255,16 @@ _INT64_DIGITS = len(str(_INT64_MAX))
 # holds at least one row), which bounds the parser's temporaries.
 _BLOCK_CHARS = 1 << 18
 
-# bytes.translate table: the class of each byte of a block.  A token is a
-# run of non-zero classes; inside a line, str.split separates ASCII text
-# only at space, tab and \x1f.  Two neighbouring bytes whose classes sum to
-# _BAD or more hold a fault: a byte of no token class, or a star beside
-# another token byte.
-_GAP, _DIGIT, _STAR, _BAD = range(4)
+# bytes.translate table: the class of each byte of the text.  A token is a
+# run of non-zero classes once line breaks (the ASCII ones of
+# str.splitlines) count as gaps, which _BREAK & 3 makes them; inside a line,
+# str.split separates ASCII text only at space, tab and \x1f.  Two
+# neighbouring bytes whose classes sum to _BAD or more hold a fault: a byte
+# of no token class, or a star beside another token byte.
+_GAP, _DIGIT, _STAR, _BAD, _BREAK = range(5)
 _CLASS = bytes(
-    _GAP if b in b" \t\x1f\n" else
+    _BREAK if b in b"\n\r\x0b\x0c\x1c\x1d\x1e" else
+    _GAP if b in b" \t\x1f" else
     _DIGIT if b in b"0123456789" else
     _STAR if b == ord("*") else _BAD
     for b in range(256)
@@ -257,29 +281,48 @@ def parse_array(text: str) -> CodedArray:
     Format: a header line ``F K`` of ASCII decimals, then F lines of K
     whitespace-separated tokens (``*`` or an ASCII decimal non-negative
     integer within int64).  ``#`` lines are comments.  A trailing newline
-    is required.
+    is required.  Line breaks are those of ``str.splitlines``.
 
-    The data rows are read in blocks of about ``_BLOCK_CHARS`` characters,
-    each with a few numpy passes over its bytes: token bounds and tokens per
-    row from the byte classes, symbols from the place values of their
-    digits, scattered into a grid that starts as stars.  Tokens of
-    ``_INT64_DIGITS`` or more digits are read with ``int``.  The passes only
-    flag suspect rows; :func:`_check_row` reads the first one token by token
-    and raises the message naming its fault, so a valid row never reaches a
-    per-token Python loop.  The grid is allocated only when the text is
-    long enough to hold it, so a header that declares more cells than the
-    text has raises at its first short row.
+    The text is read as one byte per character (see
+    :func:`_one_byte_per_char`) and never split into Python strings.  One
+    pass over the byte classes finds the line breaks and the lines that
+    hold a token; ``#`` bytes, found with ``bytes.find``, mark the comment
+    lines.  The data rows are then read in blocks of about ``_BLOCK_CHARS``
+    characters cut at line breaks, with comment lines blanked, each with a
+    few numpy passes over its bytes: tokens and faults per row as sums over
+    each line's bytes, symbols from the place values of their digits, and
+    each symbol's cell from the token starts before its digits, scattered
+    into a grid that starts as stars.
+    Tokens of ``_INT64_DIGITS`` or more digits are read with ``int``.  The
+    passes only flag suspect rows; :func:`_check_row` reads the first one
+    token by token and raises the message naming its fault, so a valid row
+    never reaches a per-token Python loop.  The grid is allocated only when
+    the text is long enough to hold it, so a header that declares more
+    cells than the text has raises at its first short row.
     """
     if not text:
         raise ArrayFormatError("empty input")
     if not text.endswith("\n"):
         raise ArrayFormatError("trailing newline required")
-    lines = [
-        ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
+    buf = _one_byte_per_char(text)
+    cls = np.frombuffer(buf.translate(_CLASS), np.uint8)
+    # line i is text[begins[i]:ends[i]], ends[i] its line break
+    ends = np.flatnonzero(cls == _BREAK)
+    begins = np.append(0, ends[:-1] + 1)
+    comment = np.zeros(ends.size, bool)
+    at = buf.find(b"#")
+    while at >= 0:
+        i = int(ends.searchsorted(at))
+        comment[i] = not buf[begins[i] : at].strip(b" \t\x1f")
+        at = buf.find(b"#", ends[i])
+    # the lines that hold a token: the header, then the data rows; an empty
+    # line's segment reads its break, whose class has no token bit
+    held = np.bitwise_or.reduceat(cls, np.stack([begins, ends], 1).ravel())[::2]
+    lines = np.flatnonzero((held & 3 != _GAP) & ~comment)
+    if not lines.size:
         raise ArrayFormatError("empty grid")
-    header = lines[0].split()
+    head = text[begins[lines[0]] : ends[lines[0]]]
+    header = head.split()
     if len(header) != 2:
         raise ArrayFormatError("header must be 'F K'")
     try:
@@ -287,72 +330,113 @@ def parse_array(text: str) -> CodedArray:
             raise ValueError("F and K must be ASCII decimal")
         rows, cols = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise ArrayFormatError(f"bad header: {lines[0]!r}") from exc
+        raise ArrayFormatError(f"bad header: {head!r}") from exc
     if rows < 1 or cols < 1:
         raise ArrayFormatError("empty grid")
-    if len(lines) - 1 != rows:
+    if lines.size - 1 != rows:
         raise ArrayFormatError(
-            f"expected {rows} data rows, found {len(lines) - 1}"
+            f"expected {rows} data rows, found {lines.size - 1}"
         )
     # A row of K tokens and its line break take at least 2K characters, so
     # a text too short for the grid has a short row, which raises.
     grid = None
     if 2 * rows * cols <= len(text):
         grid = np.full((rows, cols), STAR, dtype=np.int64)
-    lo = size = 0
-    for hi, line in enumerate(lines[1:], 1):
-        size += len(line) + 1
-        if size >= _BLOCK_CHARS or hi == rows:
-            _parse_block(lines[lo + 1 : hi + 1], lo, cols, grid)
-            lo, size = hi, 0
-    del lines  # let the row strings go before CodedArray copies the grid
+    data = lines[1:]
+    row_ends = ends[data]
+    lo = 0
+    while lo < rows:
+        # from the line break before row lo to the one after row hi - 1
+        a = ends[data[lo] - 1]
+        hi = min(rows, int(row_ends.searchsorted(a + _BLOCK_CHARS)) + 1)
+        _parse_block(text, buf, cls, ends, comment, data[lo:hi], lo, cols, grid)
+        lo = hi
+    grid.setflags(write=False)
     return CodedArray(grid)
 
 
-def _parse_block(block: list[str], f0: int, cols: int, grid: np.ndarray | None) -> None:
-    """Check data rows ``f0, f0 + 1, ...`` and write their symbols to ``grid``."""
-    text = "\n".join(block)
-    if not text.isascii():
-        # any Unicode whitespace becomes a space; other non-ASCII characters
-        # become '?' below, so their tokens are faults
-        text = "\n".join(ln if ln.isascii() else " ".join(ln.split()) for ln in block)
-    buf = b"\n" + text.encode("ascii", "replace") + b"\n"
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    c = np.frombuffer(buf.translate(_CLASS), dtype=np.uint8)
-    tok = c != _GAP
-    starts = (tok[1:] > tok[:-1]).nonzero()[0] + 1
-    # row r of the block lies between newlines[r] and newlines[r + 1]
-    newlines = (raw == ord("\n")).nonzero()[0]
-    before = starts.searchsorted(newlines)
-    suspect = before[1:] - before[:-1] != cols
-    bad = (c[1:] + c[:-1] >= _BAD).nonzero()[0] + 1
-    if bad.size:
-        suspect[newlines.searchsorted(bad) - 1] = True
+def _one_byte_per_char(text: str) -> bytes:
+    """``text`` as one byte per character, so byte offsets are character
+    offsets: ASCII as it is, and each other character as the ASCII byte it
+    reads as: a line break of ``str.splitlines`` as ``\\n``, whitespace as
+    a space, anything else as ``?``, which no token holds."""
+    if text.isascii():
+        return text.encode("ascii")
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    wide = np.flatnonzero(code > 127)
+    kinds, which = np.unique(code[wide], return_inverse=True)
+    out = code.astype(np.uint8)
+    out[wide] = np.array([_ascii_stand_in(chr(k)) for k in kinds.tolist()], np.uint8)[which]
+    return out.tobytes()
+
+
+def _ascii_stand_in(ch: str) -> int:
+    if len(f"x{ch}x".splitlines()) > 1:
+        return ord("\n")
+    return ord(" ") if ch.isspace() else ord("?")
+
+
+def _segment_sums(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The set flags in each segment ``[at[i], at[i + 1])`` of a bool array
+    (the last one runs to its end)."""
+    # uint32 sums take half the time of intp ones, and cannot overflow in
+    # an array of fewer than 2**32 flags
+    dtype = np.uint32 if flags.size < 1 << 32 else np.intp
+    return np.add.reduceat(flags.view(np.uint8), at, dtype=dtype).astype(np.intp)
+
+
+def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) -> None:
+    """Check data rows ``f0, f0 + 1, ...``, on lines ``data``, and write
+    their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``;
+    the lines between the rows are blank or ``comment`` lines.
+    """
+    first, last = int(data[0]), int(data[-1])
+    a = ends[first - 1]
+    cb = cls[a : ends[last] + 1] & 3  # starts and ends at a line break
+    for i in (np.flatnonzero(comment[first:last]) + first).tolist():
+        cb[ends[i - 1] + 1 - a : ends[i] - a] = _GAP  # a comment holds no token
+    tok = cb != _GAP
+    starts = tok[1:] > tok[:-1]  # starts[j]: a token begins at a + j + 1
     # digit runs; in a row without faults each is a whole symbol token
-    digit = c == _DIGIT
+    digit = cb == _DIGIT
     edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
     run_at, run_end = edges[0::2], edges[1::2]
     run_len = run_end - run_at
+    # Line first + i owns starts[seg[i]:seg[i + 1]] and the neighbouring
+    # byte pairs at the same offsets.  One sum of token starts per segment
+    # between consecutive cuts gives the tokens before each line and run.
+    seg = ends[first - 1 : last] - a
+    cuts = np.sort(np.concatenate((seg, run_at - 1)), kind="stable")
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # a cut twice is an empty segment
+    sums = _segment_sums(starts, cuts)
+    before = np.cumsum(sums) - sums
+    per_line = np.diff(before[cuts.searchsorted(seg)], append=before[-1] + sums[-1])
+    rows = data - first
+    suspect = per_line[rows] != cols
+    suspect |= np.logical_or.reduceat(cb[1:] + cb[:-1] >= _BAD, seg)[rows]
     wide = {}
     for r in (run_len >= _INT64_DIGITS).nonzero()[0].tolist():
-        digits = buf[run_at[r] : run_end[r]].lstrip(b"0") or b"0"
+        digits = buf[a + run_at[r] : a + run_end[r]].lstrip(b"0") or b"0"
         if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
-            suspect[newlines.searchsorted(run_at[r]) - 1] = True
+            suspect[rows.searchsorted(ends.searchsorted(a + run_at[r]) - first)] = True
         else:
             wide[r] = int(digits)
     if suspect.any():
         f = int(suspect.argmax())
-        _check_row(f0 + f, block[f], cols)
+        line = data[f]
+        _check_row(f0 + f, text[ends[line - 1] + 1 : ends[line]], cols)
     if grid is None or run_len.size == 0:
         return
-    # every row holds ``cols`` tokens, so token i of the block is cell i of
-    # its rows; each digit is weighted by the digits after it in its run
+    # every row holds ``cols`` tokens and the lines between rows none, so
+    # token i of the block is cell i of its rows; each digit is weighted by
+    # the digits after it in its run
     digit_at = digit.nonzero()[0]
     place = (run_end - 1).repeat(run_len) - digit_at
     np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
+    raw = np.frombuffer(buf, np.uint8, count=cb.size, offset=a)
     terms = _POW10[place] * (raw[digit_at] - ord("0"))
-    cells = f0 * cols + starts.searchsorted(run_at)
     flat = grid.reshape(-1)
+    cells = f0 * cols + before[cuts.searchsorted(run_at - 1)]
     flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
     for r, value in wide.items():
         flat[cells[r]] = value
@@ -404,13 +488,17 @@ class ShufflePlan:
     cols: np.ndarray
 
 
-def _cyclic_shift(counts: np.ndarray, starts: np.ndarray, F: int) -> int | None:
+def _cyclic_shift(arr: CodedArray, counts: np.ndarray) -> int | None:
     """Common row shift between consecutive columns' star runs, if any.
 
-    Requires at least two columns with equal, partial star counts whose
-    stars each form one cyclic run.
+    Requires at least two columns with equal, partial star counts
+    ``counts`` whose stars each form one cyclic run.
     """
-    if (counts != counts[0]).any() or counts[0] in (0, F) or (starts < 0).any():
+    F = arr.rows
+    if (counts != counts[0]).any() or counts[0] in (0, F):
+        return None
+    starts = arr.star_run_starts
+    if (starts < 0).any():
         return None
     steps = np.diff(starts) % F
     if steps.size == 0 or (steps != steps[0]).any():

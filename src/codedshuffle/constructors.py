@@ -95,6 +95,22 @@ def _subsets(mappers: int, size: int) -> np.ndarray:
     return np.array(list(combinations(range(mappers), size)), np.intp).reshape(-1, size)
 
 
+def _lex_ranks(sets: np.ndarray, mappers: int) -> np.ndarray:
+    """:func:`lex_rank` of each row of ``sets`` (ascending size-q subsets).
+
+    The closed form C(mappers, q) - 1 - sum_j C(mappers-1-t_j, q-j) of
+    t_0 < ... < t_{q-1} reads C(a, b) only at a - b <= mappers-1-q, where
+    it is at most C(mappers, q); the other table entries stay 0, so the
+    table is exact in int64 whenever the ranks are.
+    """
+    q = sets.shape[-1]
+    binom = np.array(
+        [[comb(a, b) if a - b < mappers - q else 0 for b in range(q + 1)] for a in range(mappers)],
+        np.int64,
+    )
+    return comb(mappers, q) - 1 - binom[mappers - 1 - sets, q - np.arange(q)].sum(axis=-1)
+
+
 def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     """Combinatorial-topology array: C(mappers, r) x C(mappers, alpha).
 
@@ -104,29 +120,23 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     (alpha+r)-subsets, making the result C(r+alpha, r)-regular with
     C(mappers, alpha+r) symbols.
 
-    Disjointness comes from one boolean product of the subsets' membership
-    matrices (one byte per cell), and each symbol from the closed-form rank
-    C(mappers, m) - 1 - sum_j C(mappers-1-t_j, m-j) of the sorted union
-    t_0 < ... < t_{m-1}, m = r + alpha, so no Python work is done per cell.
+    Only the symbol cells are enumerated: symbol s is the s-th
+    (r+alpha)-subset S, and its cells are the splits of S into a row T and
+    the column S - T.  The r-subsets of S's positions come in lexicographic
+    order and their complements in reverse order, and each row and column
+    index is the closed-form rank of :func:`_lex_ranks`, so no Python work
+    is done per cell and no work per star.
     """
     lam = mappers
     ct_parameters(lam, r, alpha)
-    row_sets, col_sets = _subsets(lam, r), _subsets(lam, alpha)
-    mappers_axis = np.arange(lam)
-    rows = (row_sets[:, :, None] == mappers_axis).any(axis=1)
-    cols = (col_sets[:, :, None] == mappers_axis).any(axis=1)
-    f, k = np.nonzero(~(rows @ cols.T))
-    m = r + alpha
-    union = np.sort(np.hstack([row_sets[f], col_sets[k]]), axis=1)
-    # The rank reads C(a, b) only at a - b <= lam-1-m, where it is at most
-    # C(lam-1, m); the other entries stay 0, so the table is exact in int64
-    # whenever the symbols are.
-    binom = np.array(
-        [[comb(a, b) if a - b < lam - m else 0 for b in range(m + 1)] for a in range(lam)],
-        np.int64,
+    unions = _subsets(lam, r + alpha)
+    split = _subsets(r + alpha, r)
+    rest = _subsets(r + alpha, alpha)[::-1]  # the complement of each split
+    grid = np.full((comb(lam, r), comb(lam, alpha)), STAR, dtype=np.int64)
+    grid[_lex_ranks(unions[:, split], lam), _lex_ranks(unions[:, rest], lam)] = (
+        np.arange(len(unions))[:, None]
     )
-    grid = np.full((rows.shape[0], cols.shape[0]), STAR, dtype=np.int64)
-    grid[f, k] = comb(lam, m) - 1 - binom[lam - 1 - union, m - np.arange(m)].sum(axis=1)
+    grid.setflags(write=False)
     return CodedArray(grid)
 
 
@@ -134,9 +144,15 @@ def shift_symbols(arr: CodedArray, offset: int) -> CodedArray:
     """Add a constant to every integer entry; stars are unchanged."""
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    grid = arr.grid.copy()
-    grid[grid != STAR] += offset
-    return CodedArray(grid)
+    return CodedArray(_shifted(arr.grid, offset))
+
+
+def _shifted(grid: np.ndarray, offset: int) -> np.ndarray:
+    """A frozen copy of ``grid`` with ``offset`` added to each symbol."""
+    out = grid.copy()
+    out[out != STAR] += offset
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -215,9 +231,11 @@ def algorithm2(params: GcParameters) -> CodedArray:
         base = algorithm1(lam, r, a)
         s1 = comb(lam, a + r)
         for m in range(count):
-            blocks.append(shift_symbols(base, group_offset + m * s1).grid)
+            blocks.append(_shifted(base.grid, group_offset + m * s1))
         group_offset += count * s1
-    return CodedArray(np.hstack(blocks))
+    grid = np.hstack(blocks)
+    grid.setflags(write=False)
+    return CodedArray(grid)
 
 
 # --- r-cyclic g-regular family -------------------------------------------
@@ -383,4 +401,5 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
         raise ConstructionError(
             f"fill produced {produced} symbols, expected {expected_s}"
         )
+    grid.setflags(write=False)
     return CodedArray(grid)

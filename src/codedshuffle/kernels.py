@@ -7,8 +7,9 @@ W = ceil(F/64) uint64 words: one per symbol (its rows) and one per column
 (its non-star rows).  A symbol is clean exactly when its rows are distinct
 and, for each of its cells, the symbol's rows other than the cell's own miss
 the non-star rows of the cell's column.  Only the symbols the screen flags
-go on to the exact boolean (n, g, g) star gather, one per multiplicity g,
-which locates each one's first violating pair.
+go on to the locate pass, one per multiplicity g, which finds each one's
+first violating pair from prefix ORs of the same bitsets, in O(g) words per
+cell rather than a g x g gather.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 STAR = -1
 
-# Chunk size: the screen takes symbols whose cells hold at most this many
-# bitset words, the locate pass same-g symbols with at most this many
-# gathered cells.  One symbol is never split, so a chunk holds at least one.
+# Chunk size: the screen and the locate pass take symbols whose cells hold
+# at most this many bitset words.  One symbol is never split, so a chunk
+# holds at least one.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -51,15 +52,18 @@ def first_pair_violation(grid: np.ndarray):
     """
     _, offsets, rows, cols = group_cells(grid)
     counts = np.diff(offsets)
-    flagged = _screen(offsets, rows, cols, grid.shape)
+    # Bitsets are held word-major, one row per word index, so the passes run
+    # along contiguous rows.  nonstar_rows[:, k]: the non-star rows of
+    # column k; the cells are distinct, so adding their bits sets them.
+    nonstar_rows = np.zeros((-(-grid.shape[0] // 64), grid.shape[1]), np.uint64)
+    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * grid.shape[1] + cols, _row_bit(rows))
+    flagged = _screen(nonstar_rows, offsets, rows, cols)
     best = None  # (later, earlier) row-major positions of the first violation
-    if flagged.any():
-        nonstar = grid != STAR
-        for g in np.unique(counts[flagged]).tolist():
-            starts = offsets[:-1][flagged & (counts == g)]
-            cand = _locate(nonstar, starts, g, rows, cols)
-            if cand is not None and (best is None or cand < best):
-                best = cand
+    for g in np.unique(counts[flagged]).tolist():
+        starts = offsets[:-1][flagged & (counts == g)]
+        cand = _locate(nonstar_rows, starts, g, rows, cols)
+        if cand is not None and (best is None or cand < best):
+            best = cand
     if best is None:
         return None
     (f2, k2), (f1, k1) = (divmod(x, grid.shape[1]) for x in best)
@@ -67,18 +71,13 @@ def first_pair_violation(grid: np.ndarray):
     return code, (f1, k1), (f2, k2)
 
 
-def _screen(offsets: np.ndarray, rows, cols, shape) -> np.ndarray:
+def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols) -> np.ndarray:
     """Which symbols may violate the crossing condition: exactly those that
     repeat a row or have another of their rows non-star in one of their
-    cells' columns.  Takes :func:`group_cells` output; returns a flag per
-    symbol."""
+    cells' columns.  Takes :func:`group_cells` output and the columns'
+    non-star row bitsets; returns a flag per symbol."""
     counts = np.diff(offsets)
-    words = -(-shape[0] // 64)
-    # Bitsets are held word-major, one row per word index, so the passes run
-    # along contiguous rows.  nonstar_rows[:, k]: the non-star rows of
-    # column k; the cells are distinct, so adding their bits sets them.
-    nonstar_rows = np.zeros((words, shape[1]), np.uint64)
-    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * shape[1] + cols, _row_bit(rows))
+    words = nonstar_rows.shape[0]
     flagged = np.zeros(counts.shape[0], bool)
     lo, budget = 0, max(1, _BLOCK_CELLS // words)
     while lo < counts.shape[0]:
@@ -108,28 +107,49 @@ def _row_bit(rows: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
 
 
-def _locate(nonstar: np.ndarray, starts: np.ndarray, g: int, rows, cols):
+def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
     """The first violating pair of the g-cell symbols at ``starts``, as
-    (later, earlier) row-major positions, or None when none violates."""
-    K = nonstar.shape[1]
-    pairs = ~np.tri(g, dtype=bool)  # [i, j] with i < j: cell i comes first
-    step = max(1, _BLOCK_CELLS // (g * g))
+    (later, earlier) row-major positions, or None when none violates.
+
+    Cells i < j of a symbol violate exactly when (r_i, c_j) or (r_j, c_i)
+    is not a star; a shared row or column makes it one of the pair's own
+    cells.  So cell j has an earlier partner when a row of the cells before
+    it is non-star in its column, or its row is non-star in the column of a
+    cell before it.  Prefix ORs of the cells' row bits and of their columns'
+    non-star rows test both for every cell at once, in O(g) bitset words
+    per cell; the first cell that hits is the later one, and one gather
+    along the cells before it finds the earliest partner.
+    """
+    words, K = nonstar_rows.shape
+    by_col = nonstar_rows.T  # by_col[k]: the non-star rows of column k
+    step = max(1, _BLOCK_CELLS // (g * words))
+    before = np.arange(g)
     best = None
     for lo in range(0, starts.shape[0], step):
-        cells = starts[lo : lo + step, None] + np.arange(g)
+        cells = starts[lo : lo + step, None] + before
         r, c = rows[cells], cols[cells]
-        # block[n, i, j]: crossing cell (r[n, i], c[n, j]) is not a star;
-        # a shared row or column makes it the symbol's own cell
-        block = nonstar[r[:, :, None], c[:, None, :]]
-        block |= block.transpose(0, 2, 1)
-        block &= pairs
-        hit_j = block.any(axis=1)
-        groups = np.flatnonzero(hit_j.any(axis=1))
+        word, bit = r >> 6, _row_bit(r)
+        n = np.arange(cells.shape[0])[:, None]
+        # seen[n, j]: the rows of cells 0..j; reach[n, j]: the rows that
+        # are non-star in the column of one of them
+        seen = np.zeros(cells.shape + (words,), np.uint64)
+        seen[n, before, word] = bit
+        np.bitwise_or.accumulate(seen, axis=1, out=seen)
+        column = by_col[c]
+        reach = np.bitwise_or.accumulate(column, axis=1)
+        # hit[n, j - 1]: cell j of symbol n has an earlier partner
+        hit = (seen[:, :-1] & column[:, 1:]).any(axis=2)
+        hit |= reach[n, before[:-1], word[:, 1:]] & bit[:, 1:] != 0
+        groups = np.flatnonzero(hit.any(axis=1))
         if groups.size == 0:
             continue
-        js = hit_j[groups].argmax(axis=1)
-        is_ = block[groups, :, js].argmax(axis=1)
-        later = r[groups, js] * K + c[groups, js]
+        js = hit[groups].argmax(axis=1) + 1
+        rj, cj = r[groups, js, None], c[groups, js, None]
+        ri, ci = r[groups], c[groups]
+        partner = by_col[cj, ri >> 6] & _row_bit(ri) != 0
+        partner |= by_col[ci, rj >> 6] & _row_bit(rj) != 0
+        is_ = (partner & (before < js[:, None])).argmax(axis=1)
+        later = rj[:, 0] * K + cj[:, 0]
         earlier = r[groups, is_] * K + c[groups, is_]
         pos = later.argmin()  # each group's later cell is its own
         cand = (int(later[pos]), int(earlier[pos]))

@@ -49,6 +49,71 @@ def grid(*rows):
     return CodedArray(np.array(rows, dtype=np.int64))
 
 
+# --- grid ownership ----------------------------------------------------------
+
+
+def test_array_takes_over_a_frozen_owned_grid():
+    g = np.array([[0, STAR], [STAR, 0]], dtype=np.int64)
+    g.setflags(write=False)
+    arr = CodedArray(g)
+    assert np.shares_memory(arr.grid, g)
+    assert not arr.grid.flags.writeable
+
+
+def test_array_copies_any_other_grid():
+    base = np.array([[0, STAR, 1], [STAR, 0, 1]], dtype=np.int64)
+    frozen_base = base.copy()
+    frozen_base.setflags(write=False)
+    fortran = np.asfortranarray(base)
+    fortran.setflags(write=False)
+    small = base.astype(np.int32)
+    small.setflags(write=False)
+    cases = {
+        "writable": base,
+        "view": frozen_base[:, :2],
+        "fortran": fortran,
+        "int32": small,
+        "list": base.tolist(),
+    }
+    for name, g in cases.items():
+        arr = CodedArray(g)
+        assert not np.shares_memory(arr.grid, np.asarray(g)), name
+        assert arr.grid.dtype == np.int64 and arr.grid.flags.c_contiguous, name
+        assert not arr.grid.flags.writeable, name
+        assert np.array_equal(arr.grid, g), name
+    # later writes to the caller's array do not reach the copy
+    arr = CodedArray(base)
+    base[0, 0] = 7
+    assert arr.grid[0, 0] == 0 and arr.symbols == (0, 1)
+
+
+def test_builders_hand_over_their_grids(monkeypatch):
+    # a builder's frozen grid is taken over by its array: the copy in
+    # CodedArray (np.array) is never reached
+    class CountingNumpy:
+        copies = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, *args, **kwargs):
+            CountingNumpy.copies += 1
+            return np.array(*args, **kwargs)
+
+    monkeypatch.setattr(codedshuffle.arrays, "np", CountingNumpy())
+    base = algorithm1(4, 1, 1)
+    for arr in [
+        algorithm1(5, 2, 2),
+        parse_array("2 2\n0 *\n# comment\n* 0\n"),
+        codedshuffle.algorithm2(codedshuffle.GcParameters(4, 2, (1, 1))),
+        codedshuffle.shift_symbols(base, 3),
+        codedshuffle.nnc_pda(12, 2, 4),
+        CodedArray(base.grid),
+    ]:
+        assert arr.grid.flags.owndata and not arr.grid.flags.writeable
+    assert CountingNumpy.copies == 0
+
+
 # --- parsing and serialization ---------------------------------------------
 
 
