@@ -83,7 +83,7 @@ class CodedArray:
             g.setflags(write=False)
         if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise ArrayFormatError("grid must be a non-empty 2-D array")
-        if (g < STAR).any():
+        if g.min() < STAR:
             raise ArrayFormatError("entries must be * or non-negative integers")
         object.__setattr__(self, "grid", g)
 
@@ -138,17 +138,19 @@ class CodedArray:
         A fully-starred column counts as one run starting at row 0; a column
         without stars, or whose stars form several runs, gets -1.  A run
         begins at row (f + 1) mod F of column k exactly when symbol cell
-        (f, k) is followed by a star, so one gather over the symbol cells
-        finds every column's runs.
+        (f, k) has a star under it, cyclically, so one gather over the
+        symbol cells finds every column's runs.
         """
         F, K = self.grid.shape
-        f, k = np.divmod(np.flatnonzero(self.grid != STAR), K)
-        after = (f + 1) % F
-        begins = self.grid[after, k] == STAR
+        below = np.flatnonzero(self.grid != STAR) + K  # the cell under each
+        below[below >= F * K] -= F * K
+        f, k = np.divmod(below[self.grid.reshape(-1)[below] == STAR], K)
+        runs = np.bincount(k, minlength=K)
         starts = np.full(K, -1, np.int64)
-        starts[k[begins]] = after[begins]
-        starts[np.bincount(k[begins], minlength=K) != 1] = -1
-        starts[np.bincount(k, minlength=K) == 0] = 0
+        starts[k] = f
+        starts[runs != 1] = -1
+        # a column without a begin is all stars or has none
+        starts[(runs == 0) & (self.grid[0] == STAR)] = 0
         starts.setflags(write=False)
         return starts
 
@@ -376,15 +378,6 @@ def _ascii_stand_in(ch: str) -> int:
     return ord(" ") if ch.isspace() else ord("?")
 
 
-def _segment_sums(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The set flags in each segment ``[at[i], at[i + 1])`` of a bool array
-    (the last one runs to its end)."""
-    # uint32 sums take half the time of intp ones, and cannot overflow in
-    # an array of fewer than 2**32 flags
-    dtype = np.uint32 if flags.size < 1 << 32 else np.intp
-    return np.add.reduceat(flags.view(np.uint8), at, dtype=dtype).astype(np.intp)
-
-
 def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) -> None:
     """Check data rows ``f0, f0 + 1, ...``, on lines ``data``, and write
     their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``;
@@ -403,16 +396,22 @@ def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) 
     run_at, run_end = edges[0::2], edges[1::2]
     run_len = run_end - run_at
     # Line first + i owns starts[seg[i]:seg[i + 1]] and the neighbouring
-    # byte pairs at the same offsets.  One sum of token starts per segment
-    # between consecutive cuts gives the tokens before each line and run.
+    # byte pairs at the same offsets.  starts[:run_at[r]] counts run r's
+    # token and those before it.  Merged, the two sets of cuts (breaks and
+    # digits, so never equal) take one sum of token starts per segment.
     seg = ends[first - 1 : last] - a
-    cuts = np.sort(np.concatenate((seg, run_at - 1)), kind="stable")
-    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # a cut twice is an empty segment
-    sums = _segment_sums(starts, cuts)
-    before = np.cumsum(sums) - sums
-    per_line = np.diff(before[cuts.searchsorted(seg)], append=before[-1] + sums[-1])
+    cuts = np.empty(seg.size + run_at.size, np.intp)
+    at_seg = np.arange(seg.size) + run_at.searchsorted(seg)
+    at_run = np.arange(run_at.size) + seg.searchsorted(run_at)
+    cuts[at_seg], cuts[at_run] = seg, run_at
+    # uint32 sums take half the time of intp ones; they cannot overflow in
+    # a block of fewer than 2**32 bytes
+    dtype = np.uint32 if cb.size < 1 << 32 else np.intp
+    sums = np.add.reduceat(starts.view(np.uint8), cuts, dtype=dtype).astype(np.intp)
+    upto = np.cumsum(sums)  # upto[i]: the token starts before cut i + 1
+    before = upto - sums
     rows = data - first
-    suspect = per_line[rows] != cols
+    suspect = np.diff(before[at_seg], append=upto[-1])[rows] != cols
     suspect |= np.logical_or.reduceat(cb[1:] + cb[:-1] >= _BAD, seg)[rows]
     wide = {}
     for r in (run_len >= _INT64_DIGITS).nonzero()[0].tolist():
@@ -436,7 +435,7 @@ def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) 
     raw = np.frombuffer(buf, np.uint8, count=cb.size, offset=a)
     terms = _POW10[place] * (raw[digit_at] - ord("0"))
     flat = grid.reshape(-1)
-    cells = f0 * cols + before[cuts.searchsorted(run_at - 1)]
+    cells = f0 * cols + before[at_run] - 1
     flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
     for r, value in wide.items():
         flat[cells[r]] = value
