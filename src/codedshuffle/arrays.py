@@ -309,18 +309,23 @@ def parse_array(text: str) -> CodedArray:
     buf = _one_byte_per_char(text)
     cls = np.frombuffer(buf.translate(_CLASS), np.uint8)
     # line i is text[begins[i]:ends[i]], ends[i] its line break
-    ends = np.flatnonzero(cls == _BREAK)
-    begins = np.append(0, ends[:-1] + 1)
-    comment = np.zeros(ends.size, bool)
+    ends = (cls == _BREAK).nonzero()[0]
+    begins = np.empty_like(ends)
+    begins[0] = 0
+    np.add(ends[:-1], 1, out=begins[1:])
+    comments = []
     at = buf.find(b"#")
     while at >= 0:
         i = int(ends.searchsorted(at))
-        comment[i] = not buf[begins[i] : at].strip(b" \t\x1f")
+        if not buf[begins[i] : at].strip(b" \t\x1f"):
+            comments.append(i)
         at = buf.find(b"#", ends[i])
-    # the lines that hold a token: the header, then the data rows; an empty
-    # line's segment reads its break, whose class has no token bit
-    held = np.bitwise_or.reduceat(cls, np.stack([begins, ends], 1).ravel())[::2]
-    lines = np.flatnonzero((held & 3 != _GAP) & ~comment)
+    # the lines that hold a token: the header, then the data rows; each
+    # line's segment ends at its break, whose class has no token bit
+    held = np.bitwise_or.reduceat(cls, begins) & 3
+    if comments:
+        held[comments] = _GAP
+    lines = held.nonzero()[0]
     if not lines.size:
         raise ArrayFormatError("empty grid")
     head = text[begins[lines[0]] : ends[lines[0]]]
@@ -351,7 +356,7 @@ def parse_array(text: str) -> CodedArray:
         # from the line break before row lo to the one after row hi - 1
         a = ends[data[lo] - 1]
         hi = min(rows, int(row_ends.searchsorted(a + _BLOCK_CHARS)) + 1)
-        _parse_block(text, buf, cls, ends, comment, data[lo:hi], lo, cols, grid)
+        _parse_block(text, buf, cls, ends, comments, data[lo:hi], lo, cols, grid)
         lo = hi
     grid.setflags(write=False)
     return CodedArray(grid)
@@ -378,16 +383,17 @@ def _ascii_stand_in(ch: str) -> int:
     return ord(" ") if ch.isspace() else ord("?")
 
 
-def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) -> None:
+def _parse_block(text, buf, cls, ends, comments, data, f0: int, cols: int, grid) -> None:
     """Check data rows ``f0, f0 + 1, ...``, on lines ``data``, and write
     their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``;
-    the lines between the rows are blank or ``comment`` lines.
+    the lines between the rows are blank or among the ``comments``.
     """
     first, last = int(data[0]), int(data[-1])
     a = ends[first - 1]
     cb = cls[a : ends[last] + 1] & 3  # starts and ends at a line break
-    for i in (np.flatnonzero(comment[first:last]) + first).tolist():
-        cb[ends[i - 1] + 1 - a : ends[i] - a] = _GAP  # a comment holds no token
+    for i in comments:
+        if first < i < last:
+            cb[ends[i - 1] + 1 - a : ends[i] - a] = _GAP  # a comment holds no token
     tok = cb != _GAP
     starts = tok[1:] > tok[:-1]  # starts[j]: a token begins at a + j + 1
     # digit runs; in a row without faults each is a whole symbol token
@@ -395,11 +401,12 @@ def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) 
     edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
     run_at, run_end = edges[0::2], edges[1::2]
     run_len = run_end - run_at
-    # Line first + i owns starts[seg[i]:seg[i + 1]] and the neighbouring
-    # byte pairs at the same offsets.  starts[:run_at[r]] counts run r's
-    # token and those before it.  Merged, the two sets of cuts (breaks and
-    # digits, so never equal) take one sum of token starts per segment.
-    seg = ends[first - 1 : last] - a
+    # Row f0 + i owns starts[seg[i]:seg[i + 1]] and the neighbouring byte
+    # pairs at the same offsets; the blank lines after it hold neither a
+    # token start nor a fault.  starts[:run_at[r]] counts run r's token and
+    # those before it.  Merged, the two sets of cuts (breaks and digits, so
+    # never equal) take one sum of token starts per segment.
+    seg = ends[data - 1] - a
     cuts = np.empty(seg.size + run_at.size, np.intp)
     at_seg = np.arange(seg.size) + run_at.searchsorted(seg)
     at_run = np.arange(run_at.size) + seg.searchsorted(run_at)
@@ -407,17 +414,14 @@ def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) 
     # uint32 sums take half the time of intp ones; they cannot overflow in
     # a block of fewer than 2**32 bytes
     dtype = np.uint32 if cb.size < 1 << 32 else np.intp
-    sums = np.add.reduceat(starts.view(np.uint8), cuts, dtype=dtype).astype(np.intp)
-    upto = np.cumsum(sums)  # upto[i]: the token starts before cut i + 1
-    before = upto - sums
-    rows = data - first
-    suspect = np.diff(before[at_seg], append=upto[-1])[rows] != cols
-    suspect |= np.logical_or.reduceat(cb[1:] + cb[:-1] >= _BAD, seg)[rows]
+    sums = np.add.reduceat(starts.view(np.uint8), cuts, dtype=dtype)
+    suspect = np.add.reduceat(sums, at_seg) != cols
+    suspect |= np.logical_or.reduceat(cb[1:] + cb[:-1] >= _BAD, seg)
     wide = {}
     for r in (run_len >= _INT64_DIGITS).nonzero()[0].tolist():
         digits = buf[a + run_at[r] : a + run_end[r]].lstrip(b"0") or b"0"
         if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
-            suspect[rows.searchsorted(ends.searchsorted(a + run_at[r]) - first)] = True
+            suspect[seg.searchsorted(run_at[r]) - 1] = True
         else:
             wide[r] = int(digits)
     if suspect.any():
@@ -434,8 +438,9 @@ def _parse_block(text, buf, cls, ends, comment, data, f0: int, cols: int, grid) 
     np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
     raw = np.frombuffer(buf, np.uint8, count=cb.size, offset=a)
     terms = _POW10[place] * (raw[digit_at] - ord("0"))
+    # the token starts up to each run's cut include its own
     flat = grid.reshape(-1)
-    cells = f0 * cols + before[at_run] - 1
+    cells = sums.cumsum(dtype=np.intp)[at_run - 1] + (f0 * cols - 1)
     flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
     for r, value in wide.items():
         flat[cells[r]] = value
