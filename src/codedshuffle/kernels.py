@@ -123,23 +123,23 @@ def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
     words, K = nonstar_rows.shape
     by_col = nonstar_rows.T  # by_col[k]: the non-star rows of column k
     step = max(1, _BLOCK_CELLS // (g * words))
-    before = np.arange(g)
+    place = np.arange(g)  # each cell's place in its symbol
     best = None
     for lo in range(0, starts.shape[0], step):
-        cells = starts[lo : lo + step, None] + before
+        cells = starts[lo : lo + step, None] + place
         r, c = rows[cells], cols[cells]
         word, bit = r >> 6, _row_bit(r)
         n = np.arange(cells.shape[0])[:, None]
         # seen[n, j]: the rows of cells 0..j; reach[n, j]: the rows that
         # are non-star in the column of one of them
         seen = np.zeros(cells.shape + (words,), np.uint64)
-        seen[n, before, word] = bit
+        seen[n, place, word] = bit
         np.bitwise_or.accumulate(seen, axis=1, out=seen)
         column = by_col[c]
         reach = np.bitwise_or.accumulate(column, axis=1)
         # hit[n, j - 1]: cell j of symbol n has an earlier partner
         hit = (seen[:, :-1] & column[:, 1:]).any(axis=2)
-        hit |= reach[n, before[:-1], word[:, 1:]] & bit[:, 1:] != 0
+        hit |= reach[n, place[:-1], word[:, 1:]] & bit[:, 1:] != 0
         groups = np.flatnonzero(hit.any(axis=1))
         if groups.size == 0:
             continue
@@ -148,7 +148,7 @@ def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
         ri, ci = r[groups], c[groups]
         partner = by_col[cj, ri >> 6] & _row_bit(ri) != 0
         partner |= by_col[ci, rj >> 6] & _row_bit(rj) != 0
-        is_ = (partner & (before < js[:, None])).argmax(axis=1)
+        is_ = (partner & (place < js[:, None])).argmax(axis=1)
         later = rj[:, 0] * K + cj[:, 0]
         earlier = r[groups, is_] * K + c[groups, is_]
         pos = later.argmin()  # each group's later cell is its own

@@ -158,9 +158,18 @@ def test_parse_errors(text):
         parse_array(text)
 
 
-def test_comments_are_ignored():
+def test_comments_are_ignored(monkeypatch):
     arr = parse_array("# hello\n1 2\n# mid\n* 0\n")
     assert arr.rows == 1 and arr.cols == 2
+    # comment and blank lines between and after data rows, some indented
+    # and some holding tokens after the '#', in one block of rows, in one
+    # block per row, and in blocks of a few rows
+    text = "3 3\n0 * 1\n  # 7 * x\n\n\t#\n1 0 *\n# 9\n* 1 0\n # tail 5\n"
+    want = [[0, STAR, 1], [1, 0, STAR], [STAR, 1, 0]]
+    assert bf_parse_array(text) == want
+    for block in (codedshuffle.arrays._BLOCK_CHARS, 1, 12):
+        monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+        assert parse_array(text).grid.tolist() == want, block
 
 
 # the symbols on each side of every token width change, 1 to 19 digits
