@@ -6,7 +6,7 @@ Run from anywhere in a checkout:
     python3 tools/identity_digests.py
 
 It imports the package from the checkout's ``src`` and the sweep definition
-from ``tests/conftest.py``, and prints four sha256 values:
+from ``tests/conftest.py``, and prints five sha256 values:
 
 * ``arrays``: over ``serialize()`` of every array of the criterion-5 sweep
   (subset topology with up to 8 mappers, the concatenated family with up to
@@ -27,7 +27,12 @@ from ``tests/conftest.py``, and prints four sha256 values:
   the array's cyclic shift, else 1) of each of those arrays and of a copy
   with one fault: the i-th array's symbol cell i * 7919 (mod the symbol
   cells in partly starred columns, row-major) copied into starred cell i of
-  its column (mod its stars), as the benchmark's mutation does.
+  its column (mod its stars), as the benchmark's mutation does;
+* ``cli``: over the argv, exit code, stdout and stderr of each command of
+  :func:`cli_commands`: ``repro``, ``sweep`` of every family at 1 to 12
+  mappers (gc with three vectors each, most of them of the wrong length),
+  ``loads`` at one point per family, ``construct`` per family and four
+  usage errors.
 
 Two commits compute the same thing exactly when all digests agree.  The
 job digest takes about 20 s on a 2-core VM.
@@ -35,7 +40,9 @@ job digest takes about 20 s on a 2-core VM.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -62,6 +69,7 @@ from codedshuffle import (  # noqa: E402
     validate_mra,
     validate_pda,
 )
+from codedshuffle.cli import main as cli_main  # noqa: E402
 from conftest import alg1_triples, alg2_params, nnc_triples  # noqa: E402
 
 LARGE_ALG1 = ((16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4))
@@ -153,7 +161,41 @@ def stats_outcome(arr: CodedArray) -> bytes:
     return json.dumps(out).encode()
 
 
+def cli_commands():
+    """The command lines of the ``cli`` digest."""
+    yield ["repro"]
+    for lam in range(1, 13):
+        for family in ("ct", "nnc", "be"):
+            yield ["sweep", family, "--lambda", str(lam)]
+        ones = ",".join(["1"] * (lam - 1))
+        for kvec in (ones, "2,0,1", "0,3"):
+            yield ["sweep", "gc", "--lambda", str(lam), "--kvec", kvec]
+    yield ["loads", "ct", "--lambda", "12", "--r", "2", "--alpha", "4"]
+    yield ["loads", "nnc", "--lambda", "12", "--r", "2", "--alpha", "4"]
+    yield ["loads", "gc", "--lambda", "4", "--r", "2", "--kvec", "2,3"]
+    yield ["loads", "be", "--lambda", "12", "--r", "5/2", "--alpha", "4"]
+    yield ["construct", "alg1", "--lambda", "5", "--r", "2", "--alpha", "2"]
+    yield ["construct", "alg2", "--lambda", "4", "--r", "2", "--kvec", "2,3"]
+    yield ["construct", "nnc", "--lambda", "12", "--r", "2", "--alpha", "4"]
+    # usage errors, each named on stderr
+    yield ["loads", "ct", "--lambda", "12", "--r", "2"]
+    yield ["loads", "gc", "--lambda", "4", "--r", "2", "--kvec", "2,-1"]
+    yield ["construct", "alg1", "--lambda", "4", "--r", "x", "--alpha", "2"]
+    yield ["construct", "nnc", "--lambda", "5", "--r", "2", "--alpha", "2"]
+
+
+def cli_outcome(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode()
+
+
 def main() -> None:
+    cli = hashlib.sha256()
+    commands = list(cli_commands())
+    for argv in commands:
+        cli.update(cli_outcome(argv))
     sweep = sweep_arrays()
     arrays = hashlib.sha256()
     parse = hashlib.sha256()
@@ -179,6 +221,7 @@ def main() -> None:
     print(f"jobs   {jobs.hexdigest()} ({count} jobs)")
     print(f"parse  {parse.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} faulted texts)")
     print(f"stats  {stats.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} arrays and their mutations)")
+    print(f"cli    {cli.hexdigest()} ({len(commands)} commands)")
 
 
 if __name__ == "__main__":
