@@ -122,21 +122,6 @@ def test_optimality_corner():
 # --- identities against constructed arrays -------------------------------------
 
 
-def test_ct_identity(constructor_sweep):
-    for lam, r, alpha, arr in constructor_sweep["alg1"]:
-        assert load_from_array(arr) == ct_load(lam, r, alpha)
-
-
-def test_gc_identity(constructor_sweep):
-    for params, arr in constructor_sweep["alg2"]:
-        assert load_from_array(arr) == gc_load(params)
-
-
-def test_nnc_identity(constructor_sweep):
-    for lam, r, alpha, arr in constructor_sweep["nnc"]:
-        assert load_from_array(arr) == nnc_load(lam, r, alpha)
-
-
 def test_nnc_identity_holds_at_gain_two():
     # alpha = 1 gives coding gain 2; the identity holds there as well
     from codedshuffle import nnc_pda
