@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -34,12 +35,18 @@ from .constructors import (
     algorithm1,
     algorithm2,
     ct_parameters,
+    ct_points,
+    gc_points,
     nnc_pda,
+    nnc_points,
 )
 from .mapreduce import (
     JobPreconditionError,
     JobSpec,
     choose_iv_bits,
+    mrg_ct,
+    mrg_gc,
+    mrg_nnc,
     run_job,
 )
 from .metrics import (
@@ -61,6 +68,41 @@ EXIT_USAGE = 2
 EXIT_DECODE = 3
 
 
+# One topology: its points at a mapper count (and gc's vector), and at a point
+# (mappers, r, alpha), or gc's GcParameters (mappers, r, kvec), its array,
+# map-reduce graph, closed-form load and lower bound; None where it has none.
+Family = namedtuple("Family", "points build graph load bound")
+
+FAMILIES = {
+    "ct": Family(
+        ct_points,
+        lambda p: algorithm1(*p),
+        lambda p: mrg_ct(*p),
+        lambda p: ct_load(*p),
+        lambda p: gc_lower_bound(ct_parameters(*p)),
+    ),
+    "nnc": Family(
+        nnc_points,
+        lambda p: nnc_pda(*p),
+        lambda p: mrg_nnc(*p),
+        lambda p: nnc_load(*p),
+        None,
+    ),
+    "gc": Family(gc_points, algorithm2, mrg_gc, gc_load, gc_lower_bound),
+    # the subset topology at fractional r, by memory sharing between corners
+    "be": Family(
+        lambda lam: ct_points(lam, full_access=True),
+        None,
+        None,
+        lambda p: be_load(p[0], p[2], p[1]),
+        lambda p: be_lower_bound(p[0], p[2], p[1]),
+    ),
+}
+
+# construct names the subset and multiplicity families by their algorithms
+_CONSTRUCT_NAMES = {"alg1": "ct", "alg2": "gc"}
+
+
 def _flag(args, name: str):
     """The value of an optional flag the chosen family requires."""
     value = getattr(args, name)
@@ -76,6 +118,28 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ConstructionError(f"bad multiplicity vector: {text!r}")
+
+
+def _point(args):
+    """The chosen family, its point and the flag values giving it, read in
+    flag order.  Only here is it known which flags a family takes: gc takes
+    --kvec, the others --alpha, and be a fractional --r.  A sweep takes no
+    --r or --alpha and has no point; its flag values are gc's vector or none.
+    """
+    name = _CONSTRUCT_NAMES.get(args.family, args.family)
+    given: dict = {}
+    if args.command != "sweep":
+        given["r"] = Fraction(args.r) if name == "be" else int(args.r)
+    if name == "gc":
+        given["kvec"] = _parse_kvec(_flag(args, "kvec"))
+    elif given:
+        given["alpha"] = _flag(args, "alpha")
+    point = None
+    if "r" in given:
+        point = (args.mappers, *given.values())
+        if name == "gc":
+            point = GcParameters(*point)
+    return FAMILIES[name], point, given
 
 
 def _summary_line(arr: CodedArray) -> str:
@@ -98,14 +162,8 @@ def _default_seed(value) -> int:
 
 
 def cmd_construct(args) -> int:
-    r = int(args.r)
-    if args.family == "alg1":
-        arr = algorithm1(args.mappers, r, _flag(args, "alpha"))
-    elif args.family == "alg2":
-        params = GcParameters(args.mappers, r, _parse_kvec(_flag(args, "kvec")))
-        arr = algorithm2(params)
-    else:
-        arr = nnc_pda(args.mappers, r, _flag(args, "alpha"))
+    family, point, _ = _point(args)
+    arr = family.build(point)
     text = arr.serialize()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -180,75 +238,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_loads(args) -> int:
-    fam = args.family
-    out: dict = {"topology": fam, "Lambda": args.mappers}
-    if fam == "ct":
-        r, alpha = int(args.r), _flag(args, "alpha")
-        ach = ct_load(args.mappers, r, alpha)
-        low = gc_lower_bound(ct_parameters(args.mappers, r, alpha))
-        out.update(r=r, alpha=alpha)
-    elif fam == "nnc":
-        r, alpha = int(args.r), _flag(args, "alpha")
-        ach = nnc_load(args.mappers, r, alpha)
-        low = None
-        out.update(r=r, alpha=alpha)
-    elif fam == "gc":
-        r = int(args.r)
-        params = GcParameters(args.mappers, r, _parse_kvec(_flag(args, "kvec")))
-        ach = gc_load(params)
-        low = gc_lower_bound(params)
-        out.update(r=r, kvec=list(params.multiplicities))
-    else:  # be, where fractional r interpolates between corners
-        r, alpha = Fraction(args.r), _flag(args, "alpha")
-        ach = be_load(args.mappers, alpha, r)
-        low = be_lower_bound(args.mappers, alpha, r)
-        out.update(r=str(r), alpha=alpha)
+    family, point, given = _point(args)
+    ach = family.load(point)
+    low = family.bound(point) if family.bound else None
+    out = {"topology": args.family, "Lambda": args.mappers, **given}
     out["L_achievable"] = format_rational(ach)
     out["L_achievable_decimal"] = round(float(ach), 6)
     if low is not None:
         out["L_lower_bound"] = format_rational(low)
         out["L_lower_bound_decimal"] = round(float(low), 6)
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, default=str))  # be's r is a Fraction
     return EXIT_OK
 
 
 def _sweep_rows(args):
-    lam = args.mappers
-    if args.family == "ct":
-        for alpha in range(1, lam):
-            for r in range(1, lam - alpha + 1):
-                low = gc_lower_bound(ct_parameters(lam, r, alpha))
-                yield ("ct", lam, r, str(alpha), ct_load(lam, r, alpha), low)
-    elif args.family == "nnc":
-        for r in range(1, lam + 1):
-            if lam % r:
-                continue
-            for alpha in range(1, lam // r):
-                yield ("nnc", lam, r, str(alpha), nnc_load(lam, r, alpha), None)
-    elif args.family == "be":
-        for alpha in range(1, lam):
-            for r in range(1, lam - alpha + 2):
-                yield (
-                    "be",
-                    lam,
-                    r,
-                    str(alpha),
-                    be_load(lam, alpha, r),
-                    be_lower_bound(lam, alpha, r),
-                )
-    else:  # gc
-        ks = _parse_kvec(_flag(args, "kvec"))
-        if len(ks) != lam - 1:
-            raise ConstructionError(
-                f"gc sweep needs {lam - 1} multiplicities, got {len(ks)}"
-            )
-        label = ",".join(str(k) for k in ks)
-        for r in range(1, lam):
-            trunc = ks[: lam - r]
-            if not any(trunc):
-                continue
-            params = GcParameters(lam, r, trunc)
-            yield ("gc", lam, r, label, gc_load(params), gc_lower_bound(params))
+    family, _, given = _point(args)
+    for point in family.points(args.mappers, *given.values()):
+        lam, r, alpha_or_kvec = point
+        # a gc sweep is labelled by the whole vector it was asked for
+        label = ",".join(map(str, given["kvec"])) if given else str(alpha_or_kvec)
+        low = family.bound(point) if family.bound else None
+        yield args.family, lam, r, label, family.load(point), low
 
 
 def cmd_sweep(args) -> int:
@@ -392,13 +402,11 @@ def _repro_checks():
     )
 
     # 5. optimality corner alpha = mappers - r
-    for lam, r in ((4, 2), (5, 2), (6, 3)):
-        alpha = lam - r
-        ach = ct_load(lam, r, alpha)
-        low = gc_lower_bound(ct_parameters(lam, r, alpha))
+    for point in ((4, 2, 2), (5, 2, 3), (6, 3, 3)):
+        ach, low = FAMILIES["ct"].load(point), FAMILIES["ct"].bound(point)
         add(
             ach == low,
-            f"optimal corner ({lam},{r},{alpha})",
+            "optimal corner ({},{},{})".format(*point),
             f"achievable = bound = {format_rational(ach)}",
         )
 

@@ -30,8 +30,11 @@ __all__ = [
     "ConstructionError",
     "SearchBudgetExceeded",
     "GcParameters",
+    "gc_points",
     "ct_parameters",
+    "ct_points",
     "check_nnc_parameters",
+    "nnc_points",
     "lex_rank",
     "lex_unrank",
     "algorithm1",
@@ -199,6 +202,25 @@ class GcParameters:
             for a, k in enumerate(self.multiplicities, start=1)
         )
 
+    def __iter__(self):
+        """(mappers, computation, multiplicities), like every family's points."""
+        return iter((self.mappers, self.computation, self.multiplicities))
+
+
+def gc_points(mappers: int, multiplicities):
+    """The multiplicity topology's points at r = 1 .. mappers - 1: the vector
+    of K_alpha, alpha in [1, mappers - 1], cut to alpha <= mappers - r
+    (reducers of higher degree read everything), where a reducer is left."""
+    lam, ks = mappers, tuple(multiplicities)
+    if len(ks) != lam - 1:
+        raise ConstructionError(
+            f"gc sweep needs {lam - 1} multiplicities, got {len(ks)}"
+        )
+    for r in range(1, lam):
+        trunc = ks[: lam - r]
+        if any(trunc):
+            yield GcParameters(lam, r, trunc)
+
 
 def ct_parameters(mappers: int, r: int, alpha: int) -> GcParameters:
     """The subset topology as multiplicities: one reducer per alpha-subset.
@@ -213,6 +235,15 @@ def ct_parameters(mappers: int, r: int, alpha: int) -> GcParameters:
     if not 1 <= r <= lam - alpha:
         raise ConstructionError(f"r must be in [1, {lam - alpha}], got {r}")
     return GcParameters(lam, r, tuple(int(a == alpha) for a in range(1, lam - r + 1)))
+
+
+def ct_points(mappers: int, full_access: bool = False):
+    """The subset topology's points (mappers, r, alpha), alpha-major; with
+    ``full_access`` also r = mappers - alpha + 1, where every reducer reads
+    every batch (the zero-load end of memory sharing)."""
+    for alpha in range(1, mappers):
+        for r in range(1, mappers - alpha + 1 + full_access):
+            yield mappers, r, alpha
 
 
 def algorithm2(params: GcParameters) -> CodedArray:
@@ -273,6 +304,14 @@ def check_nnc_parameters(mappers: int, r: int, alpha: int) -> None:
         raise ConstructionError(
             f"alpha must be smaller than mappers/r = {lam // r}, got {alpha}"
         )
+
+
+def nnc_points(mappers: int):
+    """The wrap-around family's points (mappers, r, alpha), r-major."""
+    for r in range(1, mappers + 1):
+        if mappers % r == 0:
+            for alpha in range(1, mappers // r):
+                yield mappers, r, alpha
 
 
 def _star_layout(size: int, r: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .arrays import CodedArray, validate_mra
-from .constructors import GcParameters, check_nnc_parameters, ct_parameters
+from .constructors import GcParameters, check_nnc_parameters, ct_parameters, gc_points
 
 __all__ = [
     "LoadCurve",
@@ -159,22 +159,13 @@ def gc_lower_bound(params: GcParameters) -> Fraction:
 def gc_lower_envelope(mappers: int, multiplicities) -> LoadCurve:
     """Lower convex envelope of the bound over integer computation loads.
 
-    ``multiplicities`` gives K_alpha for alpha in [1, mappers - 1]; at each
-    r the vector is truncated to alpha <= mappers - r (higher-degree
-    reducers already read everything), and r values whose truncation is all
-    zero contribute no point.
+    ``multiplicities`` gives K_alpha for alpha in [1, mappers - 1]; the bound
+    is taken at each of its :func:`gc_points`.
     """
-    lam = mappers
-    ks = tuple(int(k) for k in multiplicities)
-    if len(ks) != lam - 1:
-        raise ValueError(f"expected {lam - 1} multiplicities, got {len(ks)}")
-    points = []
-    for r in range(1, lam):
-        trunc = ks[: lam - r]
-        if not any(trunc):
-            continue
-        params = GcParameters(lam, r, trunc)
-        points.append((Fraction(r), gc_lower_bound(params)))
+    points = [
+        (Fraction(p.computation), gc_lower_bound(p))
+        for p in gc_points(mappers, multiplicities)
+    ]
     if not points:
         raise ValueError("no computation load has a positive reducer count")
     return lower_convex_envelope(points)

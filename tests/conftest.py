@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from codedshuffle import algorithm1, algorithm2, fixture_names, load_fixture, nnc_pda
-from codedshuffle.constructors import ConstructionError, GcParameters
+from codedshuffle import fixture_names, load_fixture
+from codedshuffle.cli import FAMILIES
+from codedshuffle.constructors import ConstructionError, GcParameters, ct_points, nnc_points
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
 
@@ -13,13 +14,6 @@ _ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
 @pytest.fixture(scope="session")
 def golden() -> dict:
     return {name: load_fixture(name) for name in fixture_names()}
-
-
-def alg1_triples(max_mappers: int = 8):
-    for lam in range(2, max_mappers + 1):
-        for alpha in range(1, lam):
-            for r in range(1, lam - alpha + 1):
-                yield lam, r, alpha
 
 
 def alg2_params(max_mappers: int = 6, max_k: int = 3):
@@ -31,31 +25,32 @@ def alg2_params(max_mappers: int = 6, max_k: int = 3):
 
 
 def nnc_triples(max_mappers: int = 12, min_g: int = 3):
-    """Constructible wrap-around triples with coding gain at least min_g."""
+    """Wrap-around points with integral coding gain at least min_g."""
     for lam in range(2, max_mappers + 1):
-        for r in range(1, lam + 1):
-            if lam % r:
-                continue
-            for alpha in range(1, lam // r):
-                d = lam - (alpha - 1) * r
-                if (2 * lam) % d or 2 * lam // d < min_g:
-                    continue
+        for _, r, alpha in nnc_points(lam):
+            d = lam - (alpha - 1) * r
+            if (2 * lam) % d == 0 and 2 * lam // d >= min_g:
                 yield lam, r, alpha
 
 
-@pytest.fixture(scope="session")
-def constructor_sweep():
-    """The criterion-5 sweep, built once: (array, expected-load thunk) sets."""
-    alg1 = [(lam, r, a, algorithm1(lam, r, a)) for lam, r, a in alg1_triples()]
-    alg2 = [(p, algorithm2(p)) for p in alg2_params()]
-    nnc = []
-    for lam, r, a in nnc_triples():
+def build_sweep() -> list:
+    """The criterion-5 sweep as (family, point, array) triples."""
+    points = [("ct", p) for lam in range(2, 9) for p in ct_points(lam)]
+    points += [("gc", p) for p in alg2_params()]
+    points += [("nnc", p) for p in nnc_triples()]
+    sweep = []
+    for family, point in points:
         try:
-            nnc.append((lam, r, a, nnc_pda(lam, r, a)))
+            sweep.append((family, point, FAMILIES[family].build(point)))
         except ConstructionError:
-            # parameter points with no valid fill stay out of the sweep
+            # wrap-around points with no valid fill stay out of the sweep
             continue
-    return {"alg1": alg1, "alg2": alg2, "nnc": nnc}
+    return sweep
+
+
+@pytest.fixture(scope="session")
+def constructor_sweep() -> list:
+    return build_sweep()
 
 
 @pytest.hookimpl(hookwrapper=True)

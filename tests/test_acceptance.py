@@ -21,7 +21,6 @@ from codedshuffle import (
     choose_iv_bits,
     compute_stats,
     ct_load,
-    gc_load,
     gc_lower_bound,
     load_from_array,
     nnc_load,
@@ -33,7 +32,7 @@ from codedshuffle import (
     validate_pda,
 )
 from codedshuffle.arrays import STAR, TruncationError
-from codedshuffle.cli import main
+from codedshuffle.cli import FAMILIES, main
 
 from oracles import bf_validate_mra, bf_validate_pda
 
@@ -110,13 +109,9 @@ def test_criterion_4_simulation_loads(golden):
 @pytest.mark.acceptance(num=5, name="formula identities")
 def test_criterion_5_formula_identities(constructor_sweep):
     t0 = time.perf_counter()
-    assert constructor_sweep["alg1"], "empty sweep"
-    for lam, r, alpha, arr in constructor_sweep["alg1"]:
-        assert load_from_array(arr) == ct_load(lam, r, alpha), (lam, r, alpha)
-    for params, arr in constructor_sweep["alg2"]:
-        assert load_from_array(arr) == gc_load(params), params
-    for lam, r, alpha, arr in constructor_sweep["nnc"]:
-        assert load_from_array(arr) == nnc_load(lam, r, alpha), (lam, r, alpha)
+    assert constructor_sweep, "empty sweep"
+    for family, point, arr in constructor_sweep:
+        assert load_from_array(arr) == FAMILIES[family].load(point), point
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -150,16 +145,8 @@ def test_criterion_8_single_access_bound():
 def test_criterion_9_property_suites(golden, constructor_sweep):
     # decode completeness over the criterion-5 sweep at eta1, eta2 in {1, 2}
     etas = ((1, 1), (1, 2), (2, 1), (2, 2))
-    jobs = [
-        (arr, ct_load(lam, r, alpha))
-        for lam, r, alpha, arr in constructor_sweep["alg1"]
-    ]
-    jobs += [(arr, gc_load(p)) for p, arr in constructor_sweep["alg2"]]
-    jobs += [
-        (arr, nnc_load(lam, r, alpha))
-        for lam, r, alpha, arr in constructor_sweep["nnc"]
-    ]
-    for arr, expected in jobs:
+    for family, point, arr in constructor_sweep:
+        expected = FAMILIES[family].load(point)
         for eta1, eta2 in etas:
             t = choose_iv_bits(arr, 1, eta1, eta2)
             spec = JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed=17)

@@ -336,7 +336,8 @@ def test_stats_all_star():
 
 
 def test_stats_conservation(golden, constructor_sweep):
-    arrays = list(golden.values()) + [a for *_, a in constructor_sweep["alg1"]]
+    arrays = list(golden.values())
+    arrays += [a for family, _, a in constructor_sweep if family == "ct"]
     for arr in arrays:
         st_ = compute_stats(arr)
         nonstar = int((arr.grid != STAR).sum())
@@ -470,7 +471,7 @@ def test_validate_l_cyclic(golden):
 
 def test_pda_with_min_multiplicity_two_is_mra(golden, constructor_sweep):
     arrays = [golden["regular_pda_3"], golden["cyclic_pda_4"]]
-    arrays += [a for *_, a in constructor_sweep["nnc"]]
+    arrays += [a for family, _, a in constructor_sweep if family == "nnc"]
     for arr in arrays:
         st_ = compute_stats(arr)
         if validate_pda(arr).ok and min(st_.multiplicity.values()) >= 2:
@@ -556,9 +557,8 @@ def test_validators_match_bruteforce_on_fixtures(golden):
 
 
 def test_validators_match_bruteforce_on_constructed(constructor_sweep):
-    sample = [a for *_, a in constructor_sweep["alg1"] if a.rows * a.cols <= 10_000]
-    sample += [a for *_, a in constructor_sweep["nnc"]]
-    sample += [a for _, a in constructor_sweep["alg2"][::97]]
+    sample = [a for f, _, a in constructor_sweep if f != "gc" and a.rows * a.cols <= 10_000]
+    sample += [a for f, _, a in constructor_sweep if f == "gc"][::97]
     for arr in sample:
         assert validate_mra(arr).ok == bf_validate_mra(arr.grid.tolist())
 
@@ -701,9 +701,7 @@ def test_pair_scan_matches_gather_scan(constructor_sweep):
     # the kernel against a frozen copy of the plain star-gather scan: a
     # seeded sample of the sweep, the large subset-topology arrays, and two
     # broken copies of each
-    sweep = [a for *_, a in constructor_sweep["alg1"]]
-    sweep += [a for _, a in constructor_sweep["alg2"]]
-    sweep += [a for *_, a in constructor_sweep["nnc"]]
+    sweep = [a for *_, a in constructor_sweep]
     rng = random.Random(1906)
     arrays = rng.sample(sweep, 300)
     arrays += [algorithm1(*p) for p in [(16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4)]]
@@ -738,9 +736,7 @@ def _check_stats(g: np.ndarray):
 def test_stats_match_bruteforce_on_constructed(constructor_sweep):
     # a seeded sample of the sweep, the large subset-topology arrays, and
     # each with a symbol copied into a starred cell of its column
-    sweep = [a for *_, a in constructor_sweep["alg1"]]
-    sweep += [a for _, a in constructor_sweep["alg2"]]
-    sweep += [a for *_, a in constructor_sweep["nnc"]]
+    sweep = [a for *_, a in constructor_sweep]
     rng = random.Random(1907)
     arrays = rng.sample(sweep, 200)
     arrays += [algorithm1(*p) for p in [(16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4)]]

@@ -16,12 +16,8 @@ from codedshuffle import (
     algorithm1,
     algorithm2,
     compute_stats,
-    ct_load,
     lex_rank,
     lex_unrank,
-    mrg_ct,
-    mrg_nnc,
-    nnc_load,
     nnc_pda,
     parse_array,
     shift_symbols,
@@ -29,12 +25,15 @@ from codedshuffle import (
     validate_mra,
     validate_pda,
 )
+from codedshuffle.cli import FAMILIES
 from codedshuffle.constructors import (
     ConstructionError,
     GcParameters,
     SearchBudgetExceeded,
     _clique_partition,
     _star_layout,
+    ct_points,
+    nnc_points,
 )
 
 from conftest import nnc_triples
@@ -108,13 +107,13 @@ def test_algorithm1_bounds():
 
 @pytest.mark.parametrize("lam", range(2, 15))
 def test_algorithm1_matches_reference(lam):
-    points = [(r, alpha) for alpha in range(1, lam) for r in range(1, lam - alpha + 1)]
+    points = list(ct_points(lam))
     if lam > 10:
         # a seeded sample of the points whose grid fits in 2 MiB
-        points = [(r, a) for r, a in points if comb(lam, r) * comb(lam, a) <= 2**18]
+        points = [p for p in points if comb(lam, p[1]) * comb(lam, p[2]) <= 2**18]
         points = random.Random(lam).sample(points, 6)
-    for r, alpha in points:
-        assert algorithm1(lam, r, alpha).grid.tolist() == bf_algorithm1(lam, r, alpha)
+    for point in points:
+        assert algorithm1(*point).grid.tolist() == bf_algorithm1(*point)
 
 
 # sha256 of serialize() for the large arrays the benchmark builds
@@ -156,14 +155,13 @@ def test_algorithm1_memory_is_bounded():
 
 @pytest.mark.parametrize("lam", range(2, 9))
 def test_algorithm1_regularity_sweep(lam):
-    for alpha in range(1, lam):
-        for r in range(1, lam - alpha + 1):
-            arr = algorithm1(lam, r, alpha)
-            st_ = compute_stats(arr)
-            assert arr.symbol_count == comb(lam, alpha + r)
-            assert st_.common_g == comb(r + alpha, r)
-            assert set(st_.column_stars) == {comb(lam, r) - comb(lam - alpha, r)}
-            assert validate_pda(arr).ok
+    for _, r, alpha in ct_points(lam):
+        arr = algorithm1(lam, r, alpha)
+        st_ = compute_stats(arr)
+        assert arr.symbol_count == comb(lam, alpha + r)
+        assert st_.common_g == comb(r + alpha, r)
+        assert set(st_.column_stars) == {comb(lam, r) - comb(lam - alpha, r)}
+        assert validate_pda(arr).ok
 
 
 def test_algorithm1_symbol_semantics():
@@ -222,11 +220,11 @@ def test_algorithm2_5_2_111():
 
 
 def test_algorithm2_histogram(constructor_sweep):
-    for params, arr in constructor_sweep["alg2"][::17]:
+    gc = [(p, arr) for family, p, arr in constructor_sweep if family == "gc"]
+    for (lam, r, kvec), arr in gc[::17]:
         st_ = compute_stats(arr)
-        lam, r = params.mappers, params.computation
         expect: dict[int, int] = {}
-        for a, k in enumerate(params.multiplicities, start=1):
+        for a, k in enumerate(kvec, start=1):
             if k:
                 g = comb(r + a, r)
                 expect[g] = expect.get(g, 0) + k * comb(lam, a + r)
@@ -281,22 +279,19 @@ def test_nnc_preconditions():
 
 
 @pytest.mark.parametrize(
-    "callers, point, message",
+    "family, point, message",
     [
-        ((algorithm1, ct_load, mrg_ct), (4, 3, 2), "r must be in [1, 2], got 3"),
-        (
-            (nnc_pda, nnc_load, mrg_nnc),
-            (12, 2, 6),
-            "alpha must be smaller than mappers/r = 6, got 6",
-        ),
+        ("ct", (4, 3, 2), "r must be in [1, 2], got 3"),
+        ("nnc", (12, 2, 6), "alpha must be smaller than mappers/r = 6, got 6"),
     ],
     ids=["ct", "nnc"],
 )
-def test_family_rules_raise_one_message(callers, point, message):
-    for caller in callers:
+def test_family_rules_raise_one_message(family, point, message):
+    # the array, graph, load and bound all check the point by the same rule
+    for call in filter(None, FAMILIES[family][1:]):
         with pytest.raises(ConstructionError) as exc:
-            caller(*point)
-        assert str(exc.value) == message, caller.__name__
+            call(point)
+        assert str(exc.value) == message
 
 
 def test_nnc_search_leaves_no_reference_cycles():
@@ -340,10 +335,9 @@ def _small_wrap_layouts(max_cells: int):
     """(size, r, alpha) of each wrap-around star layout with at most
     max_cells integer cells."""
     for size in range(2, max_cells + 1):
-        for r in range(1, size + 1):
-            for alpha in range(1, size // r):
-                if size % r == 0 and size * (size - alpha * r) <= max_cells:
-                    yield size, r, alpha
+        for _, r, alpha in nnc_points(size):
+            if size * (size - alpha * r) <= max_cells:
+                yield size, r, alpha
 
 
 @pytest.mark.parametrize(
@@ -406,7 +400,8 @@ def test_nnc_search_gives_up_at_step_cap(point):
 
 
 def test_nnc_sweep_parameters(constructor_sweep):
-    for lam, r, alpha, arr in constructor_sweep["nnc"]:
+    nnc = [(p, arr) for family, p, arr in constructor_sweep if family == "nnc"]
+    for (lam, r, alpha), arr in nnc:
         st_ = compute_stats(arr)
         d = lam - (alpha - 1) * r
         assert st_.common_g == 2 * lam // d

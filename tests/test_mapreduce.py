@@ -476,9 +476,7 @@ def test_run_job_matches_reference_on_fixtures(name):
 
 
 def test_run_job_matches_reference_on_sweep_sample(constructor_sweep):
-    arrays = [arr for *_, arr in constructor_sweep["alg1"]]
-    arrays += [arr for _, arr in constructor_sweep["alg2"]]
-    arrays += [arr for *_, arr in constructor_sweep["nnc"]]
+    arrays = [arr for *_, arr in constructor_sweep]
     rng = random.Random(2026)
     for eta1, eta2 in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for arr in rng.sample(arrays, 10):

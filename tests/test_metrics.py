@@ -19,6 +19,7 @@ from codedshuffle import (
     lower_convex_envelope,
     nnc_load,
 )
+from codedshuffle.cli import FAMILIES
 from codedshuffle.constructors import ConstructionError
 from codedshuffle.metrics import LoadCurve, be_lower_bound_corners
 
@@ -98,25 +99,19 @@ def test_gc_lower_bound():
 
 
 def test_bound_below_achievable(constructor_sweep):
-    for params, _ in constructor_sweep["alg2"][::13]:
+    gc = [p for family, p, _ in constructor_sweep if family == "gc"]
+    for params in gc[::13]:
         assert gc_lower_bound(params) <= gc_load(params)
+    be = FAMILIES["be"]
     for lam in range(2, 9):
-        for alpha in range(1, lam):
-            for r in range(1, lam - alpha + 1):
-                kvec = tuple(
-                    1 if a == alpha else 0 for a in range(1, lam - r + 1)
-                )
-                assert gc_lower_bound(GcParameters(lam, r, kvec)) <= ct_load(
-                    lam, r, alpha
-                )
-                assert be_lower_bound(lam, alpha, r) <= be_load(lam, alpha, r)
+        for point in be.points(lam):
+            assert be.bound(point) <= be.load(point)
 
 
 def test_optimality_corner():
+    ct = FAMILIES["ct"]
     for lam, r in ((4, 2), (5, 2), (6, 3)):
-        alpha = lam - r
-        kvec = tuple(1 if a == alpha else 0 for a in range(1, lam - r + 1))
-        assert ct_load(lam, r, alpha) == gc_lower_bound(GcParameters(lam, r, kvec))
+        assert ct.load((lam, r, lam - r)) == ct.bound((lam, r, lam - r))
 
 
 # --- identities against constructed arrays -------------------------------------

@@ -56,13 +56,10 @@ from codedshuffle import (  # noqa: E402
     STAR,
     ArrayFormatError,
     CodedArray,
-    ConstructionError,
     JobSpec,
     algorithm1,
-    algorithm2,
     choose_iv_bits,
     compute_stats,
-    nnc_pda,
     parse_array,
     run_job,
     validate_l_cyclic,
@@ -70,23 +67,11 @@ from codedshuffle import (  # noqa: E402
     validate_pda,
 )
 from codedshuffle.cli import main as cli_main  # noqa: E402
-from conftest import alg1_triples, alg2_params, nnc_triples  # noqa: E402
+from conftest import build_sweep  # noqa: E402
 
 LARGE_ALG1 = ((16, 2, 2), (12, 5, 5), (12, 6, 6), (12, 2, 4))
 ETAS = ((1, 1), (1, 2), (2, 1), (2, 2))
 SEEDS = (17, 3)
-
-
-def sweep_arrays():
-    """The criterion-5 sweep in conftest order: subset, concatenated, wrap-around."""
-    arrays = [algorithm1(*p) for p in alg1_triples()]
-    arrays += [algorithm2(p) for p in alg2_params()]
-    for p in nnc_triples():
-        try:
-            arrays.append(nnc_pda(*p))
-        except ConstructionError:
-            continue
-    return arrays
 
 
 def with_fault(text: str, i: int) -> str:
@@ -196,7 +181,7 @@ def main() -> None:
     commands = list(cli_commands())
     for argv in commands:
         cli.update(cli_outcome(argv))
-    sweep = sweep_arrays()
+    sweep = [arr for *_, arr in build_sweep()]
     arrays = hashlib.sha256()
     parse = hashlib.sha256()
     stats = hashlib.sha256()
