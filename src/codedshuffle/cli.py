@@ -129,7 +129,10 @@ def _point(args):
     name = _CONSTRUCT_NAMES.get(args.family, args.family)
     given: dict = {}
     if args.command != "sweep":
-        given["r"] = Fraction(args.r) if name == "be" else int(args.r)
+        try:
+            given["r"] = Fraction(args.r) if name == "be" else int(args.r)
+        except ZeroDivisionError:
+            raise ConstructionError(f"r has a zero denominator: {args.r!r}") from None
     if name == "gc":
         given["kvec"] = _parse_kvec(_flag(args, "kvec"))
     elif given:

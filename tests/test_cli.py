@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import codedshuffle
 from codedshuffle import load_fixture, parse_array
-from codedshuffle.cli import main
+from codedshuffle.cli import FAMILIES, main
 
 
 @pytest.fixture
@@ -145,6 +145,11 @@ def test_validate_never_raises(run, tmp_path, data):
     assert code in (0, 1, 2)
 
 
+_FAMILY_COMMANDS = [("construct", family) for family in ("alg1", "alg2", "nnc")] + [
+    (command, family) for command in ("loads", "sweep") for family in FAMILIES
+]
+
+
 def _is_int(token: str) -> bool:
     try:
         int(token)
@@ -153,30 +158,50 @@ def _is_int(token: str) -> bool:
     return True
 
 
+# no large integers: a large --lambda asks for a large array
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "5/2", "1/0", "-3/4", "0/0", "7/1", ""]),
+    st.text(max_size=8).filter(lambda tok: not _is_int(tok)),
+)
+
+
 @settings(
-    max_examples=300,
+    max_examples=400,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(
-    st.sampled_from(["construct", "loads"]),
-    st.lists(
-        st.one_of(
-            st.integers(-2, 16).map(str),
-            st.text(max_size=8).filter(lambda tok: not _is_int(tok)),
-        ),
-        min_size=3,
-        max_size=3,
-    ),
-)
-def test_nnc_parameters_never_raise(run, command, values):
-    # any small or non-integer --lambda/--r/--alpha ends in a documented
-    # exit code
-    argv = [command, "nnc"]
-    for flag, value in zip(("--lambda", "--r", "--alpha"), values):
-        argv += [flag, value]
+@given(st.sampled_from(_FAMILY_COMMANDS), st.data())
+def test_nnc_parameters_never_raise(run, command, data):
+    # any small, fractional or non-integer --lambda/--r/--alpha/--kvec of
+    # any family's construct, loads or sweep ends in a documented exit code.
+    # Values are drawn near the families' ranges, and each flag is now and
+    # then left out or given an odd token; algorithm1(16, 8, 8) alone is a
+    # 1.3 GB grid, so the subset-topology arrays stay at 10 mappers or fewer
+    lam = data.draw(st.integers(2, 10 if command[1] in ("alg1", "alg2") else 16))
+    r = data.draw(st.integers(1, lam))
+    size = lam - 1 if command[0] == "sweep" else lam - r
+    kvec = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    values = {
+        "--lambda": lam,
+        "--r": r,
+        "--alpha": data.draw(st.integers(1, lam)),
+        "--kvec": ",".join(map(str, kvec)),
+    }
+    if command[0] == "sweep":  # a sweep takes no --r or --alpha
+        del values["--r"], values["--alpha"]
+    argv = list(command)
+    for flag, value in values.items():
+        how = data.draw(st.sampled_from(["value"] * 6 + ["odd", "left out"]))
+        if how != "left out":
+            argv += [flag, str(value) if how == "value" else data.draw(_ODD_TOKENS)]
     code, _, _ = run(*argv)
     assert code in (0, 2)
+
+
+def test_zero_denominator_r_exit_code(run):
+    code, out, err = run("loads", "be", "--lambda", "6", "--r", "1/0", "--alpha", "2")
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
 
 
 def test_truncate_roundtrip(run, tmp_path):
