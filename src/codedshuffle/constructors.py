@@ -48,6 +48,18 @@ class ConstructionError(ValueError):
     """Raised when constructor parameters violate a precondition."""
 
 
+MAX_ARRAY_CELLS = 2**24
+"""Cells (F x K) one built array may hold: 128 MiB of int64 grid."""
+
+
+def _check_cells(rows: int, cols: int) -> None:
+    """Refuse an array of more than MAX_ARRAY_CELLS cells before building it."""
+    if rows * cols > MAX_ARRAY_CELLS:
+        raise ConstructionError(
+            f"a {rows} x {cols} array exceeds MAX_ARRAY_CELLS = {MAX_ARRAY_CELLS} cells"
+        )
+
+
 def lex_rank(subset, universe: int) -> int:
     """0-based position of a subset in lexicographic order of its size class.
 
@@ -132,6 +144,7 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     """
     lam = mappers
     ct_parameters(lam, r, alpha)
+    _check_cells(comb(lam, r), comb(lam, alpha))
     unions = _subsets(lam, r + alpha)
     split = _subsets(r + alpha, r)
     rest = _subsets(r + alpha, alpha)[::-1]  # the complement of each split
@@ -254,6 +267,7 @@ def algorithm2(params: GcParameters) -> CodedArray:
     count, and each alpha group is offset past all preceding groups.
     """
     lam, r = params.mappers, params.computation
+    _check_cells(comb(lam, r), params.reducer_count)
     blocks: list[np.ndarray] = []
     group_offset = 0
     for a, count in enumerate(params.multiplicities, start=1):
@@ -403,6 +417,7 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     """
     lam = mappers
     check_nnc_parameters(lam, r, alpha)
+    _check_cells(lam, lam)
     d = lam - (alpha - 1) * r
     if (2 * lam) % d != 0:
         raise ConstructionError(

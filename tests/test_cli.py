@@ -70,6 +70,25 @@ def test_construct_nnc_step_cap_exit_code(run):
     assert "no fill exists" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "nnc", "--lambda", "100000", "--r", "1", "--alpha", "1"),
+        ("construct", "alg1", "--lambda", "40", "--r", "20", "--alpha", "20"),
+        ("construct", "alg2", "--lambda", "20", "--r", "4", "--kvec", "0,0,0,1" + ",0" * 12),
+    ],
+    ids=["nnc", "alg1", "alg2"],
+)
+def test_construct_cell_cap_exit_code(run, argv):
+    # refused before anything is allocated: the first two once ended in a
+    # MemoryError under a 2 GB address-space limit
+    t0 = time.perf_counter()
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert "MAX_ARRAY_CELLS" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_construct_precondition_exit_code(run):
     code, _, err = run("construct", "nnc", "--lambda", "5", "--r", "2", "--alpha", "2")
     assert code == 2
