@@ -44,6 +44,8 @@ from codedshuffle.mapreduce import (
     _reduce,
 )
 
+from codedshuffle.cli import FAMILIES
+
 from oracles import bf_carrier, bf_run_job
 
 
@@ -86,6 +88,16 @@ def test_access_pattern_matches_arrays(golden):
     )
     arr = golden["mra_irregular"]
     assert np.array_equal(access_pattern(mrg_canonical(arr)), arr.star_mask)
+
+
+def test_access_pattern_is_the_star_mask_on_the_sweep(constructor_sweep):
+    # the map-reduce graph of every sweep point reads exactly the stars of
+    # its array, and its mappers store r batches' worth
+    for family, point, arr in constructor_sweep:
+        graph = FAMILIES[family].graph(point)
+        _, r, _ = point
+        assert np.array_equal(access_pattern(graph), arr.star_mask), point
+        assert computation_load(graph) == r, point
 
 
 def test_computation_load():

@@ -114,6 +114,20 @@ def test_optimality_corner():
         assert ct.load((lam, r, lam - r)) == ct.bound((lam, r, lam - r))
 
 
+def test_ct_meets_the_bound_exactly_at_its_corners():
+    # on every subset-topology point with up to 20 mappers the load is never
+    # below the bound, and equals it exactly at alpha = 1 (the scheme of Li
+    # et al.) and at alpha = mappers - r
+    ct = FAMILIES["ct"]
+    points = [point for lam in range(2, 21) for point in ct.points(lam)]
+    assert len(points) == 1330
+    for point in points:
+        lam, r, alpha = point
+        ach, low = ct.load(point), ct.bound(point)
+        assert ach >= low, point
+        assert (ach == low) == (alpha in (1, lam - r)), point
+
+
 # --- identities against constructed arrays -------------------------------------
 
 
