@@ -80,8 +80,8 @@ def test_construct_nnc_step_cap_exit_code(run):
     ids=["nnc", "alg1", "alg2"],
 )
 def test_construct_cell_cap_exit_code(run, argv):
-    # refused before anything is allocated: the first two once ended in a
-    # MemoryError under a 2 GB address-space limit
+    # refused before anything is allocated; the nnc layout alone would take
+    # 74.5 GiB
     t0 = time.perf_counter()
     code, out, err = run(*argv)
     assert code == 2 and out == ""
