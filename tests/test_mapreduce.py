@@ -75,7 +75,7 @@ def test_mrg_canonical_all_star_column():
     assert g.reducer_links[0] == frozenset({0, 1, 2})
 
 
-def test_access_pattern_matches_arrays(golden):
+def test_access_pattern_matches_arrays(golden, constructor_sweep):
     assert np.array_equal(
         access_pattern(mrg_ct(4, 2, 2)), golden["ct_4_2_2"].star_mask
     )
@@ -88,9 +88,6 @@ def test_access_pattern_matches_arrays(golden):
     )
     arr = golden["mra_irregular"]
     assert np.array_equal(access_pattern(mrg_canonical(arr)), arr.star_mask)
-
-
-def test_access_pattern_is_the_star_mask_on_the_sweep(constructor_sweep):
     # the map-reduce graph of every sweep point reads exactly the stars of
     # its array, and its mappers store r batches' worth
     for family, point, arr in constructor_sweep:

@@ -109,12 +109,6 @@ def test_bound_below_achievable(constructor_sweep):
 
 
 def test_optimality_corner():
-    ct = FAMILIES["ct"]
-    for lam, r in ((4, 2), (5, 2), (6, 3)):
-        assert ct.load((lam, r, lam - r)) == ct.bound((lam, r, lam - r))
-
-
-def test_ct_meets_the_bound_exactly_at_its_corners():
     # on every subset-topology point with up to 20 mappers the load is never
     # below the bound, and equals it exactly at alpha = 1 (the scheme of Li
     # et al.) and at alpha = mappers - r
