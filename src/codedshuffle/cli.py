@@ -20,7 +20,6 @@ from math import comb
 
 from . import load_fixture
 from .arrays import (
-    ArrayFormatError,
     CodedArray,
     TruncationError,
     parse_array,
@@ -528,16 +527,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (
-        ConstructionError,
-        JobPreconditionError,
-        ArrayFormatError,
-        TruncationError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # the package's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -344,6 +344,16 @@ def _bitset(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _check_fill_steps(count: int, g: int) -> None:
+    """Raise SearchBudgetExceeded when a g-regular fill of ``count`` cells
+    places more than MAX_FILL_STEPS cells besides the g-cliques' first."""
+    if count - count // g > MAX_FILL_STEPS:
+        raise SearchBudgetExceeded(
+            f"a {g}-regular fill of {count} cells needs more than "
+            f"MAX_FILL_STEPS = {MAX_FILL_STEPS} steps"
+        )
+
+
 def _clique_partition(mask: np.ndarray, cells: np.ndarray, g: int):
     """Deterministic exact search for a size-g clique partition of ``cells``.
 
@@ -354,14 +364,10 @@ def _clique_partition(mask: np.ndarray, cells: np.ndarray, g: int):
     would remain of its pool cannot finish the clique.  Returns the cliques
     in discovery order as a (cliques, g) array of positions in ``cells``, or
     None when the search proves that no partition exists.  Raises
-    SearchBudgetExceeded when a partition needs, or the search takes, more
-    than MAX_FILL_STEPS steps.
+    SearchBudgetExceeded when the search takes more than MAX_FILL_STEPS
+    steps; callers refuse a cell count that needs more with
+    :func:`_check_fill_steps` before building the layout.
     """
-    if len(cells) - len(cells) // g > MAX_FILL_STEPS:
-        raise SearchBudgetExceeded(
-            f"a {g}-regular fill of {len(cells)} cells needs more than "
-            f"MAX_FILL_STEPS = {MAX_FILL_STEPS} steps"
-        )
     f, k = cells.T
     # Sets of positions in cells are ints with bit x set for position x.
     # Cell y is adjacent to cell x when y is in starred_in[f[x]] (its column
@@ -428,6 +434,9 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     g = 2 * lam // d
     expected_s = (lam - alpha * r) * d // 2
     n = lam // r
+    # the step bound needs only the cell count, so check it before the
+    # layout is built
+    _check_fill_steps(n * (n - alpha), g)
     mask, cells = _star_layout(n, 1, alpha)
     cliques = _clique_partition(mask, cells, g)
     if cliques is None and r == 1:

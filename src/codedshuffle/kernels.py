@@ -1,15 +1,20 @@
 """Validation kernel: cells grouped by symbol and the crossing-condition scan.
 
-:func:`group_cells` serves both the pair scan and the coded shuffle's plan.
-The scan costs time in proportion to the symbol cells, not to the grid or
-the pairs.  It first screens every symbol with packed row bitsets of
-W = ceil(F/64) uint64 words: one per symbol (its rows) and one per column
-(its non-star rows).  A symbol is clean exactly when its rows are distinct
-and, for each of its cells, the symbol's rows other than the cell's own miss
-the non-star rows of the cell's column.  Only the symbols the screen flags
-go on to the locate pass, one per multiplicity g, which finds each one's
-first violating pair from prefix ORs of the same bitsets, in O(g) words per
-cell rather than a g x g gather.
+:func:`group_cells` is the one pass that finds a grid's symbol cells and
+groups them by symbol.  ``CodedArray`` runs it once and caches the result
+as its shuffle plan, which the pair scan, the serializer, the orphan search,
+relabelling and the coded shuffle all read; :func:`first_pair_violation`
+groups a bare grid itself.
+
+The scan, :func:`scan_groups`, costs time in proportion to the symbol cells,
+not to the grid or the pairs.  It first screens every symbol with packed row
+bitsets of W = ceil(F/64) uint64 words: one per symbol (its rows) and one
+per column (its non-star rows).  A symbol is clean exactly when its rows are
+distinct and, for each of its cells, the symbol's rows other than the cell's
+own miss the non-star rows of the cell's column.  Only the symbols the
+screen flags go on to the locate pass, one per multiplicity g, which finds
+each one's first violating pair from prefix ORs of the same bitsets, in O(g)
+words per cell rather than a g x g gather.
 """
 
 from __future__ import annotations
@@ -50,13 +55,19 @@ def first_pair_violation(grid: np.ndarray):
     code 2 a missing crossing star.  The reported pair is the first one in
     row-major scan order (ordered by the later cell, then the earlier).
     """
-    _, offsets, rows, cols = group_cells(grid)
+    return scan_groups(grid.shape, *group_cells(grid)[1:])
+
+
+def scan_groups(shape, offsets, rows, cols):
+    """:func:`first_pair_violation` of an F x K grid of ``shape`` whose
+    cells are grouped as :func:`group_cells` returns them."""
+    F, K = shape
     counts = np.diff(offsets)
     # Bitsets are held word-major, one row per word index, so the passes run
     # along contiguous rows.  nonstar_rows[:, k]: the non-star rows of
     # column k; the cells are distinct, so adding their bits sets them.
-    nonstar_rows = np.zeros((-(-grid.shape[0] // 64), grid.shape[1]), np.uint64)
-    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * grid.shape[1] + cols, _row_bit(rows))
+    nonstar_rows = np.zeros((-(-F // 64), K), np.uint64)
+    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * K + cols, _row_bit(rows))
     flagged = _screen(nonstar_rows, offsets, rows, cols)
     best = None  # (later, earlier) row-major positions of the first violation
     for g in np.unique(counts[flagged]).tolist():
@@ -66,7 +77,7 @@ def first_pair_violation(grid: np.ndarray):
             best = cand
     if best is None:
         return None
-    (f2, k2), (f1, k1) = (divmod(x, grid.shape[1]) for x in best)
+    (f2, k2), (f1, k1) = (divmod(x, K) for x in best)
     code = 1 if f1 == f2 or k1 == k2 else 2
     return code, (f1, k1), (f2, k2)
 

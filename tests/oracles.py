@@ -148,6 +148,34 @@ def bf_first_orphan(grid):
     return None
 
 
+def bf_normalize(grid) -> list[list[int]]:
+    """The grid with its symbols relabelled 0, 1, ... in ascending order."""
+    rank = {s: i for i, s in enumerate(sorted(bf_multiplicities(grid)))}
+    return [[STAR if v == STAR else rank[v] for v in row] for row in grid]
+
+
+def bf_equal_up_to_relabeling(a, b) -> bool:
+    """True when a symbol bijection maps grid ``a`` onto grid ``b``."""
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return False
+    fwd: dict[int, int] = {}
+    seen: set[int] = set()
+    for x, y in zip(sum(a, []), sum(b, [])):
+        if (x == STAR) != (y == STAR):
+            return False
+        if x == STAR:
+            continue
+        if x in fwd:
+            if fwd[x] != y:
+                return False
+        else:
+            if y in seen:
+                return False
+            fwd[x] = y
+            seen.add(y)
+    return True
+
+
 def bf_symbol_cells(grid) -> dict[int, list[tuple[int, int]]]:
     """Each symbol's cells in row-major order, symbols ascending."""
     out: dict[int, list[tuple[int, int]]] = {}

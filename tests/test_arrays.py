@@ -15,25 +15,30 @@ from codedshuffle import (
     STAR,
     ArrayFormatError,
     CodedArray,
+    JobSpec,
     TruncationError,
     algorithm1,
+    choose_iv_bits,
     compute_stats,
     load_fixture,
     load_from_array,
     parse_array,
+    run_job,
     truncate_columns,
     validate_l_cyclic,
     validate_mra,
     validate_pda,
 )
-from codedshuffle.kernels import first_pair_violation
+from codedshuffle.kernels import first_pair_violation, group_cells
 
 from oracles import (
     bf_cyclic_shift,
+    bf_equal_up_to_relabeling,
     bf_first_orphan,
     bf_first_pair_violation,
     bf_l_cyclic,
     bf_multiplicities,
+    bf_normalize,
     bf_pair_conditions,
     bf_parse_array,
     bf_serialize,
@@ -351,19 +356,34 @@ def test_cyclic_shift_detection(golden):
     assert compute_stats(golden["basic_pda"]).cyclic_shift is None
 
 
+def _count_grouping(monkeypatch) -> list:
+    """Record every grid that ``arrays`` groups into symbol cells."""
+    calls = []
+
+    def counting_group_cells(grid):
+        calls.append(grid)
+        return group_cells(grid)
+
+    monkeypatch.setattr(codedshuffle.arrays, "group_cells", counting_group_cells)
+    return calls
+
+
 def test_array_facts_computed_once(monkeypatch):
-    scans = []
-
-    def counting_scan(grid):
-        scans.append(grid)
-        return first_pair_violation(grid)
-
-    monkeypatch.setattr(codedshuffle.arrays, "first_pair_violation", counting_scan)
-    arr = load_fixture("cyclic_pda_12")
-    validate_mra(arr)
-    validate_pda(arr)
-    load_from_array(arr)
-    assert len(scans) == 1
+    # every consumer of the grouped cells reads the one cached plan; the
+    # labels are spread out so that normalize has work to do
+    fixture = load_fixture("mra_irregular")
+    arr = CodedArray(np.where(fixture.grid == STAR, STAR, fixture.grid * 7 + 3))
+    fixture.shuffle_plan
+    calls = _count_grouping(monkeypatch)
+    assert parse_array(arr.serialize()) == arr
+    assert validate_mra(arr).ok and not validate_pda(arr).ok
+    load = load_from_array(arr)
+    assert arr.normalize() == fixture
+    assert arr.equal_up_to_relabeling(fixture)
+    t = choose_iv_bits(arr, 1)
+    _, report = run_job(arr, JobSpec(arr.rows, arr.cols, t))
+    assert report.all_ok and report.measured_load == load
+    assert len(calls) == 1 and calls[0] is arr.grid
     assert compute_stats(arr) is compute_stats(arr)
 
 
@@ -417,16 +437,17 @@ def test_first_orphan_matches_bruteforce(rows):
         assert (rep.violation.cells, rep.violation.symbol) == ((expect[0],), expect[1])
 
 
-def test_shuffle_plan_is_lazy_cached_and_grouped(golden):
+def test_shuffle_plan_is_lazy_cached_and_grouped(golden, monkeypatch):
+    calls = _count_grouping(monkeypatch)
     for name, fixture in golden.items():
+        # the census never builds the plan, so summarised arrays keep none
         arr = CodedArray(fixture.grid)
-        validate_mra(arr)
-        validate_pda(arr)
-        assert "shuffle_plan" not in arr.__dict__
-        if not validate_mra(arr).ok:
-            continue
+        compute_stats(arr)
+        arr.star_run_starts
+        assert not calls and "shuffle_plan" not in arr.__dict__, name
         plan = arr.shuffle_plan
-        assert arr.shuffle_plan is plan
+        assert arr.shuffle_plan is plan and len(calls) == 1
+        calls.clear()
         cells = bf_symbol_cells(arr.grid.tolist())
         assert plan.symbols.tolist() == list(cells), name
         got = {
@@ -801,3 +822,23 @@ def test_normalization_idempotent_property(g):
     arr = CodedArray(g).normalize()
     assert arr.is_normalized
     assert arr.normalize() == arr
+    assert arr.grid.tolist() == bf_normalize(g.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grids(), st.sampled_from(["relabel", "change a cell", "move a star"]), st.data())
+def test_relabel_equality_matches_bruteforce(g, how, data):
+    # a relabelled copy, then perhaps one cell overwritten or one star
+    # swapped with another cell
+    image = data.draw(st.permutations(range(8)))
+    other = np.where(g == STAR, STAR, np.array(image)[g])
+    cells = st.tuples(st.integers(0, g.shape[0] - 1), st.integers(0, g.shape[1] - 1))
+    if how == "change a cell":
+        other[data.draw(cells)] = data.draw(st.integers(-1, 8))
+    elif how == "move a star" and (g == STAR).any():
+        star = tuple(data.draw(st.sampled_from(np.argwhere(g == STAR).tolist())))
+        to = data.draw(cells)
+        other[star], other[to] = other[to], other[star]
+    same = CodedArray(g).equal_up_to_relabeling(CodedArray(other))
+    assert same == bf_equal_up_to_relabeling(g.tolist(), other.tolist())
+    assert same or how != "relabel"

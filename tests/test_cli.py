@@ -161,12 +161,13 @@ def test_validate_never_raises(run, tmp_path, data):
     path = tmp_path / "any.txt"
     path.write_bytes(data)
     code, _, _ = run("validate", str(path))
-    assert code in (0, 1, 2)
+    assert code in (0, 2)
 
 
 _FAMILY_COMMANDS = [("construct", family) for family in ("alg1", "alg2", "nnc")] + [
     (command, family) for command in ("loads", "sweep") for family in FAMILIES
 ]
+_ARRAY_COMMANDS = [("truncate",), ("simulate",)]
 
 
 def _is_int(token: str) -> bool:
@@ -189,26 +190,41 @@ _ODD_TOKENS = st.one_of(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(st.sampled_from(_FAMILY_COMMANDS), st.data())
-def test_nnc_parameters_never_raise(run, command, data):
+@given(st.sampled_from(_FAMILY_COMMANDS + _ARRAY_COMMANDS), st.data())
+def test_nnc_parameters_never_raise(run, tmp_path, command, data):
     # any small, fractional or non-integer --lambda/--r/--alpha/--kvec of
-    # any family's construct, loads or sweep ends in a documented exit code.
-    # Values are drawn near the families' ranges, and each flag is now and
-    # then left out or given an odd token; algorithm1(16, 8, 8) alone is a
-    # 1.3 GB grid, so the subset-topology arrays stay at 10 mappers or fewer
-    lam = data.draw(st.integers(2, 10 if command[1] in ("alg1", "alg2") else 16))
-    r = data.draw(st.integers(1, lam))
-    size = lam - 1 if command[0] == "sweep" else lam - r
-    kvec = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    values = {
-        "--lambda": lam,
-        "--r": r,
-        "--alpha": data.draw(st.integers(1, lam)),
-        "--kvec": ",".join(map(str, kvec)),
-    }
-    if command[0] == "sweep":  # a sweep takes no --r or --alpha
-        del values["--r"], values["--alpha"]
+    # any family's construct, loads or sweep, and any such --keep of
+    # truncate or --files/--functions/--iv-bits/--seed of simulate on a
+    # 4 x 5 array, ends in a documented exit code.  Values are drawn near
+    # the flags' ranges, and each flag is now and then left out or given an
+    # odd token; algorithm1(16, 8, 8) alone is a 1.3 GB grid, so the
+    # subset-topology arrays stay at 10 mappers or fewer
+    if command == ("truncate",):
+        keep = data.draw(st.lists(st.integers(-1, 5), max_size=6))
+        values = {"--keep": ",".join(map(str, keep))}
+    elif command == ("simulate",):
+        values = {
+            "--files": data.draw(st.integers(-1, 12)),
+            "--functions": data.draw(st.integers(-1, 15)),
+            "--iv-bits": data.draw(st.just("auto") | st.integers(-1, 8)),
+            "--seed": data.draw(st.integers(-(2**70), 2**70)),
+        }
+    else:
+        lam = data.draw(st.integers(2, 10 if command[1] in ("alg1", "alg2") else 16))
+        r = data.draw(st.integers(1, lam))
+        size = lam - 1 if command[0] == "sweep" else lam - r
+        kvec = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        values = {
+            "--lambda": lam,
+            "--r": r,
+            "--alpha": data.draw(st.integers(1, lam)),
+            "--kvec": ",".join(map(str, kvec)),
+        }
+        if command[0] == "sweep":  # a sweep takes no --r or --alpha
+            del values["--r"], values["--alpha"]
     argv = list(command)
+    if command in _ARRAY_COMMANDS:
+        argv.append(_write(tmp_path, "mra_irregular"))
     for flag, value in values.items():
         how = data.draw(st.sampled_from(["value"] * 6 + ["odd", "left out"]))
         if how != "left out":

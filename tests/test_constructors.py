@@ -389,14 +389,24 @@ def test_nnc_builds_large_points():
 
 
 @pytest.mark.parametrize(
-    "point", [(26, 1, 23), (1000, 1, 1)], ids=lambda t: "-".join(map(str, t))
+    "point", [(26, 1, 23), (1000, 1, 1), (4096, 1, 1)], ids=lambda t: "-".join(map(str, t))
 )
 def test_nnc_search_gives_up_at_step_cap(point):
-    # (26, 1, 23) reaches the cap mid-search; (1000, 1, 1) has too many
-    # cells to fill within it
-    with pytest.raises(SearchBudgetExceeded, match="MAX_FILL_STEPS") as exc:
-        nnc_pda(*point)
+    # (26, 1, 23) reaches the cap mid-search, too slowly to trace; the
+    # others have too many cells to fill within it, which is refused before
+    # the layout is built
+    refused = point != (26, 1, 23)
+    if refused:
+        tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded, match="MAX_FILL_STEPS") as exc:
+            nnc_pda(*point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert "no fill exists" not in str(exc.value)
+    if refused:
+        assert peak < 1 << 20
 
 
 def test_nnc_sweep_parameters(constructor_sweep):
