@@ -2,8 +2,8 @@
 
 Subcommands: construct | validate | truncate | simulate | loads | sweep |
 repro.  Exit codes: 0 success, 1 reproduction failure, 2 precondition or
-usage error (including a fill search that gave up at its step cap), 3
-decode failure.
+usage error (including a fill search that gave up at its step cap, and a
+loads or sweep --lambda above ``MAX_MAPPERS``), 3 decode failure.
 """
 
 from __future__ import annotations
@@ -101,6 +101,12 @@ FAMILIES = {
 # construct names the subset and multiplicity families by their algorithms
 _CONSTRUCT_NAMES = {"alg1": "ct", "alg2": "gc"}
 
+# Largest --lambda that loads and sweep take.  At the cap the closed forms
+# are exact binomials of up to about 1000 bits, and every family's load and
+# bound at one point take well under a second; a sweep has up to about
+# lambda**2 / 2 points.
+MAX_MAPPERS = 1000
+
 
 def _flag(args, name: str):
     """The value of an optional flag the chosen family requires."""
@@ -125,6 +131,11 @@ def _point(args):
     --kvec, the others --alpha, and be a fractional --r.  A sweep takes no
     --r or --alpha and has no point; its flag values are gc's vector or none.
     """
+    if args.command in ("loads", "sweep") and args.mappers > MAX_MAPPERS:
+        raise ConstructionError(
+            f"--lambda {args.mappers} is above MAX_MAPPERS = {MAX_MAPPERS}, "
+            f"the largest that {args.command} evaluates"
+        )
     name = _CONSTRUCT_NAMES.get(args.family, args.family)
     given: dict = {}
     if args.command != "sweep":

@@ -204,7 +204,9 @@ class GcParameters:
     def reducer_count(self) -> int:
         lam = self.mappers
         return sum(
-            k * comb(lam, a) for a, k in enumerate(self.multiplicities, start=1)
+            k * comb(lam, a)
+            for a, k in enumerate(self.multiplicities, start=1)
+            if k
         )
 
     @property
@@ -213,6 +215,7 @@ class GcParameters:
         return sum(
             k * comb(lam, a + r)
             for a, k in enumerate(self.multiplicities, start=1)
+            if k
         )
 
     def __iter__(self):

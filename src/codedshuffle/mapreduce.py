@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arrays import CodedArray, ShufflePlan, validate_mra
+from .arrays import _DECADES, CodedArray, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
@@ -164,15 +164,15 @@ def choose_iv_bits(
     return t_base * factor
 
 
-# Largest files * functions * iv_bits of a job.  The executor holds every IV
-# bit packed (8 MiB at the cap) and hashes one 512-bit block per 64 bytes, so
-# the cap bounds both its memory and its run time.
+# Largest files * functions * iv_bits of a job.  The executor hashes at most
+# one 512-bit block per 64 bytes of IV bits (8 MiB at the cap), so the cap
+# bounds both its memory and its run time.
 MAX_JOB_IV_BITS = 1 << 26
 
-# Bytes per chunk of one multiplicity class's packet table, one byte per bit;
-# one symbol is never split, so a chunk holds
-# max(1, _BLOCK_BYTES // (g * g * plen)) symbols.
-_BLOCK_BYTES = 1 << 18
+# Carrier bits per chunk of the executor's cell order, one byte per bit while
+# packets are cut from carriers; one symbol is never split, so a chunk holds
+# the symbols that start within its budget.
+_CHUNK_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -233,19 +233,15 @@ class IvOracle:
         acc >>= span - end
         return acc & ((1 << self.t) - 1)
 
-    def streams(self, functions: int, count: int) -> np.ndarray:
-        """IVs 0..count-1 of every function q < functions, packed: row q of
-        the (functions, B) uint8 matrix is the start of q's stream, so IV n
-        of function q is bits [n*t, (n+1)*t) of row q, most significant bit
-        first.  B is 64 bytes per 512-bit block, so a row runs on to the end
-        of the block holding its last IV bit."""
-        blocks = range(-(-count * self.t // self._BLOCK_BITS))
+    def blocks(self, functions: np.ndarray, blocks: np.ndarray) -> bytes:
+        """Blocks ``(functions[i], blocks[i])`` of the streams, back to back:
+        64 bytes each, in the order given, most significant bit first."""
         seed, key, blake2b = self.seed, self._KEY.pack, hashlib.blake2b
         # _digest(q, b), inlined: this loop is most of a small job's time
-        joined = b"".join(
-            [blake2b(key(seed, q, b)).digest() for q in range(functions) for b in blocks]
+        return b"".join(
+            [blake2b(key(seed, q, b)).digest()
+             for q, b in zip(functions.tolist(), blocks.tolist())]
         )
-        return np.frombuffer(joined, np.uint8).reshape(functions, -1)
 
 
 @dataclass(frozen=True)
@@ -287,7 +283,8 @@ class _Columns(Sequence):
 
 class _MessageColumns(_Columns):
     """Messages in send order.  ``payload`` holds each message's payload
-    big-endian, left-padded to whole bytes, at ``offsets[i]:offsets[i + 1]``."""
+    big-endian, left-padded to whole bytes, at ``offsets[i]:offsets[i + 1]``;
+    senders, symbols and bits are non-negative."""
 
     __slots__ = ("sender", "symbol", "bits", "offsets", "payload")
 
@@ -297,13 +294,12 @@ class _MessageColumns(_Columns):
         payloads = [m.payload.to_bytes((m.bits + 7) // 8, "big") for m in messages]
         offsets = np.zeros(len(messages) + 1, np.int64)
         np.cumsum([len(p) for p in payloads], out=offsets[1:])
-        return cls(
-            np.array([m.sender for m in messages], np.int64),
-            np.array([m.symbol for m in messages], np.int64),
-            np.array([m.bits for m in messages], np.int64),
-            offsets,
-            np.frombuffer(b"".join(payloads), np.uint8),
-        )
+        numbers = np.array(
+            [(m.sender, m.symbol, m.bits) for m in messages], np.int64
+        ).reshape(-1, 3).T.copy()
+        if (numbers < 0).any():
+            raise ValueError("message senders, symbols and bits must be non-negative")
+        return cls(*numbers, offsets, np.frombuffer(b"".join(payloads), np.uint8))
 
     def __len__(self) -> int:
         return self.sender.shape[0]
@@ -337,18 +333,33 @@ class ShuffleTranscript:
             object.__setattr__(self, "messages", _MessageColumns.of(self.messages))
 
     def dump(self) -> str:
-        """One line per message: ``k s len_bits hex_payload``."""
+        """One line per message: ``k s len_bits hex_payload``.
+
+        The text is built as bytes with numpy passes, as
+        ``CodedArray.serialize`` is: the digit counts place every byte, the
+        separators and the numbers' digits are scattered into place, and the
+        payload's hex digits fill the bytes left over in one masked copy.
+        """
         m = self.messages
-        text = m.payload.tobytes().hex()
-        cuts = (2 * m.offsets).tolist()
-        lines = [
-            f"{k} {s} {b} {text[lo:hi]}"
-            for k, s, b, lo, hi in zip(
-                m.sender.tolist(), m.symbol.tolist(), m.bits.tolist(),
-                cuts, cuts[1:],
-            )
-        ]
-        return "\n".join(lines) + "\n"
+        if not len(m):
+            return "\n"
+        numbers = np.array((m.sender, m.symbol, m.bits))
+        width = _DECADES.searchsorted(numbers, "right") + 1  # digits
+        # the last digit of each number, counted from its line's start
+        last = width.cumsum(axis=0) + np.arange(-1, 2)[:, None]
+        line = last[-1] + 2 * (m.offsets[1:] - m.offsets[:-1]) + 3
+        start = line.cumsum() - line
+        last += start
+        text = np.zeros(start[-1] + line[-1], np.uint8)
+        text[last + 1] = ord(" ")
+        text[start[1:] - 1] = ord("\n")
+        text[-1] = ord("\n")
+        places = np.arange(width.max())
+        on = places < width[..., None]
+        digits = numbers[..., None] // 10**places % 10
+        text[(last[..., None] - places)[on]] = digits[on] + ord("0")
+        text[text == 0] = np.frombuffer(m.payload.tobytes().hex().encode(), np.uint8)
+        return str(text, "ascii")
 
 
 @dataclass(frozen=True)
@@ -451,40 +462,54 @@ def _check_job(arr: CodedArray, spec: JobSpec) -> tuple[int, int]:
     return eta1, eta2
 
 
-def _carriers(
-    streams: np.ndarray, eta1: int, eta2: int, t: int,
-    rows: np.ndarray, cols: np.ndarray,
-) -> np.ndarray:
-    """Carrier bits of the cells (rows[i], cols[i]), shape rows.shape + (W,):
-    the IVs reducer v needs from batch u, functions ascending, then files.
+class _IvTable:
+    """The stream blocks that the carriers of some cells read, hashed once.
 
-    For each function q of reducer v these are bits [u*eta1*t,
-    (u+1)*eta1*t) of row q of the packed ``streams``: one gather of the
-    bytes holding them, a shift of each byte window to its first bit, and
-    one unpack.
+    ``data`` holds each (function, block) pair that a carrier bit of a cell
+    falls in, 64 bytes each in (function, block) order, then one zero byte
+    for the last byte window to run into.  The blocks that one carrier
+    segment spans are therefore adjacent in ``data``.
     """
-    width = eta1 * t
-    start = rows * width
-    funcs = cols[..., None] * eta2 + np.arange(eta2)
-    window = (start >> 3)[..., None] + np.arange((width + 7) // 8 + 1)
-    # the last window may run one byte past a row; those bits are dropped
-    window = np.minimum(window, streams.shape[1] - 1)
-    got = streams[funcs[..., None], window[..., None, :]].astype(np.uint16)
-    shift = (start & 7)[..., None, None]
-    aligned = ((got[..., :-1] << shift) | (got[..., 1:] >> (8 - shift))).astype(np.uint8)
-    bits = np.unpackbits(aligned, axis=-1, count=width)
-    return bits.reshape(*rows.shape, -1)
 
+    def __init__(
+        self, oracle: IvOracle, eta1: int, eta2: int, files: int,
+        functions: int, rows: np.ndarray, cols: np.ndarray,
+    ):
+        block = IvOracle._BLOCK_BITS
+        self.seg, self.eta2 = eta1 * oracle.t, eta2
+        self.stream_blocks = nb = -(-files * oracle.t // block)
+        # cell (u, v) reads blocks u*seg // block to ((u+1)*seg - 1) // block
+        # of the streams of v's functions: mark each column's block ranges
+        # with +1/-1 edges and sum them along the blocks
+        K, base = functions // eta2, cols * (nb + 1)
+        edges = np.bincount(base + rows * self.seg // block, minlength=K * (nb + 1))
+        edges -= np.bincount(
+            base + ((rows + 1) * self.seg - 1) // block + 1, minlength=K * (nb + 1)
+        )
+        read = edges.reshape(K, nb + 1)[:, :nb].cumsum(axis=1) > 0
+        self.keys = read.repeat(eta2, axis=0).reshape(-1).nonzero()[0]  # q*nb + block
+        q, b = np.divmod(self.keys, nb)
+        self.data = np.frombuffer(oracle.blocks(q, b) + bytes(1), np.uint8)
 
-def _chunks(plan: ShufflePlan, counts: np.ndarray, width: int):
-    """Yield (g, plen, cells) per chunk of same-g symbols: ``cells`` (n, g)
-    indexes the plan, one row per symbol; ``counts`` is each symbol's g."""
-    for g in np.unique(counts).tolist():
-        starts = plan.offsets[:-1][counts == g]
-        plen = width // (g - 1)
-        step = max(1, _BLOCK_BYTES // (g * g * plen))
-        for lo in range(0, starts.shape[0], step):
-            yield g, plen, starts[lo : lo + step, None] + np.arange(g)
+    def carriers(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Carrier bits of the cells (rows[i], cols[i]), shape (n, W), one
+        byte per bit: the IVs reducer v needs from batch u, functions
+        ascending, then files.
+
+        For each function q of reducer v these are bits [u*eta1*t,
+        (u+1)*eta1*t) of stream q: one gather of the byte windows holding
+        them, a shift of each window to its first bit, and one unpack.
+        """
+        seg, block = self.seg, IvOracle._BLOCK_BITS
+        start = rows[:, None] * seg
+        funcs = cols[:, None] * self.eta2 + np.arange(self.eta2)
+        slot = self.keys.searchsorted(funcs * self.stream_blocks + start // block)
+        at = (slot * block + start % block) // 8
+        # a window runs at most one byte past the last block it reads
+        window = _windows(self.data, (seg + 7) // 8 + 1)[at]
+        shift = (start % 8).astype(np.uint8)[..., None]
+        aligned = (window[..., :-1] << shift) | (window[..., 1:] >> (8 - shift))
+        return np.unpackbits(aligned, axis=-1, count=seg).reshape(rows.shape[0], -1)
 
 
 def _execute(
@@ -497,17 +522,19 @@ def _execute(
     eta1, eta2 = _check_job(arr, spec)
     plan = arr.shuffle_plan
     width = eta1 * eta2 * spec.iv_bits
+    n_cells = plan.rows.shape[0]
     counts = plan.offsets[1:] - plan.offsets[:-1]
-    cell_bits = np.repeat(width // (counts - 1), counts)
-    order = np.argsort(plan.cols, kind="stable")  # send order of the cells
+    g_cell = counts.repeat(counts)  # each cell's multiplicity
+    cell_bits = width // (g_cell - 1)
+    order = plan.cols.argsort(kind="stable")  # send order of the cells
     senders = plan.cols[order]
-    symbols = np.repeat(plan.symbols, counts)[order]
+    symbols = plan.symbols.repeat(counts)[order]
     bits = cell_bits[order]
     if transcript is None:
-        offsets = np.zeros(order.shape[0] + 1, np.int64)
-        np.cumsum((bits + 7) // 8, out=offsets[1:])
+        offsets = np.zeros(n_cells + 1, np.int64)
+        ((bits + 7) // 8).cumsum(out=offsets[1:])
         payload = np.empty(offsets[-1], np.uint8)
-        sent = np.arange(order.shape[0])
+        sent = np.arange(n_cells)
     else:
         messages = transcript.messages
         sent = np.lexsort((messages.symbol, messages.sender))
@@ -523,51 +550,82 @@ def _execute(
     # (sender, symbol); row[c] is the transcript row of plan cell c
     row = np.empty_like(order)
     row[order] = sent
-    first_byte = offsets[row]
 
-    t = spec.iv_bits
-    streams = IvOracle(spec.seed, t).streams(spec.functions, spec.files)
-    cell_ok = np.ones(order.shape[0], bool)
-    for g, plen, cells in _chunks(plan, counts, width):
-        n = cells.shape[0]
-        # packets[:, i, p]: packet p of cell i, labelled by cell labels[i, p],
-        # the p-th cell other than i
-        packets = _carriers(
-            streams, eta1, eta2, t, plan.rows[cells], plan.cols[cells]
-        ).reshape(n, g, g - 1, plen)
-        later = np.arange(1, g)
-        labels = later - (later <= np.arange(g)[:, None])
-        # table[:, i, j]: the packet of cell i labelled j, 0 where i == j
-        table = np.zeros((n, g, g, plen), np.uint8)
-        table[:, np.arange(g)[:, None], labels] = packets
-        totals = np.bitwise_xor.reduce(table, axis=1)
-        # payloads are left-padded to whole bytes
-        pad = -plen % 8
-        at = first_byte[cells][:, :, None] + np.arange((pad + plen) // 8)
-        if transcript is None:
-            padded = np.zeros((n, g, pad + plen), np.uint8)
-            padded[:, :, pad:] = totals
-            payload[at] = np.packbits(padded, axis=-1)
-        got = np.unpackbits(payload[at], axis=-1)
-        # side information of cell i for label j: total_j ^ packet(i, j), the
-        # XOR of packet j over every cell but i and j; so cell i rebuilds
-        # packet(i, j) as payload_j ^ total_j ^ packet(i, j)
-        rebuilt = (got[:, :, pad:] ^ totals)[:, labels] ^ packets
-        ok = (rebuilt == packets).reshape(n, g, -1).all(axis=-1)
-        # a payload wider than its packet sets pad bits and fails its readers
-        wide = got[:, :, :pad].any(axis=-1)
-        cell_ok[cells] = ok & ~wide[:, labels].any(axis=-1)
+    # class-major order: the plan's cells by their symbol's multiplicity g,
+    # stably, so each class, and each chunk of about _CHUNK_BITS carrier
+    # bits, is a run of whole symbols
+    cells = g_cell.argsort(kind="stable")
+    g_at = g_cell[cells]
+    rows, cols, first_byte = plan.rows[cells], plan.cols[cells], offsets[row[cells]]
+    classes = ((g_at[1:] != g_at[:-1]).nonzero()[0] + 1).tolist()
+    chunks = [n_cells]
+    if n_cells * width > _CHUNK_BITS:
+        # a chunk holds the symbols whose first carrier bit is in its budget
+        first = np.zeros(n_cells, bool)
+        first[plan.offsets[:-1]] = True
+        starts = first[cells].nonzero()[0]
+        chunk = starts * width // _CHUNK_BITS
+        chunks[:0] = starts[1:][chunk[1:] != chunk[:-1]].tolist()
+
+    ivs = _IvTable(
+        IvOracle(spec.seed, spec.iv_bits), eta1, eta2,
+        spec.files, spec.functions, rows, cols,
+    )
+    ok = np.empty(n_cells, bool)
+    lo = 0
+    for hi in chunks:
+        carriers = ivs.carriers(rows[lo:hi], cols[lo:hi])
+        cuts = [lo, *(c for c in classes if lo < c < hi), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            g = int(g_at[a])
+            n, plen = (b - a) // g, width // (g - 1)
+            # payloads are left-padded to whole bytes; so are the packets, so
+            # every XOR and compare below is on bytes.  packets[:, i, p] is
+            # packet p of cell i, labelled by cell labels[i, p], the p-th
+            # cell other than i
+            pb = (plen + 7) // 8
+            split = carriers[a - lo : b - lo].reshape(n, g, g - 1, plen)
+            if plen % 8:
+                padded = np.zeros((n, g, g - 1, 8 * pb), np.uint8)
+                padded[..., -plen:] = split
+                split = padded
+            # whole bytes per packet, so one flat pack splits at packets
+            packets = np.packbits(split.reshape(-1)).reshape(n, g, g - 1, pb)
+            later = np.arange(1, g)
+            labels = later - (later <= np.arange(g)[:, None])
+            # table[:, i, j]: the packet of cell i labelled j, 0 where i == j
+            table = np.zeros((n, g, g, pb), np.uint8)
+            table[:, np.arange(g)[:, None], labels] = packets
+            totals = np.bitwise_xor.reduce(table, axis=1)
+            sent_as = _windows(payload, pb)
+            if transcript is None:
+                sent_as[first_byte[a:b]] = totals.reshape(n * g, -1)
+            got = sent_as[first_byte[a:b]].reshape(n, g, -1)
+            # side information of cell i for label j: total_j ^ packet(i, j),
+            # the XOR of packet j over every cell but i and j; so cell i
+            # rebuilds packet(i, j) as payload_j ^ total_j ^ packet(i, j).  A
+            # payload wider than its packet sets pad bits, which the rebuilt
+            # packet then carries, and fails its readers
+            rebuilt = (got ^ totals)[:, labels] ^ packets
+            ok[a:b] = (rebuilt == packets).reshape(n * g, -1).all(axis=-1)
+        lo = hi
 
     if transcript is None:
         messages = _MessageColumns(senders, symbols, bits, offsets, payload)
         transcript = ShuffleTranscript(messages, int(cell_bits.sum()))
     K = arr.cols
-    failed = np.bincount(plan.cols, weights=~cell_ok, minlength=K)
-    recovered = np.bincount(plan.cols, minlength=K) * (eta1 * eta2)
+    failed = np.bincount(cols, weights=~ok, minlength=K)
+    recovered = np.bincount(cols, minlength=K) * (eta1 * eta2)
     results = _ReducerColumns(np.arange(K), failed == 0, recovered)
     return transcript, DecodeReport(
         results, transcript.total_bits, spec.files * spec.functions * spec.iv_bits
     )
+
+
+def _windows(a: np.ndarray, size: int) -> np.ndarray:
+    """Every run of ``size`` bytes of the uint8 vector ``a``: row i is the
+    view ``a[i : i + size]``, so a row gather copies whole windows."""
+    return np.ndarray((a.shape[0] - size + 1, size), np.uint8, a, 0, (1, 1))
 
 
 def _reduce(
@@ -588,19 +646,23 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     columns, and column k multicasts the XOR of the packets labelled k over
     the symbol's other cells.
 
-    Each multiplicity class of the array's cached shuffle plan is one numpy
-    pass over bits, one byte per bit, in chunks of at most ``_BLOCK_BYTES``:
-    one gather of its carriers from the oracle's packed streams, one
-    (n, g, g, plen) packet table with a zero label on each cell's own
-    column, and one XOR reduce over the cells for the payloads, which are
-    written into the transcript's payload column.  ``validate_mra`` puts
-    every XOR term on a star of the column using it.
+    The executor walks the cells of the array's cached shuffle plan in
+    class-major order (symbols by multiplicity g), so each class is a run of
+    it, in chunks of about ``_CHUNK_BITS`` carrier bits that never split a
+    symbol.  The IV oracle hashes only the 512-bit stream blocks that some
+    cell's carrier reads, each once.  A chunk gathers all its carriers at
+    once from those blocks; per class, the packets are packed to bytes,
+    left-padded as the payloads are, and one (n, g, g, bytes) packet table
+    with a zero label on each cell's own column is XOR-reduced over the
+    cells into the payloads, which are written into the transcript's payload
+    column.  ``validate_mra`` puts every XOR term on a star of the column
+    using it.
 
     Decoding reads the payloads back from the transcript only.  With
     total_j the XOR of label j's packets over all cells, the reducer of
     cell i cancels label j's other terms with total_j ^ packet(i, j), so
-    every carrier is rebuilt with one vectorised XOR and compared with the
-    oracle's.  Per-reducer verdicts come from ``np.bincount`` over the
-    plan's columns.
+    every packet is rebuilt with one vectorised byte XOR and compared with
+    the oracle's, pad bits included.  Per-reducer verdicts come from
+    ``np.bincount`` over the cells' columns.
     """
     return _execute(arr, spec)

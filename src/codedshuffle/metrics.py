@@ -146,13 +146,9 @@ def gc_load(params: GcParameters) -> Fraction:
 def gc_lower_bound(params: GcParameters) -> Fraction:
     """Homogeneous-network lower bound at the parameters' computation load."""
     lam, r = params.mappers, params.computation
-    num = sum(
-        k * comb(lam - r, a) for a, k in enumerate(params.multiplicities, start=1)
-    )
-    reach = sum(
-        k * (comb(lam, a) - comb(lam - r, a))
-        for a, k in enumerate(params.multiplicities, start=1)
-    )
+    terms = [(a, k) for a, k in enumerate(params.multiplicities, start=1) if k]
+    num = sum(k * comb(lam - r, a) for a, k in terms)
+    reach = sum(k * (comb(lam, a) - comb(lam - r, a)) for a, k in terms)
     return Fraction(num, params.reducer_count * reach)
 
 

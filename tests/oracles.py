@@ -196,6 +196,17 @@ def bf_carrier(oracle, u: int, v: int, eta1: int, eta2: int) -> int:
     return acc
 
 
+def bf_dump(messages) -> str:
+    """Transcript text, one f-string per message: ``k s len_bits hex``, the
+    payload big-endian and left-padded to whole bytes."""
+    lines = [
+        f"{m.sender} {m.symbol} {m.bits} "
+        f"{m.payload.to_bytes((m.bits + 7) // 8, 'big').hex()}"
+        for m in messages
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def bf_run_job(grid, oracle, eta1: int, eta2: int, messages=None):
     """Reference coded shuffle, one ``oracle.value`` call per IV.
 

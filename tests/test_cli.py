@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import codedshuffle
 from codedshuffle import load_fixture, parse_array
-from codedshuffle.cli import FAMILIES, main
+from codedshuffle.cli import FAMILIES, MAX_MAPPERS, main
 
 
 @pytest.fixture
@@ -332,6 +332,34 @@ def test_repro_passes(run):
     assert code == 0
     assert "FAIL" not in out.replace("FLAGGED", "")
     assert out.count("FLAGGED") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("loads", "ct", "--lambda", "30000", "--r", "15000", "--alpha", "1"),
+        ("loads", "be", "--lambda", str(MAX_MAPPERS + 1), "--r", "1", "--alpha", "1"),
+        ("sweep", "ct", "--lambda", "30000"),
+        ("sweep", "gc", "--lambda", str(MAX_MAPPERS + 1), "--kvec", "1"),
+    ],
+)
+def test_closed_forms_refuse_lambda_above_cap(run, argv):
+    # refused before anything is computed, even the gc vector's parse
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert f"MAX_MAPPERS = {MAX_MAPPERS}" in err
+
+
+@pytest.mark.parametrize("family", ["ct", "be", "nnc"])
+def test_closed_forms_at_cap_are_quick(run, family):
+    start = time.perf_counter()
+    code, out, _ = run(
+        "loads", family, "--lambda", str(MAX_MAPPERS), "--r", "1", "--alpha", "1"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["Lambda"] == MAX_MAPPERS
 
 
 def test_cli_determinism(run, tmp_path):

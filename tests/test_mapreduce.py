@@ -40,13 +40,13 @@ from codedshuffle.mapreduce import (
     JobPreconditionError,
     Message,
     ShuffleTranscript,
-    _carriers,
+    _IvTable,
     _reduce,
 )
 
 from codedshuffle.cli import FAMILIES
 
-from oracles import bf_carrier, bf_run_job
+from oracles import bf_carrier, bf_dump, bf_run_job
 
 
 # --- graphs -----------------------------------------------------------------
@@ -162,20 +162,61 @@ def test_oracle_spans_hash_blocks():
     st.integers(1, 3),
     st.integers(1, 3),
     st.integers(1, 3),
+    st.data(),
 )
-def test_carriers_match_oracle(seed, t, eta1, eta2, rows, cols):
+def test_carriers_match_oracle(seed, t, eta1, eta2, rows, cols, data):
     # t up to 700 makes IVs straddle the oracle's 512-bit blocks, and most
-    # widths leave carriers and packets off byte boundaries
+    # widths leave carriers and packets off byte boundaries.  The table
+    # holds only the blocks under the non-star cells of a random star mask
     spec = JobSpec(rows * eta1, cols * eta2, t, seed)
-    us, vs = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    streams = IvOracle(seed, t).streams(spec.functions, spec.files)
-    got = _carriers(streams, eta1, eta2, t, us, vs)
-    assert got.shape == (rows, cols, eta1 * eta2 * t)
+    cells = rows * cols
+    read = data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    read[data.draw(st.integers(0, cells - 1))] = True
+    us, vs = np.nonzero(np.reshape(read, (rows, cols)))
+    ivs = _IvTable(IvOracle(seed, t), eta1, eta2, spec.files, spec.functions, us, vs)
+    got = ivs.carriers(us, vs)
+    assert got.shape == (us.size, eta1 * eta2 * t)
     oracle = IvOracle(seed, t)
-    for u in range(rows):
-        for v in range(cols):
-            bits = "".join(map(str, got[u, v].tolist()))
-            assert int(bits, 2) == bf_carrier(oracle, u, v, eta1, eta2)
+    for bits, u, v in zip(got, us.tolist(), vs.tolist()):
+        assert int("".join(map(str, bits.tolist())), 2) == bf_carrier(oracle, u, v, eta1, eta2)
+
+
+_VALID_FIXTURES = [n for n in fixture_names() if validate_mra(load_fixture(n)).ok]
+_ETAS = ((1, 1), (2, 1), (1, 2), (2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_VALID_FIXTURES),
+    st.sampled_from(_ETAS),
+    st.sampled_from([1, 97, 300]),
+    st.integers(0, 2**64 - 1),
+)
+def test_job_hashes_exactly_the_blocks_it_reads(name, eta, t_base, seed):
+    # every (function, block) pair that a carrier bit of a non-star cell
+    # falls in is hashed, once, and no other
+    arr = load_fixture(name)
+    eta1, eta2 = eta
+    t = choose_iv_bits(arr, t_base, eta1, eta2)
+    hashed = []
+    blocks = IvOracle.blocks
+
+    def record(oracle, functions, block_ids):
+        hashed.extend(zip(functions.tolist(), block_ids.tolist()))
+        return blocks(oracle, functions, block_ids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IvOracle, "blocks", record)
+        _, rep = run_job(arr, JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed))
+    assert rep.all_ok
+    read = {
+        (q, bit // 512)
+        for u, v in np.argwhere(arr.grid != STAR).tolist()
+        for q in range(v * eta2, (v + 1) * eta2)
+        for bit in range(u * eta1 * t, (u + 1) * eta1 * t)
+    }
+    assert len(hashed) == len(set(hashed))
+    assert set(hashed) == read
 
 
 # --- the shuffle ----------------------------------------------------------------
@@ -245,6 +286,34 @@ def test_transcript_determinism_and_dump(golden):
     line = tr1.dump().splitlines()[0].split()
     assert len(line) == 4 and line[0] == "0"
     assert int(line[2]) in (1, 2)
+
+
+# numbers at each digit-count boundary of int64, and any others
+_DECIMAL = st.sampled_from(
+    [0, 2**63 - 1] + [10**d + e for d in range(1, 19) for e in (-1, 0)]
+) | st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def _any_message(draw):
+    bits = draw(st.integers(0, 130))
+    # a right shift leaves leading zero bytes in the payload
+    payload = draw(st.integers(0, 2**bits - 1)) >> draw(st.integers(0, bits))
+    return Message(draw(_DECIMAL), draw(_DECIMAL), bits, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_message(), max_size=8))
+def test_dump_matches_reference(messages):
+    # bits run through every residue mod 8 and across the 1-, 2- and
+    # 3-digit widths
+    assert ShuffleTranscript(messages, 0).dump() == bf_dump(messages)
+
+
+def test_transcript_fields_are_non_negative():
+    for bad in (Message(-1, 0, 1, 0), Message(0, -2, 1, 0), Message(0, 0, -1, 0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ShuffleTranscript((Message(0, 0, 1, 1), bad), 0)
 
 
 def test_run_job_preconditions(golden):
@@ -441,9 +510,18 @@ def test_corrupted_payload_fails_exactly_its_readers(golden, name):
     for f, k in np.argwhere(arr.grid != STAR).tolist():
         cols_of.setdefault(arr.entry(f, k), set()).add(k)
     n = len(tr.messages)
-    for pick in sorted({0, n // 2, n - 1}):
+    # the first, middle and last messages and the first of every class
+    first_of_class = {}
+    for i, m in enumerate(tr.messages):
+        first_of_class.setdefault(len(cols_of[m.symbol]), i)
+    assert len(first_of_class) == len(arr.stats.histogram)
+    pad_flips = 0
+    for pick in sorted({0, n // 2, n - 1, *first_of_class.values()}):
         m = tr.messages[pick]
-        for bit in sorted({0, m.bits - 1}):
+        # the payload's lowest and highest bits, and its lowest pad bit
+        flips = {0, m.bits - 1} | ({m.bits} if m.bits % 8 else set())
+        pad_flips += m.bits in flips
+        for bit in sorted(flips):
             bad = Message(m.sender, m.symbol, m.bits, m.payload ^ (1 << bit))
             messages = tr.messages[:pick] + (bad,) + tr.messages[pick + 1 :]
             got = _reduce(arr, spec, ShuffleTranscript(messages, tr.total_bits))
@@ -452,6 +530,7 @@ def test_corrupted_payload_fails_exactly_its_readers(golden, name):
             assert [r.ok for r in got.per_reducer] == [
                 k not in readers for k in range(arr.cols)
             ], (name, pick, bit)
+    assert pad_flips
 
 
 # --- the reference decoder ----------------------------------------------------------
@@ -471,17 +550,40 @@ def assert_matches_reference(arr, eta1, eta2, t, seed):
     assert bf_run_job(grid, IvOracle(seed, t), eta1, eta2, got)[1] == per_reducer
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in fixture_names() if validate_mra(load_fixture(n)).ok]
-)
+@pytest.mark.parametrize("name", _VALID_FIXTURES)
 def test_run_job_matches_reference_on_fixtures(name):
     arr = load_fixture(name)
-    for eta1, eta2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+    for eta1, eta2 in _ETAS:
         # t_base 97 makes IVs straddle the oracle's 512-bit blocks
         for t_base in (1, 97):
             assert_matches_reference(
                 arr, eta1, eta2, choose_iv_bits(arr, t_base, eta1, eta2), 5
             )
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in _VALID_FIXTURES if len(load_fixture(n).stats.histogram) > 1]
+)
+def test_run_job_matches_reference_one_symbol_per_chunk(monkeypatch, name):
+    # a budget of one carrier bit closes a chunk after every symbol, so each
+    # chunk gathers its own carriers and a class spans many chunks
+    monkeypatch.setattr("codedshuffle.mapreduce._CHUNK_BITS", 1)
+    gathers = []
+    carriers = _IvTable.carriers
+
+    def count(ivs, rows, cols):
+        gathers.append(rows.shape[0])
+        return carriers(ivs, rows, cols)
+
+    monkeypatch.setattr(_IvTable, "carriers", count)
+    arr = load_fixture(name)
+    for eta1, eta2 in _ETAS:
+        for t_base in (1, 97):
+            gathers.clear()
+            assert_matches_reference(
+                arr, eta1, eta2, choose_iv_bits(arr, t_base, eta1, eta2), 5
+            )
+            assert sorted(gathers) == sorted(arr.stats.multiplicity.values())
 
 
 def test_run_job_matches_reference_on_sweep_sample(constructor_sweep):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -20,7 +21,7 @@ from codedshuffle import (
     nnc_load,
 )
 from codedshuffle.cli import FAMILIES
-from codedshuffle.constructors import ConstructionError
+from codedshuffle.constructors import ConstructionError, ct_parameters
 from codedshuffle.metrics import LoadCurve, be_lower_bound_corners
 
 from oracles import bf_is_lower_envelope
@@ -96,6 +97,19 @@ def test_gc_lower_bound():
     for r in range(1, 6):
         params = GcParameters(6, r, (1,) + (0,) * (5 - r))
         assert gc_lower_bound(params) == Fraction(6 - r, 6 * r)
+
+
+def test_one_hot_closed_forms_skip_zero_terms():
+    # a subset-topology point has one nonzero multiplicity among
+    # mappers - r; the sums over them took over 20 s on a 2-core VM while
+    # every zero term was still multiplied by a binomial
+    start = time.perf_counter()
+    params = ct_parameters(30_000, 15_000, 1)
+    bound = gc_lower_bound(params)
+    assert params.reducer_count == 30_000
+    assert params.symbol_total == comb(30_000, 15_001)
+    assert bound == Fraction(15_000, 30_000 * 15_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_bound_below_achievable(constructor_sweep):
