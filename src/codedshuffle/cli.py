@@ -139,6 +139,8 @@ def _point(args):
     name = _CONSTRUCT_NAMES.get(args.family, args.family)
     given: dict = {}
     if args.command != "sweep":
+        if name == "be" and "e" in args.r.lower():  # Fraction expands 1e-99999999
+            raise ConstructionError(f"--r {args.r!r}: give r as p/q or a decimal")
         try:
             given["r"] = Fraction(args.r) if name == "be" else int(args.r)
         except ZeroDivisionError:

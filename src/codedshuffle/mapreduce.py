@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arrays import _DECADES, CodedArray, validate_mra
+from .arrays import CodedArray, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters
 
 __all__ = [
@@ -322,44 +322,32 @@ class ShuffleTranscript:
     bytes.  ``messages`` accepts any sequence of :class:`Message`, which is
     turned into columns here, and reads back as a read-only sequence with
     an O(1) ``len()`` that builds a ``Message`` only when one is indexed or
-    iterated.
+    iterated.  Everything else, the total bits sent included, is read off
+    the columns.
     """
 
     messages: Sequence[Message]
-    total_bits: int
 
     def __post_init__(self):
         if not isinstance(self.messages, _MessageColumns):
             object.__setattr__(self, "messages", _MessageColumns.of(self.messages))
 
-    def dump(self) -> str:
-        """One line per message: ``k s len_bits hex_payload``.
+    @property
+    def total_bits(self) -> int:
+        return int(self.messages.bits.sum())
 
-        The text is built as bytes with numpy passes, as
-        ``CodedArray.serialize`` is: the digit counts place every byte, the
-        separators and the numbers' digits are scattered into place, and the
-        payload's hex digits fill the bytes left over in one masked copy.
-        """
+    def dump(self) -> str:
+        """One line per message: ``k s len_bits hex_payload``."""
         m = self.messages
-        if not len(m):
-            return "\n"
-        numbers = np.array((m.sender, m.symbol, m.bits))
-        width = _DECADES.searchsorted(numbers, "right") + 1  # digits
-        # the last digit of each number, counted from its line's start
-        last = width.cumsum(axis=0) + np.arange(-1, 2)[:, None]
-        line = last[-1] + 2 * (m.offsets[1:] - m.offsets[:-1]) + 3
-        start = line.cumsum() - line
-        last += start
-        text = np.zeros(start[-1] + line[-1], np.uint8)
-        text[last + 1] = ord(" ")
-        text[start[1:] - 1] = ord("\n")
-        text[-1] = ord("\n")
-        places = np.arange(width.max())
-        on = places < width[..., None]
-        digits = numbers[..., None] // 10**places % 10
-        text[(last[..., None] - places)[on]] = digits[on] + ord("0")
-        text[text == 0] = np.frombuffer(m.payload.tobytes().hex().encode(), np.uint8)
-        return str(text, "ascii")
+        hexed = m.payload.tobytes().hex()
+        cuts = (2 * m.offsets).tolist()
+        lines = [
+            f"{k} {s} {b} {hexed[lo:hi]}"
+            for k, s, b, lo, hi in zip(
+                m.sender.tolist(), m.symbol.tolist(), m.bits.tolist(), cuts, cuts[1:]
+            )
+        ]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -525,11 +513,10 @@ def _execute(
     n_cells = plan.rows.shape[0]
     counts = plan.offsets[1:] - plan.offsets[:-1]
     g_cell = counts.repeat(counts)  # each cell's multiplicity
-    cell_bits = width // (g_cell - 1)
     order = plan.cols.argsort(kind="stable")  # send order of the cells
     senders = plan.cols[order]
     symbols = plan.symbols.repeat(counts)[order]
-    bits = cell_bits[order]
+    bits = width // (g_cell[order] - 1)
     if transcript is None:
         offsets = np.zeros(n_cells + 1, np.int64)
         ((bits + 7) // 8).cumsum(out=offsets[1:])
@@ -612,7 +599,7 @@ def _execute(
 
     if transcript is None:
         messages = _MessageColumns(senders, symbols, bits, offsets, payload)
-        transcript = ShuffleTranscript(messages, int(cell_bits.sum()))
+        transcript = ShuffleTranscript(messages)
     K = arr.cols
     failed = np.bincount(cols, weights=~ok, minlength=K)
     recovered = np.bincount(cols, minlength=K) * (eta1 * eta2)

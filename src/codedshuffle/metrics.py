@@ -9,8 +9,9 @@ closed forms per topology family, and the test suite pins their equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 from .arrays import CodedArray, validate_mra
 from .constructors import GcParameters, check_nnc_parameters, ct_parameters, gc_points
@@ -33,7 +34,8 @@ __all__ = [
 
 
 def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # Decimal writes an int's digits exactly, past str()'s 4300-digit limit
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -81,37 +83,51 @@ def load_from_array(arr: CodedArray) -> Fraction:
     return total
 
 
+def _be_corner(lam: int, alpha: int, r: int) -> Fraction:  # see be_corners
+    return ct_load(lam, r, alpha) if r <= lam - alpha else Fraction(0)
+
+
+def _be_bound_corner(lam: int, alpha: int, r: int) -> Fraction:
+    return Fraction(comb(lam, r + alpha), comb(lam, r) * comb(lam, alpha))
+
+
+def _corners(lam: int, alpha: int, corner) -> LoadCurve:
+    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
+    return LoadCurve(tuple((r, corner(lam, alpha, r)) for r in range(1, lam - alpha + 2)))
+
+
+def _memory_sharing(lam: int, alpha: int, r, corner) -> Fraction:
+    """The corner curve at r, read from the corners at floor(r) and ceil(r)."""
+    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
+    r, top = Fraction(r), lam - alpha + 1
+    if not 1 <= r <= top:
+        raise ValueError(f"r={r} outside curve range [1, {top}]")
+    lo = floor(r)
+    low = corner(lam, alpha, lo)
+    return low + (corner(lam, alpha, lo + 1) - low) * (r - lo) if r > lo else low
+
+
 def be_corners(mappers: int, alpha: int) -> LoadCurve:
     """Achievable corner points for the subset topology, r in [1, L-a+1].
 
     The integer corners are :func:`ct_load`; at r = L-a+1 every reducer
     reads every batch and the load is zero.
     """
-    lam = mappers
-    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
-    pts = [(r, ct_load(lam, r, alpha)) for r in range(1, lam - alpha + 1)]
-    pts.append((lam - alpha + 1, 0))
-    return LoadCurve(tuple(pts))
+    return _corners(mappers, alpha, _be_corner)
 
 
 def be_load(mappers: int, alpha: int, r) -> Fraction:
     """Achievable load at (possibly fractional) r via memory sharing."""
-    return be_corners(mappers, alpha).value_at(r)
+    return _memory_sharing(mappers, alpha, r, _be_corner)
 
 
 def be_lower_bound_corners(mappers: int, alpha: int) -> LoadCurve:
-    lam = mappers
-    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
-    pts = []
-    for r in range(1, lam - alpha + 2):
-        val = Fraction(comb(lam, r + alpha), comb(lam, r) * comb(lam, alpha))
-        pts.append((Fraction(r), val))
-    return LoadCurve(tuple(pts))
+    return _corners(mappers, alpha, _be_bound_corner)
 
 
 def be_lower_bound(mappers: int, alpha: int, r) -> Fraction:
     """Cut-set style lower bound for the subset topology."""
-    return be_lower_bound_corners(mappers, alpha).value_at(r)
+    return _memory_sharing(mappers, alpha, r, _be_bound_corner)
 
 
 def nnc_load(mappers: int, r: int, alpha: int) -> Fraction:

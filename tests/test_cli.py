@@ -180,7 +180,9 @@ def _is_int(token: str) -> bool:
 
 # no large integers: a large --lambda asks for a large array
 _ODD_TOKENS = st.one_of(
-    st.sampled_from(["-1", "0", "5/2", "1/0", "-3/4", "0/0", "7/1", ""]),
+    st.sampled_from(
+        ["-1", "0", "5/2", "1/0", "-3/4", "0/0", "7/1", "", "1e-99999999"]
+    ),
     st.text(max_size=8).filter(lambda tok: not _is_int(tok)),
 )
 
@@ -237,6 +239,36 @@ def test_zero_denominator_r_exit_code(run):
     code, out, err = run("loads", "be", "--lambda", "6", "--r", "1/0", "--alpha", "2")
     assert code == 2 and out == ""
     assert "zero denominator" in err
+
+
+def test_exponent_r_is_refused_before_it_is_expanded(run):
+    # Fraction would expand 1e-99999999 to a 10**99999999 denominator
+    t0 = time.perf_counter()
+    code, out, err = run(
+        "loads", "be", "--lambda", "12", "--r", "1e-99999999", "--alpha", "4"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "--r '1e-99999999'" in err
+    for r, load in (("5/2", "53/2805"), ("2.5", "53/2805")):
+        code, out, _ = run("loads", "be", "--lambda", "12", "--r", r, "--alpha", "4")
+        assert code == 0 and json.loads(out)["L_achievable"] == load
+
+
+def test_sweep_be_reads_two_corners_per_point(run):
+    t0 = time.perf_counter()
+    code, out, _ = run("sweep", "be", "--lambda", "100")
+    assert time.perf_counter() - t0 < 3.0
+    # alpha in [1, 99], r in [1, 101 - alpha], and the header
+    assert code == 0 and len(out.splitlines()) == 1 + sum(range(2, 101))
+
+
+def test_rationals_past_the_int_string_limit(run):
+    ones = ",".join(["1"] * 500)
+    code, out, err = run("loads", "gc", "--lambda", "1000", "--r", "500", "--kvec", ones)
+    assert code == 0, err
+    num, den = json.loads(out)["L_achievable"].split("/")
+    assert len(den) > 4300 and num.isdigit() and den.isdigit()
 
 
 def test_truncate_roundtrip(run, tmp_path):

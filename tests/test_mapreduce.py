@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedshuffle import (
@@ -304,16 +304,17 @@ def _any_message(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_any_message(), max_size=8))
+@example([])
 def test_dump_matches_reference(messages):
     # bits run through every residue mod 8 and across the 1-, 2- and
-    # 3-digit widths
-    assert ShuffleTranscript(messages, 0).dump() == bf_dump(messages)
+    # 3-digit widths; no messages dump as one empty line
+    assert ShuffleTranscript(messages).dump() == bf_dump(messages)
 
 
 def test_transcript_fields_are_non_negative():
     for bad in (Message(-1, 0, 1, 0), Message(0, -2, 1, 0), Message(0, 0, -1, 0)):
         with pytest.raises(ValueError, match="non-negative"):
-            ShuffleTranscript((Message(0, 0, 1, 1), bad), 0)
+            ShuffleTranscript((Message(0, 0, 1, 1), bad))
 
 
 def test_run_job_preconditions(golden):
@@ -385,21 +386,21 @@ def test_hand_built_transcript_dumps_and_decodes_the_same(golden):
         # t_base 97 gives packets off byte boundaries
         spec = JobSpec(arr.rows, arr.cols * 2, choose_iv_bits(arr, 97, 1, 2), 4)
         tr, rep = run_job(arr, spec)
-        built = ShuffleTranscript(tuple(tr.messages), tr.total_bits)
+        built = ShuffleTranscript(tuple(tr.messages))
         assert built.dump() == tr.dump()
         assert built == tr
         assert _reduce(arr, spec, built) == _reduce(arr, spec, tr) == rep
         # the decoder looks messages up by (sender, symbol), not by position
         shuffled = tuple(tr.messages)[::-1]
-        assert _reduce(arr, spec, ShuffleTranscript(shuffled, tr.total_bits)) == rep
+        assert _reduce(arr, spec, ShuffleTranscript(shuffled)) == rep
         with pytest.raises(ValueError, match="one message per cell"):
-            _reduce(arr, spec, ShuffleTranscript(tuple(tr.messages)[1:], 0))
+            _reduce(arr, spec, ShuffleTranscript(tuple(tr.messages)[1:]))
         # a payload wider than its packet fails exactly its readers
         m = tr.messages[1]
         assert m.bits % 8
         wide = Message(m.sender, m.symbol, m.bits, m.payload | 1 << m.bits)
         got = _reduce(
-            arr, spec, ShuffleTranscript((tr.messages[0], wide) + tr.messages[2:], 0)
+            arr, spec, ShuffleTranscript((tr.messages[0], wide) + tr.messages[2:])
         )
         readers = set(np.flatnonzero((arr.grid == m.symbol).any(axis=0)).tolist())
         readers -= {m.sender}
@@ -407,6 +408,25 @@ def test_hand_built_transcript_dumps_and_decodes_the_same(golden):
         assert [r.ok for r in got.per_reducer] == [
             k not in readers for k in range(arr.cols)
         ]
+
+
+def test_rebuilt_transcript_reports_the_bits_it_carries(golden, constructor_sweep):
+    # a transcript's total is read off its messages, so one rebuilt from a
+    # job's messages decodes to the job's own report, measured load included
+    rng = random.Random(21)
+    jobs = [(golden["mra_irregular"], JobSpec(4, 5, 2, 42))]
+    for *_, arr in rng.sample(constructor_sweep, 40):  # criterion-9 jobs
+        eta1, eta2 = rng.choice(_ETAS)
+        t = choose_iv_bits(arr, 1, eta1, eta2)
+        spec = JobSpec(arr.rows * eta1, arr.cols * eta2, t, rng.randrange(99))
+        jobs.append((arr, spec))
+    for arr, spec in jobs:
+        tr, rep = run_job(arr, spec)
+        built = ShuffleTranscript(tuple(tr.messages))
+        assert built.total_bits == tr.total_bits == sum(m.bits for m in tr.messages)
+        got = _reduce(arr, spec, built)
+        assert got == rep
+        assert got.measured_load == rep.measured_load == load_from_array(arr)
 
 
 def test_messages_are_built_on_demand(golden):
@@ -436,7 +456,7 @@ def test_reducer_results_are_built_on_demand(golden):
     tr, rep = run_job(arr, spec)
     m = tr.messages[0]
     flipped = Message(m.sender, m.symbol, m.bits, m.payload ^ 1)
-    bad = _reduce(arr, spec, ShuffleTranscript((flipped,) + tr.messages[1:], 0))
+    bad = _reduce(arr, spec, ShuffleTranscript((flipped,) + tr.messages[1:]))
     assert rep.all_ok and not bad.all_ok
     for report in (rep, bad):
         rs = report.per_reducer
@@ -524,7 +544,7 @@ def test_corrupted_payload_fails_exactly_its_readers(golden, name):
         for bit in sorted(flips):
             bad = Message(m.sender, m.symbol, m.bits, m.payload ^ (1 << bit))
             messages = tr.messages[:pick] + (bad,) + tr.messages[pick + 1 :]
-            got = _reduce(arr, spec, ShuffleTranscript(messages, tr.total_bits))
+            got = _reduce(arr, spec, ShuffleTranscript(messages))
             readers = cols_of[m.symbol] - {m.sender}
             assert readers
             assert [r.ok for r in got.per_reducer] == [

@@ -67,6 +67,27 @@ def test_be_lower_bound():
     assert be_lower_bound_corners(6, 2).corners[0][0] == 1
 
 
+def test_be_points_read_two_corners_of_the_curve():
+    # be_load and be_lower_bound read only the corners at floor(r) and
+    # ceil(r); the whole corner curves give the same value at every quarter
+    # and third of a step, and refuse the same r
+    for lam in range(2, 21):
+        for alpha in range(1, lam):
+            curves = ((be_load, be_corners(lam, alpha)),
+                      (be_lower_bound, be_lower_bound_corners(lam, alpha)))
+            top = lam - alpha + 1
+            grid = {Fraction(n, d) for d in (3, 4) for n in range(d, d * top + 1)}
+            for point, curve in curves:
+                for r in grid:
+                    assert point(lam, alpha, r) == curve.value_at(r), (lam, alpha, r)
+                for r in (Fraction(3, 4), top + Fraction(1, 4)):
+                    with pytest.raises(ValueError, match="outside curve range") as got:
+                        point(lam, alpha, r)
+                    with pytest.raises(ValueError) as want:
+                        curve.value_at(r)
+                    assert str(got.value) == str(want.value)
+
+
 def test_ct_load():
     assert ct_load(4, 2, 2) == Fraction(1, 30)
     assert ct_load(12, 2, 4) == Fraction(28, 924)
@@ -210,3 +231,6 @@ def test_gc_lower_envelope():
 def test_format_rational():
     assert format_rational(Fraction(15, 40)) == "3/8"
     assert format_rational(Fraction(2)) == "2/1"
+    # past the 4300 digits that str() of an int writes by default
+    big = Fraction(-(10**5000 + 7), 10**4400)
+    assert format_rational(big) == "-1" + "0" * 4999 + "7/1" + "0" * 4400
