@@ -40,7 +40,6 @@ from .constructors import (
     nnc_points,
 )
 from .mapreduce import (
-    JobPreconditionError,
     JobSpec,
     choose_iv_bits,
     mrg_ct,
@@ -51,6 +50,7 @@ from .mapreduce import (
 from .metrics import (
     be_load,
     be_lower_bound,
+    be_points,
     ct_load,
     format_rational,
     gc_load,
@@ -90,7 +90,7 @@ FAMILIES = {
     "gc": Family(gc_points, algorithm2, mrg_gc, gc_load, gc_lower_bound),
     # the subset topology at fractional r, by memory sharing between corners
     "be": Family(
-        lambda lam: ct_points(lam, full_access=True),
+        be_points,
         None,
         None,
         lambda p: be_load(p[0], p[2], p[1]),
@@ -139,6 +139,8 @@ def _point(args):
     name = _CONSTRUCT_NAMES.get(args.family, args.family)
     given: dict = {}
     if args.command != "sweep":
+        if len(args.r) > 4300:  # int(), also inside Fraction, reads at most 4300 digits
+            raise ConstructionError(f"--r has {len(args.r)} characters, more than 4300")
         if name == "be" and "e" in args.r.lower():  # Fraction expands 1e-99999999
             raise ConstructionError(f"--r {args.r!r}: give r as p/q or a decimal")
         try:
@@ -170,21 +172,26 @@ def _read_array(path: str) -> CodedArray:
         return parse_array(fh.read())
 
 
-def _default_seed(value) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get(SEED_ENV, "0"))
+def _write_out(text: str, path) -> None:
+    """Write ``text`` to ``path`` as it is, or to stdout without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _integer(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def cmd_construct(args) -> int:
     family, point, _ = _point(args)
     arr = family.build(point)
-    text = arr.serialize()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(arr.serialize(), args.out)
     print(_summary_line(arr))
     return EXIT_OK
 
@@ -219,28 +226,21 @@ def cmd_truncate(args) -> int:
     arr = _read_array(args.array)
     keep = sorted(int(tok) for tok in args.keep.split(","))
     out = truncate_columns(arr, keep)
-    text = out.serialize()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(out.serialize(), args.out)
     print(_summary_line(out))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     arr = _read_array(args.array)
-    if args.iv_bits == "auto":
-        f, k = arr.rows, arr.cols
-        if args.files % f or args.functions % k:
-            raise JobPreconditionError(
-                "files and functions must be multiples of the array dimensions"
-            )
-        t = choose_iv_bits(arr, 1, args.files // f, args.functions // k)
+    if args.iv_bits == "auto":  # run_job checks that the counts divide
+        t = choose_iv_bits(arr, 1, args.files // arr.rows, args.functions // arr.cols)
     else:
-        t = int(args.iv_bits)
-    spec = JobSpec(args.files, args.functions, t, _default_seed(args.seed))
+        t = _integer(args.iv_bits, "--iv-bits")
+    seed = args.seed
+    if seed is None:
+        seed = _integer(os.environ.get(SEED_ENV, "0"), SEED_ENV)
+    spec = JobSpec(args.files, args.functions, t, seed)
     transcript, report = run_job(arr, spec)
     if args.dump_transcript:
         with open(args.dump_transcript, "w", encoding="utf-8") as fh:
@@ -302,12 +302,7 @@ def cmd_sweep(args) -> int:
                 f"{float(ach):.6f}",
             ]
         )
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(buf.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "SearchBudgetExceeded",
     "GcParameters",
     "gc_points",
+    "check_ct_parameters",
     "ct_parameters",
     "ct_points",
     "check_nnc_parameters",
@@ -143,7 +144,7 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     is done per cell and no work per star.
     """
     lam = mappers
-    ct_parameters(lam, r, alpha)
+    check_ct_parameters(lam, r, alpha)
     _check_cells(comb(lam, r), comb(lam, alpha))
     unions = _subsets(lam, r + alpha)
     split = _subsets(r + alpha, r)
@@ -238,27 +239,25 @@ def gc_points(mappers: int, multiplicities):
             yield GcParameters(lam, r, trunc)
 
 
+def check_ct_parameters(mappers: int, r: int, alpha: int) -> None:
+    """The subset topology's parameter rules, alpha in [1, mappers-1] and
+    r in [1, mappers-alpha]; every entry point of the family checks them here."""
+    if not 1 <= alpha <= mappers - 1:
+        raise ConstructionError(f"alpha must be in [1, {mappers - 1}], got {alpha}")
+    if not 1 <= r <= mappers - alpha:
+        raise ConstructionError(f"r must be in [1, {mappers - alpha}], got {r}")
+
+
 def ct_parameters(mappers: int, r: int, alpha: int) -> GcParameters:
-    """The subset topology as multiplicities: one reducer per alpha-subset.
-
-    This is where the family's parameter rules live (alpha in
-    [1, mappers-1], r in [1, mappers-alpha]); every subset-topology entry
-    point checks them through here.
-    """
-    lam = mappers
-    if not 1 <= alpha <= lam - 1:
-        raise ConstructionError(f"alpha must be in [1, {lam - 1}], got {alpha}")
-    if not 1 <= r <= lam - alpha:
-        raise ConstructionError(f"r must be in [1, {lam - alpha}], got {r}")
-    return GcParameters(lam, r, tuple(int(a == alpha) for a in range(1, lam - r + 1)))
+    """The subset topology as multiplicities: one reducer per alpha-subset."""
+    check_ct_parameters(mappers, r, alpha)
+    return GcParameters(mappers, r, tuple(int(a == alpha) for a in range(1, mappers - r + 1)))
 
 
-def ct_points(mappers: int, full_access: bool = False):
-    """The subset topology's points (mappers, r, alpha), alpha-major; with
-    ``full_access`` also r = mappers - alpha + 1, where every reducer reads
-    every batch (the zero-load end of memory sharing)."""
+def ct_points(mappers: int):
+    """The subset topology's points (mappers, r, alpha), alpha-major."""
     for alpha in range(1, mappers):
-        for r in range(1, mappers - alpha + 1 + full_access):
+        for r in range(1, mappers - alpha + 1):
             yield mappers, r, alpha
 
 
@@ -429,13 +428,8 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     _check_cells(lam, lam)
     d = lam - (alpha - 1) * r
     if (2 * lam) % d != 0:
-        raise ConstructionError(
-            f"coding gain 2*{lam}/{d} is not an integer"
-        )
-    if ((lam - alpha * r) * d) % 2 != 0:
-        raise ConstructionError("symbol count is not an integer")
+        raise ConstructionError(f"coding gain 2*{lam}/{d} is not an integer")
     g = 2 * lam // d
-    expected_s = (lam - alpha * r) * d // 2
     n = lam // r
     # the step bound needs only the cell count, so check it before the
     # layout is built
@@ -462,10 +456,5 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     t, a = np.indices((r, r)).reshape(2, -1, 1, 1)
     grid = np.full((lam, lam), STAR, dtype=np.int64)
     grid[r * f + a, k + t * n] = (t * r + a) * s + np.arange(s)
-    produced = r * r * s
-    if produced != expected_s:
-        raise ConstructionError(
-            f"fill produced {produced} symbols, expected {expected_s}"
-        )
     grid.setflags(write=False)
     return CodedArray(grid)

@@ -14,12 +14,13 @@ from fractions import Fraction
 from math import comb, floor
 
 from .arrays import CodedArray, validate_mra
-from .constructors import GcParameters, check_nnc_parameters, ct_parameters, gc_points
+from .constructors import GcParameters, check_ct_parameters, check_nnc_parameters, gc_points
 
 __all__ = [
     "LoadCurve",
     "format_rational",
     "load_from_array",
+    "be_points",
     "be_corners",
     "be_load",
     "be_lower_bound_corners",
@@ -91,15 +92,28 @@ def _be_bound_corner(lam: int, alpha: int, r: int) -> Fraction:
     return Fraction(comb(lam, r + alpha), comb(lam, r) * comb(lam, alpha))
 
 
+def _be_range(lam: int, alpha: int) -> range:
+    """be's integer r, 1 .. lam - alpha + 1, where the last has every reducer
+    read every batch; checks alpha against the subset topology's range."""
+    check_ct_parameters(lam, 1, alpha)
+    return range(1, lam - alpha + 2)
+
+
+def be_points(mappers: int):
+    """be's integer points (mappers, r, alpha), alpha-major."""
+    for alpha in range(1, mappers):
+        for r in _be_range(mappers, alpha):
+            yield mappers, r, alpha
+
+
 def _corners(lam: int, alpha: int, corner) -> LoadCurve:
-    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
-    return LoadCurve(tuple((r, corner(lam, alpha, r)) for r in range(1, lam - alpha + 2)))
+    return LoadCurve(tuple((r, corner(lam, alpha, r)) for r in _be_range(lam, alpha)))
 
 
 def _memory_sharing(lam: int, alpha: int, r, corner) -> Fraction:
     """The corner curve at r, read from the corners at floor(r) and ceil(r)."""
-    ct_parameters(lam, 1, alpha)  # the subset topology's alpha range
-    r, top = Fraction(r), lam - alpha + 1
+    top = _be_range(lam, alpha)[-1]
+    r = Fraction(r)
     if not 1 <= r <= top:
         raise ValueError(f"r={r} outside curve range [1, {top}]")
     lo = floor(r)
@@ -143,7 +157,7 @@ def nnc_load(mappers: int, r: int, alpha: int) -> Fraction:
 def ct_load(mappers: int, r: int, alpha: int) -> Fraction:
     """Achievable load of the subset topology at an integer corner."""
     lam = mappers
-    ct_parameters(lam, r, alpha)
+    check_ct_parameters(lam, r, alpha)
     return Fraction(
         comb(lam - alpha, r), comb(lam, r) * (comb(r + alpha, r) - 1)
     )

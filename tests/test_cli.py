@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -255,12 +257,23 @@ def test_exponent_r_is_refused_before_it_is_expanded(run):
         assert code == 0 and json.loads(out)["L_achievable"] == load
 
 
+def test_long_decimal_r_is_refused_by_name(run):
+    # int(), inside Fraction, refuses a digit run of more than 4300 digits
+    r = "2." + "0" * 5000 + "1"
+    code, out, err = run("loads", "be", "--lambda", "12", "--r", r, "--alpha", "4")
+    assert code == 2 and out == ""
+    assert "--r has 5003 characters, more than 4300" in err
+    r = "2.5" + "0" * 4297
+    code, out, _ = run("loads", "be", "--lambda", "12", "--r", r, "--alpha", "4")
+    assert code == 0 and json.loads(out)["L_achievable"] == "53/2805"
+
+
 def test_sweep_be_reads_two_corners_per_point(run):
     t0 = time.perf_counter()
-    code, out, _ = run("sweep", "be", "--lambda", "100")
-    assert time.perf_counter() - t0 < 3.0
-    # alpha in [1, 99], r in [1, 101 - alpha], and the header
-    assert code == 0 and len(out.splitlines()) == 1 + sum(range(2, 101))
+    code, out, _ = run("sweep", "be", "--lambda", "300")
+    assert time.perf_counter() - t0 < 4.0
+    # alpha in [1, 299], r in [1, 301 - alpha], and the header
+    assert code == 0 and len(out.splitlines()) == 1 + sum(range(2, 301))
 
 
 def test_rationals_past_the_int_string_limit(run):
@@ -295,11 +308,34 @@ def test_simulate_json_and_exit(run, tmp_path):
 
 
 def test_simulate_divisibility_exit(run, tmp_path):
+    # the job's own check names the count, whatever the IV width
     path = _write(tmp_path, "mra_irregular")
-    code, _, err = run(
-        "simulate", path, "--files", "3", "--functions", "5", "--iv-bits", "auto"
+    for iv_bits in ("auto", "2"):
+        code, _, err = run(
+            "simulate", path, "--files", "3", "--functions", "5", "--iv-bits", iv_bits
+        )
+        assert code == 2
+        assert "batch count 4 must divide file count 3" in err
+
+
+def test_simulate_non_integer_iv_bits_is_named(run, tmp_path):
+    path = _write(tmp_path, "cyclic_pda_4")
+    code, out, err = run(
+        "simulate", path, "--files", "4", "--functions", "4", "--iv-bits", "x"
     )
-    assert code == 2
+    assert code == 2 and out == ""
+    assert "--iv-bits must be an integer, got 'x'" in err
+
+
+def test_non_integer_seed_variable_is_named(run, tmp_path, monkeypatch):
+    path = _write(tmp_path, "cyclic_pda_4")
+    monkeypatch.setenv("CODEDSHUFFLE_SEED", "abc")
+    code, out, err = run("simulate", path, "--files", "4", "--functions", "4")
+    assert code == 2 and out == ""
+    assert "CODEDSHUFFLE_SEED must be an integer, got 'abc'" in err
+    # a --seed flag leaves the variable unread
+    code, _, _ = run("simulate", path, "--files", "4", "--functions", "4", "--seed", "1")
+    assert code == 0
 
 
 def test_simulate_job_size_cap_exit(run, tmp_path):
@@ -399,6 +435,21 @@ def test_cli_determinism(run, tmp_path):
     _, out1, _ = run(*args)
     _, out2, _ = run(*args)
     assert out1 == out2
+
+
+def test_cli_digest_pinned():
+    # the cli digest of tools/identity_digests.py: the argv, exit code,
+    # stdout and stderr of its 84 commands, run in process
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity_digests.py"
+    spec = importlib.util.spec_from_file_location("identity_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    cli = hashlib.sha256()
+    for argv in digests.cli_commands():
+        cli.update(digests.cli_outcome(argv))
+    assert cli.hexdigest() == (
+        "a6866d88bb56f679739dda90c209c45687d6d9d2822b122b3d20e501cfff690a"
+    )
 
 
 def test_console_entrypoint():

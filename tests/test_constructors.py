@@ -32,9 +32,13 @@ from codedshuffle.constructors import (
     SearchBudgetExceeded,
     _clique_partition,
     _star_layout,
+    check_ct_parameters,
+    check_nnc_parameters,
     ct_points,
+    gc_points,
     nnc_points,
 )
+from codedshuffle.metrics import be_load, be_points
 
 from conftest import nnc_triples
 from oracles import bf_algorithm1, bf_clique_partition, bf_lex_rank
@@ -292,6 +296,71 @@ def test_family_rules_raise_one_message(family, point, message):
         with pytest.raises(ConstructionError) as exc:
             call(point)
         assert str(exc.value) == message
+
+
+def _range_neighbours(points):
+    """The points just outside the ranges around each of ``points``: r = 0,
+    its alpha's top r + 1, alpha = 0 and alpha = mappers, each with the
+    parameter that leaves its range."""
+    top: dict = {}
+    for _, r, alpha in points:
+        top[alpha] = max(top.get(alpha, 0), r)
+    for lam, r, alpha in points:
+        yield (lam, 0, alpha), "r"
+        yield (lam, top[alpha] + 1, alpha), "r"
+        yield (lam, r, 0), "alpha"
+        yield (lam, r, lam), "alpha"
+
+
+def _gc_neighbours(points):
+    """gc's r (its computation load) leaves [1, mappers-1], and its alpha
+    range is the length of the multiplicity vector."""
+    for lam, r, ks in points:
+        yield (lam, 0, ks), "computation load"
+        yield (lam, lam, ks), "computation load"
+        yield (lam, r, ks + (1,)), "multiplicities"
+        yield (lam, r, ks[:-1]), "multiplicities"
+
+
+# family: its parameter rule, its points at a mapper count, their neighbours
+_RULES = {
+    "ct": (check_ct_parameters, ct_points, _range_neighbours),
+    "be": (lambda lam, r, alpha: be_load(lam, alpha, r), be_points, _range_neighbours),
+    "nnc": (check_nnc_parameters, nnc_points, _range_neighbours),
+    "gc": (
+        GcParameters,
+        lambda lam: gc_points(lam, [a % 3 for a in range(1, lam)]),
+        _gc_neighbours,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_RULES))
+def test_family_rule_accepts_its_points_and_names_what_leaves_them(family):
+    rule, points_at, neighbours = _RULES[family]
+    for lam in range(2, 13):
+        points = list(points_at(lam))
+        assert points
+        for point in points:
+            rule(*point)
+        for point, name in neighbours(points):
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                rule(*point)
+
+
+@pytest.mark.parametrize("family", ["ct", "be", "nnc"])
+def test_family_rule_accepts_only_its_points(family):
+    rule, points_at, _ = _RULES[family]
+    for lam in range(2, 13):
+        points = set(points_at(lam))
+        for r in range(lam + 2):
+            for alpha in range(lam + 1):
+                try:
+                    rule(lam, r, alpha)
+                except ValueError:
+                    assert (lam, r, alpha) not in points
+                else:
+                    assert (lam, r, alpha) in points
 
 
 def test_nnc_search_leaves_no_reference_cycles():
