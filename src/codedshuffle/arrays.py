@@ -616,7 +616,7 @@ def validate_pda(arr: CodedArray) -> ValidationReport:
     # occur, so gappy or empty labelings fail even though normalize() would
     # silently repair them.
     syms = arr.symbols
-    a2_ok = len(syms) > 0 and syms == tuple(range(len(syms)))
+    a2_ok = len(syms) > 0 and arr.is_normalized
     a2_viol = None
     if not a2_ok:
         missing = None

@@ -312,8 +312,12 @@ class SearchBudgetExceeded(ConstructionError):
 def check_nnc_parameters(mappers: int, r: int, alpha: int) -> None:
     """Parameter rules shared by every use of the wrap-around family."""
     lam = mappers
-    if lam < 2 or r < 1 or alpha < 1:
-        raise ConstructionError("need mappers >= 2, r >= 1, alpha >= 1")
+    if lam < 2:
+        raise ConstructionError(f"mappers must be at least 2, got {lam}")
+    if r < 1:
+        raise ConstructionError(f"r must be at least 1, got {r}")
+    if alpha < 1:
+        raise ConstructionError(f"alpha must be at least 1, got {alpha}")
     if lam % r != 0:
         raise ConstructionError(f"r must divide the mapper count ({r} | {lam} fails)")
     if alpha >= lam // r:

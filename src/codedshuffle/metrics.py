@@ -75,8 +75,7 @@ def load_from_array(arr: CodedArray) -> Fraction:
     """
     report = validate_mra(arr)
     if not report.ok:
-        detail = report.violation.describe() if report.violation else "invalid"
-        raise ValueError(f"not a valid map-reduce array: {detail}")
+        raise ValueError(f"not a valid map-reduce array: {report.violation.describe()}")
     kf = arr.cols * arr.rows
     total = Fraction(arr.symbol_count, kf)
     for g, count in arr.stats.histogram.items():

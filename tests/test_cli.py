@@ -437,18 +437,35 @@ def test_cli_determinism(run, tmp_path):
     assert out1 == out2
 
 
-def test_cli_digest_pinned():
-    # the cli digest of tools/identity_digests.py: the argv, exit code,
-    # stdout and stderr of its 84 commands, run in process
+def _identity_digests():
+    """tools/identity_digests.py, imported as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / "identity_digests.py"
     spec = importlib.util.spec_from_file_location("identity_digests", path)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    return digests
+
+
+def test_cli_digest_pinned():
+    # the cli digest of tools/identity_digests.py: the argv, exit code,
+    # stdout and stderr of its 84 commands, run in process
+    digests = _identity_digests()
     cli = hashlib.sha256()
     for argv in digests.cli_commands():
         cli.update(digests.cli_outcome(argv))
     assert cli.hexdigest() == (
         "a6866d88bb56f679739dda90c209c45687d6d9d2822b122b3d20e501cfff690a"
+    )
+
+
+def test_array_digests_pinned(constructor_sweep):
+    # the arrays, parse and stats digests of tools/identity_digests.py over
+    # the sweep arrays and the large subset-topology arrays
+    sweep = [arr for *_, arr in constructor_sweep]
+    assert _identity_digests().array_digests(sweep) == (
+        "c5a471ae438eee31672fe4a3007123079c43b87d27a758347e0345c075476e84",
+        "799278c5287a05dc05c6e6e1ce135276ad9e868d6550fb9bd09df0c209e29786",
+        "3ae32ad565c77177358e17781c5d80da10543daf64b3fdbbc3804d0798fc9772",
     )
 
 

@@ -287,8 +287,11 @@ def test_nnc_preconditions():
     [
         ("ct", (4, 3, 2), "r must be in [1, 2], got 3"),
         ("nnc", (12, 2, 6), "alpha must be smaller than mappers/r = 6, got 6"),
+        ("nnc", (12, 0, 2), "r must be at least 1, got 0"),
+        ("nnc", (12, 2, 0), "alpha must be at least 1, got 0"),
+        ("nnc", (1, 1, 1), "mappers must be at least 2, got 1"),
     ],
-    ids=["ct", "nnc"],
+    ids=["ct", "nnc", "nnc-r", "nnc-alpha", "nnc-mappers"],
 )
 def test_family_rules_raise_one_message(family, point, message):
     # the array, graph, load and bound all check the point by the same rule

@@ -52,27 +52,66 @@ from oracles import bf_carrier, bf_dump, bf_run_job
 # --- graphs -----------------------------------------------------------------
 
 
+def _marked(column) -> list[int]:
+    return np.flatnonzero(column).tolist()
+
+
 def test_mrg_ct_example():
     g = mrg_ct(4, 2, 2)
     assert g.batch_count == 6
     # mapper 0 stores the batches whose index set contains 0
-    assert g.mapper_storage[0] == frozenset({0, 1, 2})
+    assert _marked(g.storage[:, 0]) == [0, 1, 2]
     # reducer {0,1} reads the union of mappers 0 and 1
-    assert g.reducer_access(0) == g.mapper_storage[0] | g.mapper_storage[1]
-    assert len(g.reducer_access(0)) == 5
+    assert _marked(g.links[:, 0]) == [0, 1]
+    reads = access_pattern(g)[:, 0]
+    assert np.array_equal(reads, g.storage[:, 0] | g.storage[:, 1])
+    assert reads.sum() == 5
 
 
 def test_mrg_nnc_example():
     g = mrg_nnc(12, 2, 4)
-    assert g.reducer_access(0) == frozenset(range(8))
-    assert g.mapper_storage[5] == frozenset({10, 11})
-    assert g.reducer_links[11] == frozenset({11, 0, 1, 2})
+    assert _marked(access_pattern(g)[:, 0]) == list(range(8))
+    assert _marked(g.storage[:, 5]) == [10, 11]
+    assert _marked(g.links[:, 11]) == [0, 1, 2, 11]
 
 
 def test_mrg_canonical_all_star_column():
     arr = CodedArray(np.full((3, 1), STAR, dtype=np.int64))
     g = mrg_canonical(arr)
-    assert g.reducer_links[0] == frozenset({0, 1, 2})
+    assert _marked(g.links[:, 0]) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "storage, links",
+    [
+        (np.ones(3), np.ones((1, 2))),
+        (np.ones((3, 2)), np.ones((2, 2, 1))),
+        (np.ones((3, 2)), np.ones((3, 2))),
+    ],
+    ids=["storage-1d", "links-3d", "mapper-counts-differ"],
+)
+def test_graph_rejects_bad_layers(storage, links):
+    with pytest.raises(ValueError, match="layers must be"):
+        MapReduceGraph(storage, links)
+
+
+def test_graph_layers_are_read_only_bool_copies(golden):
+    storage = np.eye(2, dtype=np.int64)
+    own = MapReduceGraph(storage, [[1], [0]])
+    storage[0, 1] = 1  # later writes to the caller's array do not reach it
+    assert _marked(own.storage[0]) == [0]
+    built = (
+        own,
+        mrg_canonical(golden["mra_irregular"]),
+        mrg_ct(4, 2, 2),
+        mrg_gc(GcParameters(4, 2, (2, 3))),
+        mrg_nnc(12, 2, 4),
+    )
+    for g in built:
+        for layer in (g.storage, g.links):
+            assert layer.dtype == bool and not layer.flags.writeable
+            with pytest.raises(ValueError):
+                layer[0, 0] = True
 
 
 def test_access_pattern_matches_arrays(golden, constructor_sweep):
@@ -98,18 +137,12 @@ def test_access_pattern_matches_arrays(golden, constructor_sweep):
 
 
 def test_computation_load():
-    one_each = MapReduceGraph(
-        3,
-        tuple(frozenset([i]) for i in range(3)),
-        tuple(frozenset([i, (i + 1) % 3]) for i in range(3)),
-    )
+    # reducer k linked to mappers k and k + 1 (mod 3)
+    one_each = MapReduceGraph(np.eye(3), [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
     assert computation_load(one_each) == 1
     # six mappers holding one batch each over three batches
-    doubled = MapReduceGraph(
-        3,
-        tuple(frozenset([i % 3]) for i in range(6)),
-        tuple(frozenset([i, i + 3]) for i in range(3)),
-    )
+    m = np.arange(6)
+    doubled = MapReduceGraph(np.arange(3)[:, None] == m % 3, m[:, None] % 3 == np.arange(3))
     assert computation_load(doubled) == 2
     assert computation_load(mrg_ct(4, 2, 2)) == 2
     assert computation_load(mrg_nnc(12, 2, 4)) == 2

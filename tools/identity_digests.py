@@ -176,12 +176,9 @@ def cli_outcome(argv: list[str]) -> bytes:
     return json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode()
 
 
-def main() -> None:
-    cli = hashlib.sha256()
-    commands = list(cli_commands())
-    for argv in commands:
-        cli.update(cli_outcome(argv))
-    sweep = [arr for *_, arr in build_sweep()]
+def array_digests(sweep: list[CodedArray]) -> tuple[str, str, str]:
+    """The ``arrays``, ``parse`` and ``stats`` digests of the sweep arrays
+    followed by the large subset-topology arrays."""
     arrays = hashlib.sha256()
     parse = hashlib.sha256()
     stats = hashlib.sha256()
@@ -191,6 +188,16 @@ def main() -> None:
         parse.update(parse_outcome(with_fault(text, i)))
         stats.update(stats_outcome(arr))
         stats.update(stats_outcome(with_mutation(arr, i)))
+    return arrays.hexdigest(), parse.hexdigest(), stats.hexdigest()
+
+
+def main() -> None:
+    cli = hashlib.sha256()
+    commands = list(cli_commands())
+    for argv in commands:
+        cli.update(cli_outcome(argv))
+    sweep = [arr for *_, arr in build_sweep()]
+    arrays, parse, stats = array_digests(sweep)
     jobs = hashlib.sha256()
     count = 0
     for arr in sweep:
@@ -202,10 +209,10 @@ def main() -> None:
                 jobs.update(tr.dump().encode())
                 jobs.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
                 count += 1
-    print(f"arrays {arrays.hexdigest()} ({len(sweep)} sweep + {len(LARGE_ALG1)} large)")
+    print(f"arrays {arrays} ({len(sweep)} sweep + {len(LARGE_ALG1)} large)")
     print(f"jobs   {jobs.hexdigest()} ({count} jobs)")
-    print(f"parse  {parse.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} faulted texts)")
-    print(f"stats  {stats.hexdigest()} ({len(sweep) + len(LARGE_ALG1)} arrays and their mutations)")
+    print(f"parse  {parse} ({len(sweep) + len(LARGE_ALG1)} faulted texts)")
+    print(f"stats  {stats} ({len(sweep) + len(LARGE_ALG1)} arrays and their mutations)")
     print(f"cli    {cli.hexdigest()} ({len(commands)} commands)")
 
 
