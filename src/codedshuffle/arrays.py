@@ -119,11 +119,13 @@ class CodedArray:
 
     @property
     def symbol_count(self) -> int:
-        return len(self.symbols)
+        return len(self.stats.multiplicity)
 
     @property
     def is_normalized(self) -> bool:
-        return self.symbols == tuple(range(self.symbol_count))
+        """Labels are 0 .. S - 1, as distinct labels >= 0 are when the largest is S - 1."""
+        labels = self.stats.multiplicity  # ascending
+        return next(reversed(labels), -1) == len(labels) - 1
 
     @cached_property
     def stats(self) -> "ArrayStats":
@@ -304,10 +306,10 @@ def parse_array(text: str) -> CodedArray:
     :func:`_one_byte_per_char`) and never split into Python strings.  One
     pass over the byte classes finds the line breaks and the lines that
     hold a token; ``#`` bytes, found with ``bytes.find``, mark the comment
-    lines.  The data rows are then read in blocks of about ``_BLOCK_CHARS``
-    characters cut at line breaks, with comment lines blanked, each with a
-    few numpy passes over its bytes: tokens and faults per row as sums over
-    each line's bytes, symbols from the place values of their digits, and
+    lines, whose bytes then become gaps in the byte classes.  The data rows
+    are read in blocks of about ``_BLOCK_CHARS`` characters cut at line
+    breaks, each with a few numpy passes over its bytes: tokens and faults
+    per row as sums over each line's bytes, symbols from the place values of their digits, and
     each symbol's cell from the token starts before its digits, scattered
     into a grid that starts as stars.
     Tokens of ``_INT64_DIGITS`` or more digits are read with ``int``.  The
@@ -328,18 +330,17 @@ def parse_array(text: str) -> CodedArray:
     begins = np.empty_like(ends)
     begins[0] = 0
     np.add(ends[:-1], 1, out=begins[1:])
-    comments = []
     at = buf.find(b"#")
+    if at >= 0:
+        cls = cls.copy()  # frombuffer's classes are read-only
     while at >= 0:
         i = int(ends.searchsorted(at))
         if not buf[begins[i] : at].strip(b" \t\x1f"):
-            comments.append(i)
+            cls[begins[i] : ends[i]] = _GAP  # a comment holds no token
         at = buf.find(b"#", ends[i])
     # the lines that hold a token: the header, then the data rows; each
     # line's segment ends at its break, whose class has no token bit
     held = np.bitwise_or.reduceat(cls, begins) & 3
-    if comments:
-        held[comments] = _GAP
     lines = held.nonzero()[0]
     if not lines.size:
         raise ArrayFormatError("empty grid")
@@ -371,7 +372,7 @@ def parse_array(text: str) -> CodedArray:
         # from the line break before row lo to the one after row hi - 1
         a = ends[data[lo] - 1]
         hi = min(rows, int(row_ends.searchsorted(a + _BLOCK_CHARS)) + 1)
-        _parse_block(text, buf, cls, ends, comments, data[lo:hi], lo, cols, grid)
+        _parse_block(text, buf, cls, ends, data[lo:hi], lo, cols, grid)
         lo = hi
     grid.setflags(write=False)
     return CodedArray(grid)
@@ -398,17 +399,13 @@ def _ascii_stand_in(ch: str) -> int:
     return ord(" ") if ch.isspace() else ord("?")
 
 
-def _parse_block(text, buf, cls, ends, comments, data, f0: int, cols: int, grid) -> None:
+def _parse_block(text, buf, cls, ends, data, f0: int, cols: int, grid) -> None:
     """Check data rows ``f0, f0 + 1, ...``, on lines ``data``, and write
-    their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``;
-    the lines between the rows are blank or among the ``comments``.
+    their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``,
+    in which the lines between the rows hold only gaps.
     """
-    first, last = int(data[0]), int(data[-1])
-    a = ends[first - 1]
-    cb = cls[a : ends[last] + 1] & 3  # starts and ends at a line break
-    for i in comments:
-        if first < i < last:
-            cb[ends[i - 1] + 1 - a : ends[i] - a] = _GAP  # a comment holds no token
+    a = ends[data[0] - 1]
+    cb = cls[a : ends[data[-1]] + 1] & 3  # starts and ends at a line break
     tok = cb != _GAP
     starts = tok[1:] > tok[:-1]  # starts[j]: a token begins at a + j + 1
     # digit runs; in a row without faults each is a whole symbol token
@@ -589,8 +586,8 @@ def _first_orphan(arr: CodedArray):
 
 def validate_mra(arr: CodedArray) -> ValidationReport:
     """Check C1 (every symbol more than once) and the crossing condition."""
-    stats = arr.stats
-    c1_ok = bool(stats.multiplicity) and min(stats.multiplicity.values()) >= 2
+    histogram = arr.stats.histogram
+    c1_ok = bool(histogram) and 1 not in histogram
     c21_ok, c22_ok, pair_viol = _pair_checks(arr)
     violation = None
     if not c1_ok:
@@ -607,23 +604,18 @@ def validate_pda(arr: CodedArray) -> ValidationReport:
     """Check A1 (uniform column stars), A2 (dense symbols), and crossings."""
     counts = list(arr.stats.column_stars)
     z = counts[0]
-    a1_ok = all(c == z for c in counts)
-    a1_viol = None
-    if not a1_ok:
-        bad = next(k for k, c in enumerate(counts) if c != z)
-        a1_viol = Violation("A1", column=bad)
+    bad = next((k for k, c in enumerate(counts) if c != z), None)
+    a1_ok = bad is None
+    a1_viol = None if a1_ok else Violation("A1", column=bad)
     # A2 on the raw labels: every integer of the declared range [0, S) must
     # occur, so gappy or empty labelings fail even though normalize() would
-    # silently repair them.
-    syms = arr.symbols
-    a2_ok = len(syms) > 0 and arr.is_normalized
+    # silently repair them.  The least missing label is the first place
+    # where the ascending labels part from their index.
+    labels = arr.stats.multiplicity
+    a2_ok = bool(labels) and arr.is_normalized
     a2_viol = None
     if not a2_ok:
-        missing = None
-        if syms:
-            expect = set(range(max(syms) + 1))
-            missing = min(expect - set(syms)) if expect - set(syms) else None
-        a2_viol = Violation("A2", symbol=missing)
+        a2_viol = Violation("A2", symbol=next((i for i, s in enumerate(labels) if s != i), None))
     c21_ok, c22_ok, pair_viol = _pair_checks(arr)
     violation = a1_viol or a2_viol or pair_viol
     return ValidationReport(
@@ -686,7 +678,6 @@ def truncate_columns(arr: CodedArray, keep: Iterable[int]) -> CodedArray:
     if cols[0] < 0 or cols[-1] >= arr.cols:
         raise ValueError(f"column index out of range: {cols}")
     sub = CodedArray(arr.grid[:, cols])
-    orphans = [s for s, g in sub.stats.multiplicity.items() if g == 1]
-    if orphans:
-        raise TruncationError(orphans[0])
+    if 1 in sub.stats.histogram:
+        raise TruncationError(next(s for s, g in sub.stats.multiplicity.items() if g == 1))
     return sub.normalize()

@@ -224,8 +224,7 @@ def cmd_validate(args) -> int:
 
 def cmd_truncate(args) -> int:
     arr = _read_array(args.array)
-    keep = sorted(int(tok) for tok in args.keep.split(","))
-    out = truncate_columns(arr, keep)
+    out = truncate_columns(arr, [_integer(tok, "--keep") for tok in args.keep.split(",")])
     _write_out(out.serialize(), args.out)
     print(_summary_line(out))
     return EXIT_OK

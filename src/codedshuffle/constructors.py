@@ -53,11 +53,17 @@ MAX_ARRAY_CELLS = 2**24
 """Cells (F x K) one built array may hold: 128 MiB of int64 grid."""
 
 
-def _check_cells(rows: int, cols: int) -> None:
-    """Refuse an array of more than MAX_ARRAY_CELLS cells before building it."""
+def _check_cells(rows: int, cols: int, least: str = "") -> None:
+    """Refuse an array of more than MAX_ARRAY_CELLS cells before building it;
+    ``least`` says when ``rows`` and ``cols`` only bound it from below."""
     if rows * cols > MAX_ARRAY_CELLS:
+        # str() refuses more than 4300 digits; name a long side by a power of
+        # two that it reaches
+        rows, cols = (
+            n if n.bit_length() <= 64 else f"2**{n.bit_length() - 1}-or-more" for n in (rows, cols)
+        )
         raise ConstructionError(
-            f"a {rows} x {cols} array exceeds MAX_ARRAY_CELLS = {MAX_ARRAY_CELLS} cells"
+            f"{least}a {rows} x {cols} array exceeds MAX_ARRAY_CELLS = {MAX_ARRAY_CELLS} cells"
         )
 
 
@@ -145,6 +151,8 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     """
     lam = mappers
     check_ct_parameters(lam, r, alpha)
+    # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
+    _check_cells(lam, lam, least="at least ")
     _check_cells(comb(lam, r), comb(lam, alpha))
     unions = _subsets(lam, r + alpha)
     split = _subsets(r + alpha, r)
@@ -269,6 +277,7 @@ def algorithm2(params: GcParameters) -> CodedArray:
     count, and each alpha group is offset past all preceding groups.
     """
     lam, r = params.mappers, params.computation
+    _check_cells(lam, lam, least="at least ")  # as in algorithm1
     _check_cells(comb(lam, r), params.reducer_count)
     blocks: list[np.ndarray] = []
     group_offset = 0

@@ -144,12 +144,12 @@ def choose_iv_bits(
     """
     if t_base < 1:
         raise ValueError("t_base must be positive")
-    multiplicity = arr.stats.multiplicity
-    if not multiplicity:
+    histogram = arr.stats.histogram
+    if not histogram:
         raise JobPreconditionError("array has no integer symbols")
-    if min(multiplicity.values()) < 2:
+    if 1 in histogram:
         raise JobPreconditionError("some symbol occurs only once")
-    need = lcm(*(g - 1 for g in multiplicity.values()))
+    need = lcm(*(g - 1 for g in histogram))
     factor = need // gcd(need, eta1 * eta2 * t_base)
     return t_base * factor
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -478,6 +479,38 @@ def test_validate_pda_gappy_labels():
     # raw labels {0, 2}: the declared range [0, 3) is not covered
     rep = validate_pda(grid([0, 2], [2, 0], [STAR, STAR]))
     assert not rep.checks["A2"] and rep.violation.symbol == 1
+    # (grid with uniform column stars, labels are 0..S-1, least missing label)
+    cases = [
+        (grid([0, 1], [1, 0]), True, None),  # {0, 1}
+        (grid([1, 2], [2, 1]), False, 0),  # {1, 2}
+        (grid([0, STAR], [STAR, 2]), False, 1),  # {0, 2}
+        (grid([5, STAR], [STAR, 5]), False, 0),  # {5}
+        (grid([STAR, STAR], [STAR, STAR]), True, None),  # no labels
+    ]
+    for arr, normalized, missing in cases:
+        assert arr.is_normalized == normalized
+        rep = validate_pda(arr)
+        assert rep.checks["A1"] and rep.checks["A2"] == (arr.symbol_count > 0 and normalized)
+        if not rep.checks["A2"]:
+            assert rep.violation.condition == "A2" and rep.violation.symbol == missing
+
+
+def test_validate_pda_large_label_is_cheap():
+    # the A2 witness reads the ascending labels, never the range below the
+    # largest; built from that range, this check took 5.4 s and a 347 MiB
+    # tracemalloc peak on a 2-core VM, so no larger label is tried against
+    # such code
+    arr = parse_array("2 2\n3000000 *\n* 3000000\n")
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rep = validate_pda(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.2
+    assert peak < 2**20
+    assert rep.violation.describe() == "A2 symbol=0"
 
 
 def test_validate_l_cyclic(golden):

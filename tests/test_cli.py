@@ -78,12 +78,18 @@ def test_construct_nnc_step_cap_exit_code(run):
         ("construct", "nnc", "--lambda", "100000", "--r", "1", "--alpha", "1"),
         ("construct", "alg1", "--lambda", "40", "--r", "20", "--alpha", "20"),
         ("construct", "alg2", "--lambda", "20", "--r", "4", "--kvec", "0,0,0,1" + ",0" * 12),
+        ("construct", "alg1", "--lambda", "100000", "--r", "50000", "--alpha", "1"),
+        ("construct", "alg1", "--lambda", "1600000", "--r", "800000", "--alpha", "1"),
+        ("construct", "alg2", "--lambda", "100000", "--r", "50000", "--kvec", "1" + ",0" * 49999),
+        ("construct", "alg2", "--lambda", "4", "--r", "1", "--kvec", "9" * 4300 + ",0,0"),
     ],
-    ids=["nnc", "alg1", "alg2"],
+    ids=["nnc", "alg1", "alg2", "alg1-huge", "alg1-huger", "alg2-huge", "alg2-long-kvec"],
 )
 def test_construct_cell_cap_exit_code(run, argv):
     # refused before anything is allocated; the nnc layout alone would take
-    # 74.5 GiB
+    # 74.5 GiB.  At a huge --lambda the refusal comes before any binomial,
+    # and a side longer than the 4300 digits str() prints (the reducer count
+    # of a 4300-digit --kvec entry) is named by a power of two
     t0 = time.perf_counter()
     code, out, err = run(*argv)
     assert code == 2 and out == ""
@@ -136,6 +142,16 @@ def test_validate_json(run, tmp_path):
     assert payload["mra"]["ok"] is True
     assert payload["pda"]["ok"] is False
     assert payload["column_stars"] == [2, 2, 2, 2, 3]
+
+
+def test_validate_huge_label_names_the_missing_one(run, tmp_path):
+    path = tmp_path / "label.txt"
+    path.write_text(f"2 2\n{10**18} *\n* {10**18}\n")
+    code, out, _ = run("validate", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["S"] == 1
+    assert payload["pda"]["first_violation"] == "A2 symbol=0"
 
 
 def test_validate_oversize_token_exit_code(run, tmp_path):
@@ -292,6 +308,13 @@ def test_truncate_roundtrip(run, tmp_path):
     assert parse_array(out_path.read_text()) == load_fixture("mra_3col")
     code, _, err = run("truncate", path, "--keep", "0,1,2,3")
     assert code == 2 and "symbol 3" in err
+
+
+@pytest.mark.parametrize("keep, token", [("0,x,2", "'x'"), ("0,,2", "''")])
+def test_truncate_bad_keep_is_named(run, tmp_path, keep, token):
+    code, out, err = run("truncate", _write(tmp_path, "mra_irregular"), "--keep", keep)
+    assert code == 2 and out == ""
+    assert f"--keep must be an integer, got {token}" in err
 
 
 def test_simulate_json_and_exit(run, tmp_path):

@@ -161,8 +161,10 @@ def test_choose_iv_bits(golden):
 
 
 def test_choose_iv_bits_rejects_orphans(golden):
-    with pytest.raises(JobPreconditionError):
+    with pytest.raises(JobPreconditionError, match="only once"):
         choose_iv_bits(golden["basic_pda"], 1)
+    with pytest.raises(JobPreconditionError, match="no integer symbols"):
+        choose_iv_bits(CodedArray(np.full((2, 3), STAR)), 1)
 
 
 # --- the oracle ----------------------------------------------------------------
