@@ -382,7 +382,8 @@ def _one_byte_per_char(text: str) -> bytes:
     """``text`` as one byte per character, so byte offsets are character
     offsets: ASCII as it is, and each other character as the ASCII byte it
     reads as: a line break of ``str.splitlines`` as ``\\n``, whitespace as
-    a space, anything else as ``?``, which no token holds."""
+    a space, anything else as ``?``, which no token holds.  One ``str.translate``
+    gives the same bytes but took 38 ms, not 2.7, on 1 MB of mixed text (2-core VM)."""
     if text.isascii():
         return text.encode("ascii")
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
@@ -417,7 +418,8 @@ def _parse_block(text, buf, cls, ends, data, f0: int, cols: int, grid) -> None:
     # pairs at the same offsets; the blank lines after it hold neither a
     # token start nor a fault.  starts[:run_at[r]] counts run r's token and
     # those before it.  Merged, the two sets of cuts (breaks and digits, so
-    # never equal) take one sum of token starts per segment.
+    # never equal) take one sum of token starts per segment; a prefix sum over
+    # the bytes took the six large perfbench texts 21 ms, not 12.6 (2-core VM).
     seg = ends[data - 1] - a
     cuts = np.empty(seg.size + run_at.size, np.intp)
     at_seg = np.arange(seg.size) + run_at.searchsorted(seg)

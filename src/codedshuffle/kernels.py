@@ -68,6 +68,8 @@ def scan_groups(shape, offsets, rows, cols):
     # column k; the cells are distinct, so adding their bits sets them.
     nonstar_rows = np.zeros((-(-F // 64), K), np.uint64)
     np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * K + cols, _row_bit(rows))
+    # the locate pass alone would decide every symbol, but on a 2-core VM clean scans
+    # took 2-3x as long: algorithm1(16, 2, 2) 0.27 -> 0.85 ms, 1 906 sweep arrays 80 -> 200 ms
     flagged = _screen(nonstar_rows, offsets, rows, cols)
     best = None  # (later, earlier) row-major positions of the first violation
     for g in np.unique(counts[flagged]).tolist():

@@ -91,6 +91,11 @@ def test_array_copies_any_other_grid():
     arr = CodedArray(base)
     base[0, 0] = 7
     assert arr.grid[0, 0] == 0 and arr.symbols == (0, 1)
+    for g in (np.zeros(3, np.int64), np.zeros((0, 3), np.int64)):
+        with pytest.raises(ArrayFormatError, match="grid must be a non-empty 2-D array"):
+            CodedArray(g)
+    with pytest.raises(ArrayFormatError, match=r"entries must be \* or non-negative"):
+        CodedArray([[0, -2], [STAR, 0]])
 
 
 def test_builders_hand_over_their_grids(monkeypatch):
@@ -598,6 +603,11 @@ def test_relabel_equality():
     d = grid([0, 0], [1, 0])
     e = grid([0, 0], [0, 0])
     assert not d.equal_up_to_relabeling(e)
+    # plain equality is on the grid itself
+    arr = algorithm1(4, 1, 1)
+    assert repr(arr) == "CodedArray(4x4, S=6)"
+    assert arr == algorithm1(4, 1, 1) and hash(arr) == hash(algorithm1(4, 1, 1))
+    assert (arr == "x") is False
 
 
 # --- brute-force oracle agreement ---------------------------------------------

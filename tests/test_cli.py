@@ -144,6 +144,20 @@ def test_validate_json(run, tmp_path):
     assert payload["column_stars"] == [2, 2, 2, 2, 3]
 
 
+@pytest.mark.parametrize("shift, ok", [("2", True), ("14", True), ("-10", True), ("1", False)])
+def test_validate_cyclic(run, tmp_path, shift, ok):
+    # the shift is read mod F = 12, so 14 and -10 are the array's own 2
+    path = _write(tmp_path, "cyclic_pda_12")
+    code, out, _ = run("validate", path, "--cyclic", shift)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cyclic_shift"] == 2
+    report = payload["l_cyclic"]
+    assert report["ok"] is ok and report["checks"]["cyclic-shift"] is ok
+    if not ok:
+        assert report["first_violation"] == "l-cyclic column=1"
+
+
 def test_validate_huge_label_names_the_missing_one(run, tmp_path):
     path = tmp_path / "label.txt"
     path.write_text(f"2 2\n{10**18} *\n* {10**18}\n")
@@ -423,6 +437,26 @@ def test_repro_passes(run):
     assert code == 0
     assert "FAIL" not in out.replace("FLAGGED", "")
     assert out.count("FLAGGED") == 2
+
+
+def test_repro_failure_exits_1(run, monkeypatch):
+    # a truncation that orphans a symbol but is not refused is a failed
+    # reproduction: exit 1, with the other checks as before
+    truncate = codedshuffle.cli.truncate_columns
+
+    def keep_orphans(arr, keep):
+        try:
+            return truncate(arr, keep)
+        except codedshuffle.TruncationError:
+            return arr
+
+    monkeypatch.setattr(codedshuffle.cli, "truncate_columns", keep_orphans)
+    code, out, _ = run("repro")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL    truncate keep {0,1,2,3} ")
+    assert out.splitlines()[-1].startswith("31 passed, 1 failed, 2 flagged ")
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,11 @@ def test_rank_errors():
         lex_rank([5], 4)
     with pytest.raises(ValueError):
         lex_unrank(comb(5, 2), 2, 5)
+    with pytest.raises(ValueError, match="subset must be non-empty"):
+        lex_rank([], 4)
+    for size in (0, 5):
+        with pytest.raises(ValueError, match=r"size must be in \[1, universe\]"):
+            lex_unrank(0, size, 4)
 
 
 # --- subset-topology blocks ----------------------------------------------------
@@ -200,6 +205,8 @@ def test_shift_identity_and_histogram(golden):
     st0 = compute_stats(arr)
     st5 = compute_stats(shift_symbols(arr, 5))
     assert st0.histogram == st5.histogram
+    with pytest.raises(ValueError, match="offset must be non-negative"):
+        shift_symbols(arr, -1)
 
 
 # --- concatenated family ---------------------------------------------------------
@@ -245,6 +252,8 @@ def test_gc_parameter_errors():
         GcParameters(4, 4, (1, 1))
     with pytest.raises(ConstructionError):
         GcParameters(4, 2, (-1, 2))
+    with pytest.raises(ConstructionError, match="at least two mappers required"):
+        GcParameters(1, 1, (1,))
 
 
 # --- wrap-around family ----------------------------------------------------------

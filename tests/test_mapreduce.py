@@ -57,6 +57,8 @@ def _marked(column) -> list[int]:
 
 
 def test_mrg_ct_example():
+    g = mrg_ct(5, 2, 2)
+    assert (g.batch_count, g.mapper_count, g.reducer_count) == (10, 5, 10)
     g = mrg_ct(4, 2, 2)
     assert g.batch_count == 6
     # mapper 0 stores the batches whose index set contains 0
@@ -70,6 +72,7 @@ def test_mrg_ct_example():
 
 def test_mrg_nnc_example():
     g = mrg_nnc(12, 2, 4)
+    assert (g.batch_count, g.mapper_count, g.reducer_count) == (12, 12, 12)
     assert _marked(access_pattern(g)[:, 0]) == list(range(8))
     assert _marked(g.storage[:, 5]) == [10, 11]
     assert _marked(g.links[:, 11]) == [0, 1, 2, 11]
@@ -158,6 +161,8 @@ def test_choose_iv_bits(golden):
     assert choose_iv_bits(golden["cyclic_pda_4"], 7) == 7
     # extra files per batch can absorb the packet split
     assert choose_iv_bits(golden["mra_irregular"], 1, eta1=2) == 1
+    with pytest.raises(ValueError, match="t_base must be positive"):
+        choose_iv_bits(golden["mra_irregular"], 0)
 
 
 def test_choose_iv_bits_rejects_orphans(golden):
@@ -498,6 +503,7 @@ def test_reducer_results_are_built_on_demand(golden):
         assert len(rs) == arr.cols == 26
         listed = list(rs)
         assert [r.reducer for r in listed] == list(range(26))
+        assert all(type(r.ok) is bool and type(r.recovered_ivs) is int for r in listed)
         assert rs[0] == listed[0] and rs[-1] == rs[25] == listed[-1]
         assert rs[1:3] == tuple(listed[1:3]) and rs[5:2] == ()
         with pytest.raises(IndexError):

@@ -186,6 +186,7 @@ def test_curve_validation():
 def test_envelope_single_point():
     curve = lower_convex_envelope([(2, 5)])
     assert curve.corners == ((Fraction(2), Fraction(5)),)
+    assert curve.value_at(2) == 5
 
 
 def test_envelope_collinear():
@@ -214,6 +215,8 @@ def test_envelope_drops_high_middle():
 def test_envelope_duplicate_r():
     with pytest.raises(ValueError):
         lower_convex_envelope([(1, 1), (1, 2)])
+    with pytest.raises(ValueError, match="at least one point required"):
+        lower_convex_envelope([])
 
 
 def test_gc_lower_envelope():
@@ -226,6 +229,8 @@ def test_gc_lower_envelope():
     # mixed multiplicities stay positive and defined wherever some reducer exists
     curve = gc_lower_envelope(5, (2, 0, 1, 0))
     assert all(v > 0 for _, v in curve.corners)
+    with pytest.raises(ValueError, match="no computation load has a positive reducer count"):
+        gc_lower_envelope(4, (0, 0, 0))
 
 
 def test_format_rational():
