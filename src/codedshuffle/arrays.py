@@ -551,6 +551,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The outcome of one validator.
+
+    ``checks`` maps each condition, in the order the validator checks
+    them, to whether it holds.  ``violation`` is the witness of the first
+    condition that fails, or None when all hold.  Both crossing checks,
+    C2-1 and C2-2, take as their witness the crossing scan's first
+    violating pair, whose condition names its own kind.  In
+    ``validate_l_cyclic`` a column whose stars are not one cyclic run fails
+    both ``stars-consecutive`` and ``cyclic-shift``, with that column as
+    the witness.  ``details`` holds the validator's extra facts: the
+    common column star count Z and the column star counts for a PDA, the
+    common multiplicity g and the shift l for the cyclic layout.
+    """
+
     checks: Mapping[str, bool]
     violation: Violation | None = None
     details: Mapping[str, object] = field(default_factory=dict)
@@ -560,19 +574,25 @@ class ValidationReport:
         return all(self.checks.values())
 
 
-_PAIR_TAGS = {1: "C2-1", 2: "C2-2"}
+def _report(found, **details) -> ValidationReport:
+    """The report of ``found``, each condition's (name, witness) in check
+    order: a condition holds when its witness is None."""
+    return ValidationReport(
+        checks={name: witness is None for name, witness in found},
+        violation=next((w for _, w in found if w is not None), None),
+        details=details,
+    )
 
 
-def _pair_checks(arr: CodedArray):
-    """Shared crossing-condition scan; returns (c21_ok, c22_ok, violation)."""
+def _crossing(arr: CodedArray):
+    """The witnesses of C2-1 and C2-2: the crossing scan's first violating
+    pair for the condition it breaks, else None."""
     hit = arr.pair_scan
     if hit is None:
-        return True, True, None
+        return None, None
     code, c1, c2 = hit
-    tag = _PAIR_TAGS[code]
-    sym = arr.entry(*c1)
-    viol = Violation(tag, cells=(c1, c2), symbol=sym)
-    return code != 1, code != 2, viol
+    first = Violation(f"C2-{code}", cells=(c1, c2), symbol=arr.entry(*c1))
+    return (first if code == 1 else None), (first if code == 2 else None)
 
 
 def _first_orphan(arr: CodedArray):
@@ -586,44 +606,37 @@ def _first_orphan(arr: CodedArray):
     return Violation("C1", cells=((f, k),), symbol=arr.entry(f, k))
 
 
+def _first(flags: np.ndarray) -> int | None:
+    """The index of the first true flag, or None."""
+    return int(flags.argmax()) if flags.any() else None
+
+
 def validate_mra(arr: CodedArray) -> ValidationReport:
     """Check C1 (every symbol more than once) and the crossing condition."""
     histogram = arr.stats.histogram
-    c1_ok = bool(histogram) and 1 not in histogram
-    c21_ok, c22_ok, pair_viol = _pair_checks(arr)
-    violation = None
-    if not c1_ok:
-        violation = _first_orphan(arr) or Violation("C1")
-    elif pair_viol is not None:
-        violation = pair_viol
-    return ValidationReport(
-        checks={"C1": c1_ok, "C2-1": c21_ok, "C2-2": c22_ok},
-        violation=violation,
-    )
+    c1 = None if histogram and 1 not in histogram else _first_orphan(arr) or Violation("C1")
+    c21, c22 = _crossing(arr)
+    return _report([("C1", c1), ("C2-1", c21), ("C2-2", c22)])
 
 
 def validate_pda(arr: CodedArray) -> ValidationReport:
     """Check A1 (uniform column stars), A2 (dense symbols), and crossings."""
-    counts = list(arr.stats.column_stars)
-    z = counts[0]
-    bad = next((k for k, c in enumerate(counts) if c != z), None)
-    a1_ok = bad is None
-    a1_viol = None if a1_ok else Violation("A1", column=bad)
+    counts = np.asarray(arr.stats.column_stars)
+    bad = _first(counts != counts[0])
+    a1 = None if bad is None else Violation("A1", column=bad)
     # A2 on the raw labels: every integer of the declared range [0, S) must
     # occur, so gappy or empty labelings fail even though normalize() would
     # silently repair them.  The least missing label is the first place
     # where the ascending labels part from their index.
     labels = arr.stats.multiplicity
-    a2_ok = bool(labels) and arr.is_normalized
-    a2_viol = None
-    if not a2_ok:
-        a2_viol = Violation("A2", symbol=next((i for i, s in enumerate(labels) if s != i), None))
-    c21_ok, c22_ok, pair_viol = _pair_checks(arr)
-    violation = a1_viol or a2_viol or pair_viol
-    return ValidationReport(
-        checks={"A1": a1_ok, "A2": a2_ok, "C2-1": c21_ok, "C2-2": c22_ok},
-        violation=violation,
-        details={"Z": z if a1_ok else None, "column_stars": counts},
+    a2 = None
+    if not (labels and arr.is_normalized):
+        a2 = Violation("A2", symbol=next((i for i, s in enumerate(labels) if s != i), None))
+    c21, c22 = _crossing(arr)
+    return _report(
+        [("A1", a1), ("A2", a2), ("C2-1", c21), ("C2-2", c22)],
+        Z=None if a1 else int(counts[0]),
+        column_stars=counts.tolist(),
     )
 
 
@@ -635,35 +648,20 @@ def validate_l_cyclic(arr: CodedArray, shift: int) -> ValidationReport:
     block is the previous column's shifted down by ``shift`` rows (mod F).
     """
     stats = arr.stats
-    regular_ok = stats.common_g is not None
-    reg_viol = None
-    if not regular_ok:
-        reg_viol = Violation("C1'")
+    F = arr.rows
     starts = arr.star_run_starts
-    broken = np.flatnonzero(starts < 0)
-    consec_ok = broken.size == 0
-    consec_viol = None
-    if not consec_ok:
-        consec_viol = Violation("l-cyclic", column=int(broken[0]))
-    shift_ok = consec_ok
-    shift_viol = None
-    if consec_ok:
-        F = arr.rows
-        counts = np.asarray(stats.column_stars)
-        wrong = (counts[1:] != counts[:-1]) | (
-            (counts[1:] < F) & (np.diff(starts) % F != shift % F)
-        )
-        if wrong.any():
-            shift_ok = False
-            shift_viol = Violation("l-cyclic", column=int(np.argmax(wrong)) + 1)
-    return ValidationReport(
-        checks={
-            "C1'": regular_ok,
-            "stars-consecutive": consec_ok,
-            "cyclic-shift": shift_ok,
-        },
-        violation=reg_viol or consec_viol or shift_viol,
-        details={"g": stats.common_g, "l": shift},
+    counts = np.asarray(stats.column_stars)
+    broken = _first(starts < 0)
+    moved = _first(
+        (counts[1:] != counts[:-1]) | ((counts[1:] < F) & (np.diff(starts) % F != shift % F))
+    )
+    runs = None if broken is None else Violation("l-cyclic", column=broken)
+    steps = runs or (None if moved is None else Violation("l-cyclic", column=moved + 1))
+    regular = None if stats.common_g is not None else Violation("C1'")
+    return _report(
+        [("C1'", regular), ("stars-consecutive", runs), ("cyclic-shift", steps)],
+        g=stats.common_g,
+        l=shift,
     )
 
 

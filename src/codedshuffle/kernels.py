@@ -71,21 +71,20 @@ def scan_groups(shape, offsets, rows, cols):
     # the locate pass alone would decide every symbol, but on a 2-core VM clean scans
     # took 2-3x as long: algorithm1(16, 2, 2) 0.27 -> 0.85 ms, 1 906 sweep arrays 80 -> 200 ms
     flagged = _screen(nonstar_rows, offsets, rows, cols)
-    best = None  # (later, earlier) row-major positions of the first violation
-    for g in np.unique(counts[flagged]).tolist():
-        starts = offsets[:-1][flagged & (counts == g)]
-        cand = _locate(nonstar_rows, starts, g, rows, cols)
-        if cand is not None and (best is None or cand < best):
-            best = cand
-    if best is None:
+    firsts = [
+        _locate(nonstar_rows, offsets[:-1][flagged & (counts == g)], g, rows, cols)
+        for g in np.unique(counts[flagged]).tolist()
+    ]
+    if not firsts:
         return None
-    (f2, k2), (f1, k1) = (divmod(x, K) for x in best)
+    # (later, earlier) row-major positions of the first violation
+    (f2, k2), (f1, k1) = (divmod(x, K) for x in min(firsts))
     code = 1 if f1 == f2 or k1 == k2 else 2
     return code, (f1, k1), (f2, k2)
 
 
 def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols) -> np.ndarray:
-    """Which symbols may violate the crossing condition: exactly those that
+    """Which symbols violate the crossing condition: exactly those that
     repeat a row or have another of their rows non-star in one of their
     cells' columns.  Takes :func:`group_cells` output and the columns'
     non-star row bitsets; returns a flag per symbol."""
@@ -122,7 +121,8 @@ def _row_bit(rows: np.ndarray) -> np.ndarray:
 
 def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
     """The first violating pair of the g-cell symbols at ``starts``, as
-    (later, earlier) row-major positions, or None when none violates.
+    (later, earlier) row-major positions; the screen flagged each of them,
+    so each has one.
 
     Cells i < j of a symbol violate exactly when (r_i, c_j) or (r_j, c_i)
     is not a star; a shared row or column makes it one of the pair's own
@@ -137,7 +137,7 @@ def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
     by_col = nonstar_rows.T  # by_col[k]: the non-star rows of column k
     step = max(1, _BLOCK_CELLS // (g * words))
     place = np.arange(g)  # each cell's place in its symbol
-    best = None
+    found = []
     for lo in range(0, starts.shape[0], step):
         cells = starts[lo : lo + step, None] + place
         r, c = rows[cells], cols[cells]
@@ -153,19 +153,13 @@ def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
         # hit[n, j - 1]: cell j of symbol n has an earlier partner
         hit = (seen[:, :-1] & column[:, 1:]).any(axis=2)
         hit |= reach[n, place[:-1], word[:, 1:]] & bit[:, 1:] != 0
-        groups = np.flatnonzero(hit.any(axis=1))
-        if groups.size == 0:
-            continue
-        js = hit[groups].argmax(axis=1) + 1
-        rj, cj = r[groups, js, None], c[groups, js, None]
-        ri, ci = r[groups], c[groups]
-        partner = by_col[cj, ri >> 6] & _row_bit(ri) != 0
-        partner |= by_col[ci, rj >> 6] & _row_bit(rj) != 0
-        is_ = (partner & (place < js[:, None])).argmax(axis=1)
-        later = rj[:, 0] * K + cj[:, 0]
-        earlier = r[groups, is_] * K + c[groups, is_]
-        pos = later.argmin()  # each group's later cell is its own
-        cand = (int(later[pos]), int(earlier[pos]))
-        if best is None or cand < best:
-            best = cand
-    return best
+        js = hit.argmax(axis=1)[:, None] + 1
+        rj, cj = r[n, js], c[n, js]
+        partner = by_col[cj, r >> 6] & bit != 0
+        partner |= by_col[c, rj >> 6] & _row_bit(rj) != 0
+        is_ = (partner & (place < js)).argmax(axis=1)[:, None]
+        later = (rj * K + cj).ravel()
+        earlier = (r[n, is_] * K + c[n, is_]).ravel()
+        pos = later.argmin()  # each symbol's later cell is its own
+        found.append((int(later[pos]), int(earlier[pos])))
+    return min(found)
