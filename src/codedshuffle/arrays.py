@@ -169,8 +169,9 @@ class CodedArray:
 
     @cached_property
     def pair_scan(self):
-        """:func:`~codedshuffle.kernels.first_pair_violation` of the grid,
-        read from the shuffle plan and shared by every validator."""
+        """:func:`~codedshuffle.kernels.scan_groups` of the shuffle plan:
+        the first violating pair and the C2-1 and C2-2 flags, shared by
+        every validator."""
         plan = self.shuffle_plan
         return scan_groups(self.grid.shape, plan.offsets, plan.rows, plan.cols)
 
@@ -586,13 +587,10 @@ def _report(found, **details) -> ValidationReport:
 
 def _crossing(arr: CodedArray):
     """The witnesses of C2-1 and C2-2: the crossing scan's first violating
-    pair for the condition it breaks, else None."""
-    hit = arr.pair_scan
-    if hit is None:
-        return None, None
-    code, c1, c2 = hit
-    first = Violation(f"C2-{code}", cells=(c1, c2), symbol=arr.entry(*c1))
-    return (first if code == 1 else None), (first if code == 2 else None)
+    pair for each that fails, else None."""
+    hit, c21_ok, c22_ok = arr.pair_scan
+    first = hit and Violation(f"C2-{hit[0]}", cells=hit[1:], symbol=arr.entry(*hit[1]))
+    return (None if c21_ok else first), (None if c22_ok else first)
 
 
 def _first_orphan(arr: CodedArray):

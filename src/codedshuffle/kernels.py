@@ -14,7 +14,8 @@ distinct and, for each of its cells, the symbol's rows other than the cell's
 own miss the non-star rows of the cell's column.  Only the symbols the
 screen flags go on to the locate pass, one per multiplicity g, which finds
 each one's first violating pair from prefix ORs of the same bitsets, in O(g)
-words per cell rather than a g x g gather.
+words per cell rather than a g x g gather, and to :func:`_conditions`,
+which decides from the same bitsets which parts of the condition fail.
 """
 
 from __future__ import annotations
@@ -55,19 +56,21 @@ def first_pair_violation(grid: np.ndarray):
     code 2 a missing crossing star.  The reported pair is the first one in
     row-major scan order (ordered by the later cell, then the earlier).
     """
-    return scan_groups(grid.shape, *group_cells(grid)[1:])
+    return scan_groups(grid.shape, *group_cells(grid)[1:])[0]
 
 
 def scan_groups(shape, offsets, rows, cols):
-    """:func:`first_pair_violation` of an F x K grid of ``shape`` whose
-    cells are grouped as :func:`group_cells` returns them."""
-    F, K = shape
+    """The crossing scan of an F x K grid of ``shape`` whose cells are
+    grouped as :func:`group_cells` returns them.
+
+    Returns ``(first, c21_ok, c22_ok)``: the :func:`first_pair_violation`
+    of the grid, whether no equal pair shares a row or a column (C2-1), and
+    whether every equal pair in distinct rows and columns has stars at its
+    two crossing cells (C2-2).
+    """
+    K = shape[1]
     counts = np.diff(offsets)
-    # Bitsets are held word-major, one row per word index, so the passes run
-    # along contiguous rows.  nonstar_rows[:, k]: the non-star rows of
-    # column k; the cells are distinct, so adding their bits sets them.
-    nonstar_rows = np.zeros((-(-F // 64), K), np.uint64)
-    np.add.at(nonstar_rows.reshape(-1), (rows >> 6) * K + cols, _row_bit(rows))
+    nonstar_rows = _nonstar_rows(shape, rows, cols)
     # the locate pass alone would decide every symbol, but on a 2-core VM clean scans
     # took 2-3x as long: algorithm1(16, 2, 2) 0.27 -> 0.85 ms, 1 906 sweep arrays 80 -> 200 ms
     flagged = _screen(nonstar_rows, offsets, rows, cols)
@@ -76,11 +79,18 @@ def scan_groups(shape, offsets, rows, cols):
         for g in np.unique(counts[flagged]).tolist()
     ]
     if not firsts:
-        return None
+        return None, True, True
     # (later, earlier) row-major positions of the first violation
     (f2, k2), (f1, k1) = (divmod(x, K) for x in min(firsts))
-    code = 1 if f1 == f2 or k1 == k2 else 2
-    return code, (f1, k1), (f2, k2)
+    first = 1 if f1 == f2 or k1 == k2 else 2, (f1, k1), (f2, k2)
+    return (first, *_conditions(nonstar_rows, offsets, rows, cols, flagged))
+
+
+def _nonstar_rows(shape, rows, cols) -> np.ndarray:
+    """The row bitsets of the columns: [:, k] holds the non-star rows of
+    column k.  Bitsets are held word-major, one row per word index, so the
+    passes run along contiguous rows."""
+    return _bitsets((-(-shape[0] // 64), shape[1]), cols, rows >> 6, _row_bit(rows))
 
 
 def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols) -> np.ndarray:
@@ -89,29 +99,87 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols) -> np.nda
     cells' columns.  Takes :func:`group_cells` output and the columns'
     non-star row bitsets; returns a flag per symbol."""
     counts = np.diff(offsets)
-    words = nonstar_rows.shape[0]
     flagged = np.zeros(counts.shape[0], bool)
-    lo, budget = 0, max(1, _BLOCK_CELLS // words)
-    while lo < counts.shape[0]:
-        hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + budget, "right")) - 1)
+    for lo, hi in _chunks(offsets, nonstar_rows.shape[0]):
         a, b = offsets[lo], offsets[hi]
         r, local = rows[a:b], np.repeat(np.arange(hi - lo), counts[lo:hi])
-        word, bit = r >> 6, _row_bit(r)
-        # own[:, s]: the rows of symbol lo + s; distinct rows set distinct
-        # bits, and a repeated row flags the symbol whatever its bitset holds
-        own = np.zeros((words, hi - lo), np.uint64)
-        np.add.at(own.reshape(-1), word * (hi - lo) + local, bit)
-        # hits[:, i]: the rows of cell i's symbol that are non-star in its
-        # column, less its own row, which always is
-        hits = nonstar_rows.take(cols[a:b], axis=1)
-        hits &= own.take(local, axis=1)
-        hits[word, np.arange(b - a)] ^= bit
-        hit = hits.any(axis=0)
+        # distinct rows set distinct bits in the symbols' row bitsets, and
+        # a repeated row flags the symbol whatever its bitset holds
+        hit = _other_rows(nonstar_rows, local, r, cols[a:b], slice(None)).any(axis=0)
         # rows never decrease within a symbol, so a repeat is a neighbour's
         hit[1:] |= (r[1:] == r[:-1]) & (local[1:] == local[:-1])
         flagged[lo:hi] = np.logical_or.reduceat(hit, offsets[lo:hi] - a)
-        lo = hi
     return flagged
+
+
+def _conditions(nonstar_rows: np.ndarray, offsets, rows, cols, flagged):
+    """Whether C2-1 and C2-2 hold, decided on the symbols ``flagged`` by
+    :func:`_screen`, which are the ones that violate.
+
+    C2-1 fails exactly when one of them repeats a row or a column.  For a
+    cell i, let h_i be the rows of its symbol other than r_i that are
+    non-star in column c_i.  A row of h_i that holds one cell of the
+    symbol, in column c_i, is there only through that cell; any other row
+    holds a cell j outside column c_i whose crossing (r_j, c_i) is not a
+    star.  So C2-2 fails exactly when some h_i holds more rows than the T_i
+    rows of the first kind, that is, a row outside them.
+    """
+    K, words = nonstar_rows.shape[1], nonstar_rows.shape[0]
+    counts = np.diff(offsets)[flagged]
+    sub = np.append(0, counts.cumsum())  # the flagged symbols' offsets
+    at = np.repeat(offsets[:-1][flagged] - sub[:-1], counts) + np.arange(sub[-1])
+    r, c = rows[at], cols[at]
+    sym = np.repeat(np.arange(counts.size), counts)
+    # repeat[i]: cell i shares its row with the cell before it; rows never
+    # decrease within a symbol, so that is how every repeated row shows
+    repeat = np.zeros(at.size + 1, bool)
+    repeat[1:-1] = (r[1:] == r[:-1]) & (sym[1:] == sym[:-1])
+    columns, column = np.unique(sym * K + c, return_inverse=True)
+    c21_ok = columns.size == at.size and not repeat.any()
+    alone = ~(repeat[:-1] | repeat[1:])  # no other cell of its symbol in its row
+    for lo, hi in _chunks(sub, words):
+        a, b = sub[lo], sub[hi]
+        # each row once in the symbols' row bitsets: a repeat's bit would carry
+        hits = _other_rows(nonstar_rows, sym[a:b] - lo, r[a:b], c[a:b], ~repeat[a:b])
+        # less the rows of the alone cells in each cell's column
+        group, one = column[a:b] - column[a:b].min(), alone[a:b]
+        lone = r[a:b][one]
+        shape = words, int(group.max()) + 1
+        hits &= ~_bitsets(shape, group[one], lone >> 6, _row_bit(lone)).take(group, axis=1)
+        if hits.any():
+            return c21_ok, False
+    return c21_ok, True
+
+
+def _chunks(offsets: np.ndarray, words: int):
+    """Runs [lo, hi) of whole symbols whose cells hold at most
+    ``_BLOCK_CELLS`` bitset words of ``words`` each, one symbol at least."""
+    lo, budget = 0, max(1, _BLOCK_CELLS // words)
+    while lo < offsets.shape[0] - 1:
+        hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + budget, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _other_rows(nonstar_rows: np.ndarray, local, r, c, own) -> np.ndarray:
+    """hits[:, i]: the rows of cell i's symbol other than r[i] that are
+    non-star in column c[i].  ``local`` numbers the cells' symbols from 0,
+    and the cells ``own`` selects make up the symbols' row bitsets."""
+    word, bit = r >> 6, _row_bit(r)
+    shape = nonstar_rows.shape[0], int(local[-1]) + 1
+    hits = nonstar_rows.take(c, axis=1)
+    hits &= _bitsets(shape, local[own], word[own], bit[own]).take(local, axis=1)
+    hits[word, np.arange(r.size)] ^= bit  # its own row is always non-star
+    return hits
+
+
+def _bitsets(shape, index, word, bit) -> np.ndarray:
+    """Word-major row bitsets of ``shape``, (words, n), with bit ``bit`` of
+    word ``word`` set in bitset ``index``; each bit is added, which sets it
+    when no bitset gets one row twice."""
+    out = np.zeros(shape, np.uint64)
+    np.add.at(out.reshape(-1), word * shape[1] + index, bit)
+    return out
 
 
 def _row_bit(rows: np.ndarray) -> np.ndarray:

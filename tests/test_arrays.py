@@ -47,6 +47,7 @@ from oracles import (
     bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
+    bf_violating_symbols,
     gather_first_pair_violation,
 )
 
@@ -423,6 +424,20 @@ def test_missing_crossing_star_fails():
     assert rep.checks["C2-1"] and not rep.checks["C2-2"]
 
 
+def test_both_crossing_parts_fail_with_the_first_pair_as_witness():
+    # symbol 2 repeats row 2, so C2-1 fails as well as C2-2, although the
+    # scan's first pair, symbol 1's, misses a crossing star
+    arr = grid([0, 1, STAR], [1, 0, STAR], [2, STAR, 2])
+    rep = validate_mra(arr)
+    assert dict(rep.checks) == {"C1": True, "C2-1": False, "C2-2": False}
+    assert rep.violation.describe() == "C2-2 symbol=1 cells=(0,1),(1,0)"
+    with pytest.raises(ValueError) as err:
+        run_job(arr, JobSpec(3, 3, 1))
+    assert str(err.value) == (
+        "array is not a valid map-reduce array: C2-2 symbol=1 cells=(0,1),(1,0)"
+    )
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -642,10 +657,23 @@ def small_grids(draw):
 
 
 def _check_pair_scan(g):
-    hit = first_pair_violation(CodedArray(g).grid)
-    assert (hit is None) == all(bf_pair_conditions(g.tolist()))
+    arr = CodedArray(g)
+    rows = g.tolist()
+    want = bf_pair_conditions(rows)
+    hit = first_pair_violation(arr.grid)
+    assert (hit is None) == all(want)
     # the exact pair reported: first in row-major order, later cell first
-    assert hit == bf_first_pair_violation(g.tolist())
+    assert hit == bf_first_pair_violation(rows)
+    # each C2 flag of both validators is the brute force's, whichever kind
+    # the first pair is
+    for report in (validate_mra(arr), validate_pda(arr)):
+        assert (report.checks["C2-1"], report.checks["C2-2"]) == want
+    # the screen flags exactly the symbols that have a violating pair, so
+    # the locate pass finds one in each
+    plan = arr.shuffle_plan
+    nonstar_rows = codedshuffle.kernels._nonstar_rows(g.shape, plan.rows, plan.cols)
+    flagged = codedshuffle.kernels._screen(nonstar_rows, plan.offsets, plan.rows, plan.cols)
+    assert set(plan.symbols[flagged].tolist()) == bf_violating_symbols(rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -522,7 +522,7 @@ def test_array_digests_pinned(constructor_sweep):
     assert _identity_digests().array_digests(sweep) == (
         "c5a471ae438eee31672fe4a3007123079c43b87d27a758347e0345c075476e84",
         "799278c5287a05dc05c6e6e1ce135276ad9e868d6550fb9bd09df0c209e29786",
-        "3ae32ad565c77177358e17781c5d80da10543daf64b3fdbbc3804d0798fc9772",
+        "65c55f31ecdf30488bf31292d700553a5bdd3b546952b09d994babb77009c052",
     )
 
 
