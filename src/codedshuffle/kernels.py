@@ -82,7 +82,8 @@ def scan_groups(shape, offsets, rows, cols):
         return None, True, True
     # (later, earlier) row-major positions of the first violation
     (f2, k2), (f1, k1) = (divmod(x, K) for x in min(firsts))
-    first = 1 if f1 == f2 or k1 == k2 else 2, (f1, k1), (f2, k2)
+    code = 1 if f1 == f2 or k1 == k2 else 2
+    first = code, (f1, k1), (f2, k2)
     return (first, *_conditions(nonstar_rows, offsets, rows, cols, flagged))
 
 
@@ -124,7 +125,7 @@ def _conditions(nonstar_rows: np.ndarray, offsets, rows, cols, flagged):
     star.  So C2-2 fails exactly when some h_i holds more rows than the T_i
     rows of the first kind, that is, a row outside them.
     """
-    K, words = nonstar_rows.shape[1], nonstar_rows.shape[0]
+    words, K = nonstar_rows.shape
     counts = np.diff(offsets)[flagged]
     sub = np.append(0, counts.cumsum())  # the flagged symbols' offsets
     at = np.repeat(offsets[:-1][flagged] - sub[:-1], counts) + np.arange(sub[-1])
