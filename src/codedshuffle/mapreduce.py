@@ -444,7 +444,8 @@ class _IvTable:
     ``data`` holds each (function, block) pair that a carrier bit of a cell
     falls in, 64 bytes each in (function, block) order, then one zero byte
     for the last byte window to run into.  The blocks that one carrier
-    segment spans are therefore adjacent in ``data``.
+    segment spans are therefore adjacent in ``data``.  Where block b of stream
+    q is read, ``slot[q * nb + b]`` is its place in ``data``.
     """
 
     def __init__(
@@ -462,9 +463,9 @@ class _IvTable:
         edges -= np.bincount(
             base + ((rows + 1) * self.seg - 1) // block + 1, minlength=K * (nb + 1)
         )
-        read = edges.reshape(K, nb + 1)[:, :nb].cumsum(axis=1) > 0
-        self.keys = read.repeat(eta2, axis=0).reshape(-1).nonzero()[0]  # q*nb + block
-        q, b = np.divmod(self.keys, nb)
+        read = edges.reshape(K, nb + 1)[:, :nb].cumsum(axis=1).repeat(eta2, axis=0) > 0
+        self.slot = read.cumsum() - 1  # flat, so at q*nb + block
+        q, b = read.nonzero()
         self.data = np.frombuffer(oracle.blocks(q, b) + bytes(1), np.uint8)
 
     def carriers(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -479,7 +480,7 @@ class _IvTable:
         seg, block = self.seg, IvOracle._BLOCK_BITS
         start = rows[:, None] * seg
         funcs = cols[:, None] * self.eta2 + np.arange(self.eta2)
-        slot = self.keys.searchsorted(funcs * self.stream_blocks + start // block)
+        slot = self.slot[funcs * self.stream_blocks + start // block]
         at = (slot * block + start % block) // 8
         # a window runs at most one byte past the last block it reads
         window = _windows(self.data, (seg + 7) // 8 + 1)[at]
@@ -546,7 +547,8 @@ def _execute(
         IvOracle(spec.seed, spec.iv_bits), eta1, eta2,
         spec.files, spec.functions, rows, cols,
     )
-    ok = np.empty(n_cells, bool)
+    # the encoder's payloads in the payload column's layout: that column, if encoding
+    expected = payload if transcript is None else np.empty_like(payload)
     lo = 0
     for hi in chunks:
         carriers = ivs.carriers(rows[lo:hi], cols[lo:hi])
@@ -555,9 +557,7 @@ def _execute(
             g = int(g_at[a])
             n, plen = (b - a) // g, width // (g - 1)
             # payloads are left-padded to whole bytes; so are the packets, so
-            # every XOR and compare below is on bytes.  packets[:, i, p] is
-            # packet p of cell i, labelled by cell labels[i, p], the p-th
-            # cell other than i
+            # every XOR, and the compare after the loop, is on bytes
             pb = (plen + 7) // 8
             split = carriers[a - lo : b - lo].reshape(n, g, g - 1, plen)
             if plen % 8:
@@ -565,30 +565,30 @@ def _execute(
                 padded[..., -plen:] = split
                 split = padded
             # whole bytes per packet, so one flat pack splits at packets
-            packets = np.packbits(split.reshape(-1)).reshape(n, g, g - 1, pb)
-            later = np.arange(1, g)
-            labels = later - (later <= np.arange(g)[:, None])
-            # table[:, i, j]: the packet of cell i labelled j, 0 where i == j
+            packets = np.packbits(split.reshape(-1)).reshape(n, g - 1, g, pb)
+            # table[:, i, j]: the packet of cell i labelled j, 0 where i == j.
+            # Row-major, a g x g block's off-diagonal entries are the packets
+            # in (cell, label) order: after entry 0, runs of g + 1 entries,
+            # g off-diagonal ones and then a diagonal one
             table = np.zeros((n, g, g, pb), np.uint8)
-            table[:, np.arange(g)[:, None], labels] = packets
+            runs = table.reshape(n, g * g, pb)[:, 1:].reshape(n, g - 1, g + 1, pb)
+            runs[:, :, :g] = packets
             totals = np.bitwise_xor.reduce(table, axis=1)
-            sent_as = _windows(payload, pb)
-            if transcript is None:
-                sent_as[first_byte[a:b]] = totals.reshape(n * g, -1)
-            # side information of cell i for label j: total_j ^ packet(i, j),
-            # the XOR of packet j over every cell but i and j; so cell i
-            # rebuilds packet(i, j) exactly when payload_j == total_j, pad
-            # bits included, and decodes when no other message is wrong
-            wrong = (sent_as[first_byte[a:b]].reshape(n, g, -1) != totals).any(axis=-1)
-            ok[a:b] = (wrong.sum(axis=1, keepdims=True) == wrong).reshape(-1)
+            _windows(expected, pb)[first_byte[a:b]] = totals.reshape(n * g, pb)
         lo = hi
 
+    # side information of cell i for label j: total_j ^ packet(i, j), the XOR
+    # of packet j over every cell but i and j; so cell i rebuilds packet(i, j)
+    # exactly when payload_j == total_j, pad bits included, and decodes when
+    # no other message of its symbol is wrong
+    wrong = np.logical_or.reduceat(payload != expected, offsets[:-1])[row]
+    ok = np.add.reduceat(wrong, plan.offsets[:-1], dtype=int).repeat(counts) == wrong
     if transcript is None:
         messages = _MessageColumns(senders, symbols, bits, offsets, payload)
         transcript = ShuffleTranscript(messages)
     K = arr.cols
-    failed = np.bincount(cols, weights=~ok, minlength=K)
-    recovered = np.bincount(cols, minlength=K) * (eta1 * eta2)
+    failed = np.bincount(plan.cols, weights=~ok, minlength=K)
+    recovered = np.bincount(plan.cols, minlength=K) * (eta1 * eta2)
     results = _ReducerColumns(np.arange(K), failed == 0, recovered)
     return transcript, DecodeReport(
         results, transcript.total_bits, spec.files * spec.functions * spec.iv_bits
@@ -625,17 +625,17 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     symbol.  The IV oracle hashes only the 512-bit stream blocks that some
     cell's carrier reads, each once.  A chunk gathers all its carriers at
     once from those blocks; per class, the packets are packed to bytes,
-    left-padded as the payloads are, and one (n, g, g, bytes) packet table
-    with a zero label on each cell's own column is XOR-reduced over the
-    cells into the payloads, which are written into the transcript's payload
-    column.  ``validate_mra`` puts every XOR term on a star of the column
-    using it.
+    left-padded as the payloads are, written through a view into the
+    off-diagonal entries of one (n, g, g, bytes) table and XOR-reduced over
+    the cells into the payloads.  These fill a buffer laid out as the
+    transcript's payload column, which is that column when encoding.
+    ``validate_mra`` puts every XOR term on a star of the column using it.
 
-    Decoding reads the payloads back from the transcript only.  Cell i
-    rebuilds packet(i, j) as payload_j ^ total_j ^ packet(i, j), with total_j
-    the XOR of label j's packets over all cells, which reduces to: a reader
-    decodes when every other message of its symbol equals the XOR the
-    encoder computed, pad bits included, one byte compare per message.
-    Per-reducer verdicts come from ``np.bincount`` over the cells' columns.
+    Cell i rebuilds packet(i, j) as payload_j ^ total_j ^ packet(i, j), with
+    total_j the XOR of label j's packets over all cells; so a reader decodes
+    when every other message of its symbol equals the XOR the encoder
+    computed, pad bits included.  One byte compare of the whole payload
+    column marks the wrong messages; ``np.add.reduceat`` over the symbols
+    and ``np.bincount`` over the cells' columns give the verdicts.
     """
     return _execute(arr, spec)

@@ -237,7 +237,8 @@ def bf_run_job(grid, oracle, eta1: int, eta2: int, messages=None):
 
     Returns ``(messages, per_reducer)``: ``(sender, symbol, bits, payload)``
     tuples by sender, then symbol, and ``(ok, recovered_ivs)`` per column.
-    With ``messages`` given, the reducers decode those payloads instead.
+    With ``messages`` given, the reducers decode those payloads instead; a
+    payload wider than its packet fails every reader of it.
     """
     width = eta1 * eta2 * oracle.t
     cols = len(grid[0])
@@ -276,6 +277,8 @@ def bf_run_job(grid, oracle, eta1: int, eta2: int, messages=None):
                 if j == i:
                     continue
                 x = sent[v, s]
+                if x >> plen:  # pad bits set: not a packet of plen bits
+                    ok[k] = False
                 for l in range(len(cells)):
                     if l not in (i, j):
                         x ^= packet(cells, l, j, k)

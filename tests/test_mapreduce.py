@@ -594,6 +594,52 @@ def test_corrupted_payload_fails_exactly_its_readers(golden, name):
     assert pad_flips
 
 
+_MULTI_CLASS = {
+    "mra_irregular": lambda: load_fixture("mra_irregular"),
+    "gc_4_2_k23": lambda: load_fixture("gc_4_2_k23"),
+    "gc_4_1_111": lambda: algorithm2(GcParameters(4, 1, (1, 1, 1))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(_MULTI_CLASS)),
+    st.sampled_from(_ETAS),
+    st.sampled_from([1, 3, 97]),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_corrupted_messages_fail_as_the_reference_decodes(name, eta, t_base, seed, data):
+    # several messages corrupted at once, in every class, payload and pad bits
+    # alike, and handed over in a shuffled order: each reducer's verdict is
+    # the reference decoder's on the same messages
+    arr = _MULTI_CLASS[name]()
+    eta1, eta2 = eta
+    t = choose_iv_bits(arr, t_base, eta1, eta2)
+    spec = JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed)
+    messages = list(run_job(arr, spec)[0].messages)
+    by_bits = {}
+    for i, m in enumerate(messages):
+        by_bits.setdefault(m.bits, []).append(i)  # one width per class
+    assert len(by_bits) > 1
+    picks = set()
+    for rows in by_bits.values():
+        picks |= set(data.draw(st.lists(st.sampled_from(rows), max_size=3)))
+    for i in sorted(picks):
+        m = messages[i]
+        # payload bits, then the pad bits above them in its first byte
+        flip = data.draw(st.integers(0, (1 << m.bits) - 1))
+        flip |= data.draw(st.integers(0, (1 << -m.bits % 8) - 1)) << m.bits
+        messages[i] = Message(m.sender, m.symbol, m.bits, m.payload ^ flip)
+    shuffled = data.draw(st.permutations(messages))
+    got = _reduce(arr, spec, ShuffleTranscript(shuffled))
+    _, want = bf_run_job(
+        arr.grid.tolist(), IvOracle(seed, t), eta1, eta2,
+        messages=[(m.sender, m.symbol, m.bits, m.payload) for m in shuffled],
+    )
+    assert [(r.ok, r.recovered_ivs) for r in got.per_reducer] == want
+
+
 # --- the reference decoder ----------------------------------------------------------
 
 
