@@ -14,11 +14,13 @@ validators check the two classical condition sets:
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -68,15 +70,17 @@ class CodedArray:
     and cached on the instance, so the grid must stay read-only.
 
     The shuffle plan, the symbol cells grouped by symbol, is the only
-    grouping: the pair scan, ``serialize``, ``normalize``,
-    ``equal_up_to_relabeling``, the C1 witness and the coded shuffle all
-    read it, so an array that is validated and then run groups its cells
-    once.  The census (``stats`` and ``star_run_starts``) keeps its own pass
-    over the flat grid and never builds the plan: the plan holds three int64
-    values per symbol cell and stays cached as long as the array lives, and
-    many arrays are only ever summarised.  When ``stats`` read the plan,
-    every summarised array kept one, which took perfbench's sweep of arrays
-    from 16.4 to 26.0 MiB and its peak RSS up by 9 MB.
+    grouping: the pair scan, ``normalize``, ``equal_up_to_relabeling``, the
+    C1 witness and the coded shuffle all read it, so an array that is
+    validated and then run groups its cells once.  Neither the census
+    (``stats`` and ``star_run_starts``) nor ``serialize`` builds the plan:
+    each takes the symbol cells from its own pass over the flat grid.  The
+    plan holds three int64 values per symbol cell and stays cached as long
+    as the array lives, and many arrays are only ever summarised or
+    written.  When ``stats`` read the plan, every summarised array kept
+    one, which took perfbench's sweep of arrays from 16.4 to 26.0 MiB and
+    its peak RSS up by 9 MB.  The census keeps its multiplicities as two
+    int64 columns (:class:`SymbolCounts`), not one dict entry per symbol.
     """
 
     grid: np.ndarray
@@ -115,7 +119,7 @@ class CodedArray:
     @cached_property
     def symbols(self) -> tuple[int, ...]:
         """Distinct integer symbols, ascending."""
-        return tuple(self.stats.multiplicity)
+        return tuple(self.stats.multiplicity.labels.tolist())
 
     @property
     def symbol_count(self) -> int:
@@ -124,20 +128,21 @@ class CodedArray:
     @property
     def is_normalized(self) -> bool:
         """Labels are 0 .. S - 1, as distinct labels >= 0 are when the largest is S - 1."""
-        labels = self.stats.multiplicity  # ascending
-        return next(reversed(labels), -1) == len(labels) - 1
+        labels = self.stats.multiplicity.labels  # ascending
+        return not labels.size or bool(labels[-1] == labels.size - 1)
 
     @cached_property
     def stats(self) -> "ArrayStats":
         """Exact symbol multiplicities, histogram, and star layout, read
-        from the symbol cells."""
+        from the symbol cells; the multiplicities are ``np.unique``'s two
+        columns, kept as they come."""
         F, K = self.grid.shape
         at = np.flatnonzero(self.grid != STAR)  # symbol cells, row-major
         vals, counts = np.unique(self.grid.reshape(-1)[at], return_counts=True)
         histogram = dict(Counter(counts.tolist()))
         column_stars = F - np.bincount(at % K, minlength=K)
         return ArrayStats(
-            multiplicity=MappingProxyType(dict(zip(vals.tolist(), counts.tolist()))),
+            multiplicity=SymbolCounts(vals, counts),
             histogram=MappingProxyType(histogram),
             column_stars=tuple(column_stars.tolist()),
             common_g=next(iter(histogram)) if len(histogram) == 1 else None,
@@ -210,30 +215,21 @@ class CodedArray:
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an equal array.
 
-        The text is built as bytes with numpy passes whose cost grows with
-        the symbol cells, taken from the shuffle plan: it starts as the
-        all-star text, each symbol token's extra digit bytes are inserted
-        after its star byte, and its digits are written one place value per
-        pass.
+        The rows are written in blocks of about ``_BLOCK_CHARS`` characters
+        (a row's text holds at least 2K; a block holds at least one row), as
+        the parser reads them, so the temporaries follow the block and not
+        the grid.  Each block is built by :func:`_block_text` from the
+        symbol cells of its own slice of the grid.
         """
         F, K = self.grid.shape
-        head = f"{F} {K}\n".encode()
-        plan = self.shuffle_plan
-        at = np.sort(plan.rows * K + plan.cols)  # symbol cells, row-major
-        syms = self.grid.reshape(-1)[at]
-        width = 1 + _DECADES.searchsorted(syms, "right")  # digits of each symbol
-        star_at = len(head) + 2 * at
-        text = np.insert(
-            np.frombuffer(head + (b"* " * (K - 1) + b"*\n") * F, np.uint8),
-            (star_at + 1).repeat(width - 1),
-            ord("0"),
-        )
-        # every token moves right by the bytes inserted before it
-        last = star_at + np.cumsum(width - 1)  # each token's last digit
-        for place in range(int(width.max(initial=0))):
-            on = width > place
-            text[last[on] - place] = ord("0") + syms[on] // 10**place % 10
-        return str(text, "ascii")
+        step = max(1, _BLOCK_CHARS // (2 * K))  # rows per block
+        stars = np.frombuffer((b"* " * (K - 1) + b"*\n") * step, np.uint8)
+        flat = self.grid.reshape(-1)
+        parts = [f"{F} {K}\n"]
+        for f0 in range(0, F, step):
+            cells = flat[f0 * K : (f0 + step) * K]
+            parts.append(_block_text(cells, stars[: 2 * cells.size]))
+        return "".join(parts)
 
     def equal_up_to_relabeling(self, other: "CodedArray") -> bool:
         """True when a symbol bijection maps this grid onto ``other``.
@@ -293,6 +289,35 @@ _CLASS = bytes(
 _POW10 = 10 ** np.arange(_INT64_DIGITS - 1, dtype=np.int64)
 # the least symbol of each token width from 2 to _INT64_DIGITS
 _DECADES = 10 ** np.arange(1, _INT64_DIGITS, dtype=np.int64)
+
+
+def _block_text(cells: np.ndarray, stars: np.ndarray) -> str:
+    """The text of whole rows whose cells, row-major, are ``cells``, with
+    ``stars`` their all-star text.
+
+    Numpy passes whose cost grows with the symbol cells and the text's
+    bytes: each symbol token's extra digits are new bytes after its star
+    byte, the all-star text fills the other bytes in order, and the digits
+    are written one place value per pass.  np.insert of the new bytes gave
+    the same text with about 40 bytes of temporaries per new byte: a
+    35 MiB peak, not 15, serializing ``algorithm1(1024, 1, 1)``.
+    """
+    at = np.flatnonzero(cells != STAR)  # symbol cells, row-major
+    syms = cells[at]
+    width = 1 + _DECADES.searchsorted(syms, "right")  # digits of each symbol
+    # every token moves right by the bytes added before it
+    added = np.cumsum(width - 1)
+    last = 2 * at + added  # each token's last digit
+    text = np.empty(stars.size + (int(added[-1]) if added.size else 0), np.uint8)
+    new = np.zeros(text.size, bool)
+    digits = int(width.max(initial=0))
+    for place in range(digits - 1):
+        new[last[width > place + 1] - place] = True
+    text[~new] = stars
+    for place in range(digits):
+        on = width > place
+        text[last[on] - place] = ord("0") + syms[on] // 10**place % 10
+    return str(text, "ascii")
 
 
 def parse_array(text: str) -> CodedArray:
@@ -484,11 +509,61 @@ def _check_row(f: int, line: str, cols: int) -> None:
     raise AssertionError(f"row {f} was flagged but has no fault")
 
 
+class SymbolCounts(Mapping):
+    """Read-only ``symbol -> multiplicity`` mapping held as two read-only
+    int64 columns: ``labels``, ascending, and ``counts``.
+
+    A lookup is a binary search of ``labels``; keys and values come out as
+    Python ints.  ``values()`` and ``items()`` read the columns with one
+    ``tolist()`` each and return lists, where the default views would look
+    every key up.
+    """
+
+    __slots__ = ("labels", "counts")
+
+    def __init__(self, labels: np.ndarray, counts: np.ndarray):
+        labels.setflags(write=False)
+        counts.setflags(write=False)
+        self.labels, self.counts = labels, counts
+
+    def __getitem__(self, symbol) -> int:
+        labels = self.labels
+        try:
+            s = operator.index(symbol)
+        except TypeError:
+            raise KeyError(symbol) from None
+        i = int(labels.searchsorted(s)) if 0 <= s <= _INT64_MAX else labels.size
+        if i == labels.size or labels[i] != s:
+            raise KeyError(symbol)
+        return int(self.counts[i])
+
+    def __iter__(self):
+        return iter(self.labels.tolist())
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def values(self) -> list[int]:
+        return self.counts.tolist()
+
+    def items(self) -> list[tuple[int, int]]:
+        return list(zip(self.labels.tolist(), self.counts.tolist()))
+
+    def __repr__(self) -> str:
+        return f"SymbolCounts({dict(self.items())})"
+
+
 @dataclass(frozen=True)
 class ArrayStats:
-    """Symbol multiplicities and per-column star layout of an array."""
+    """Symbol multiplicities and per-column star layout of an array.
 
-    multiplicity: Mapping[int, int]
+    ``multiplicity`` is a :class:`SymbolCounts`, whose two columns the
+    array's ``symbols``, ``is_normalized``, the A2 witness and
+    ``truncate_columns``' orphan read directly; ``histogram`` maps each
+    multiplicity g to its number of symbols.
+    """
+
+    multiplicity: SymbolCounts
     histogram: Mapping[int, int]
     column_stars: tuple[int, ...]
     common_g: int | None
@@ -626,10 +701,10 @@ def validate_pda(arr: CodedArray) -> ValidationReport:
     # occur, so gappy or empty labelings fail even though normalize() would
     # silently repair them.  The least missing label is the first place
     # where the ascending labels part from their index.
-    labels = arr.stats.multiplicity
+    labels = arr.stats.multiplicity.labels
     a2 = None
-    if not (labels and arr.is_normalized):
-        a2 = Violation("A2", symbol=next((i for i, s in enumerate(labels) if s != i), None))
+    if not (labels.size and arr.is_normalized):
+        a2 = Violation("A2", symbol=_first(labels != np.arange(labels.size)))
     c21, c22 = _crossing(arr)
     return _report(
         [("A1", a1), ("A2", a2), ("C2-1", c21), ("C2-2", c22)],
@@ -677,5 +752,6 @@ def truncate_columns(arr: CodedArray, keep: Iterable[int]) -> CodedArray:
         raise ValueError(f"column index out of range: {cols}")
     sub = CodedArray(arr.grid[:, cols])
     if 1 in sub.stats.histogram:
-        raise TruncationError(next(s for s, g in sub.stats.multiplicity.items() if g == 1))
+        census = sub.stats.multiplicity
+        raise TruncationError(int(census.labels[census.counts == 1][0]))
     return sub.normalize()

@@ -16,6 +16,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from . import load_fixture
@@ -479,7 +480,10 @@ def _add_family_args(p, families, need_alpha=True, need_r=True):
     p.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build takes about
+    1 ms, and parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="codedshuffle",
         description="Construct, validate, and simulate coded shuffle arrays.",

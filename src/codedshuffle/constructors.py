@@ -19,7 +19,7 @@ byte-identical serialized arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -112,9 +112,11 @@ def lex_unrank(rank: int, size: int, universe: int) -> tuple[int, ...]:
 def _subsets(mappers: int, size: int) -> np.ndarray:
     """The size-subsets of range(mappers) in lexicographic order, one
     ascending row each."""
-    # not np.fromiter: it grows its buffer by reallocation, which left about
-    # 0.5 MB of heap holes between the arrays a sweep keeps
-    return np.array(list(combinations(range(mappers), size)), np.intp).reshape(-1, size)
+    # np.fromiter with its exact count allocates once and builds no tuple
+    # list; without the count it grows its buffer by reallocation, which
+    # left about 0.5 MB of heap holes between the arrays a sweep keeps
+    members = chain.from_iterable(combinations(range(mappers), size))
+    return np.fromiter(members, np.intp, count=comb(mappers, size) * size).reshape(-1, size)
 
 
 def _lex_ranks(sets: np.ndarray, mappers: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 :func:`group_cells` is the one pass that finds a grid's symbol cells and
 groups them by symbol.  ``CodedArray`` runs it once and caches the result
-as its shuffle plan, which the pair scan, the serializer, the orphan search,
-relabelling and the coded shuffle all read; :func:`first_pair_violation`
+as its shuffle plan, which the pair scan, the orphan search, relabelling
+and the coded shuffle all read; :func:`first_pair_violation`
 groups a bare grid itself.
 
 The scan, :func:`scan_groups`, costs time in proportion to the symbol cells,

@@ -18,6 +18,7 @@ from codedshuffle import (
     CodedArray,
     JobSpec,
     TruncationError,
+    Violation,
     algorithm1,
     choose_iv_bits,
     compute_stats,
@@ -224,6 +225,19 @@ def test_serialize_matches_bruteforce(g):
     assert parse_array(text) == arr
 
 
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text_grids(), st.integers(1, 24))
+@example(np.array([_WIDTH_EDGES + [STAR], [STAR] + _WIDTH_EDGES], dtype=np.int64), 1)
+def test_serialize_matches_bruteforce_in_small_blocks(monkeypatch, g, block):
+    # one row per block at 1, and blocks of a few rows up to 24 characters
+    monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+    assert CodedArray(g).serialize() == bf_serialize(g.tolist())
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.one_of(
@@ -343,8 +357,63 @@ def test_stats_regular(golden):
 
 
 def test_stats_all_star():
-    st_ = compute_stats(grid([STAR, STAR], [STAR, STAR]))
+    arr = grid([STAR, STAR], [STAR, STAR])
+    st_ = compute_stats(arr)
     assert st_.multiplicity == {} and st_.histogram == {}
+    assert {} == st_.multiplicity and len(st_.multiplicity) == 0
+    assert list(st_.multiplicity.items()) == [] and list(st_.multiplicity.values()) == []
+    assert arr.symbols == () and arr.symbol_count == 0 and arr.is_normalized
+
+
+def test_census_is_a_read_only_mapping_over_two_columns():
+    arr = grid([7, STAR, 7, 3], [STAR, 12, 3, 7])
+    census = compute_stats(arr).multiplicity
+    assert census.labels.tolist() == [3, 7, 12] and census.counts.tolist() == [2, 3, 1]
+    assert census.labels.dtype == census.counts.dtype == np.int64
+    assert not census.labels.flags.writeable and not census.counts.flags.writeable
+    # ascending, as Python ints, whichever way it is read
+    assert list(census) == list(census.keys()) == [3, 7, 12]
+    assert list(census.values()) == [2, 3, 1]
+    assert list(census.items()) == [(3, 2), (7, 3), (12, 1)]
+    assert all(type(v) is int for kv in census.items() for v in kv)
+    assert [census[s] for s in (3, 7, 12)] == [2, 3, 1]
+    assert type(census[7]) is int and census.get(7) == 3
+    # equality with a dict either way, and with another census
+    assert census == {3: 2, 7: 3, 12: 1} and {3: 2, 7: 3, 12: 1} == census
+    assert census != {3: 2, 7: 3} and {3: 2, 7: 3, 12: 2} != census
+    assert census == compute_stats(CodedArray(arr.grid.copy())).multiplicity
+    with pytest.raises(TypeError):
+        census[3] = 5
+    with pytest.raises(TypeError):
+        del census[3]
+
+
+@pytest.mark.parametrize("key", [3, np.int64(3), np.int32(3), np.uint64(3), np.intp(3)])
+def test_census_takes_python_and_numpy_ints(key):
+    census = compute_stats(grid([3, STAR], [STAR, 3])).multiplicity
+    assert key in census and census[key] == 2
+
+
+@pytest.mark.parametrize(
+    "key", [0, 2, 4, 6, 8, -1, 2**63, 2**64 + 4, -(2**63), np.uint64(2**64 - 1), 4.0, "4", None]
+)
+def test_census_misses_raise_key_error(key):
+    # every label but the one looked up sits on either side of it
+    census = compute_stats(grid([1, 3, 5, 7], [1, 3, 5, 7])).multiplicity
+    assert key not in census and census.get(key) is None
+    with pytest.raises(KeyError):
+        census[key]
+
+
+def test_census_labels_near_the_int64_limit():
+    top = 2**63 - 1
+    arr = grid([top, top - 1], [top - 1, top - 1])
+    census = compute_stats(arr).multiplicity
+    assert census == {top - 1: 3, top: 1}
+    assert census[top] == 1 and census[np.int64(top)] == 1 and census[top - 1] == 3
+    assert top - 2 not in census and 2**63 not in census
+    assert arr.symbols == (top - 1, top) and not arr.is_normalized
+    assert validate_pda(arr).violation == Violation("A2", symbol=0)
 
 
 def test_stats_conservation(golden, constructor_sweep):
@@ -712,6 +781,45 @@ def test_pair_scan_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def _traced(call):
+    """``call()``, its traced peak and the traced bytes it left held."""
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
+
+
+# algorithm1(1024, 1, 1): 1024 x 1024 cells, 523 776 symbols of two cells
+# each; an 8 MiB grid and a text of this many bytes
+_THOUSAND_TEXT_BYTES = 7_112_702
+
+
+@pytest.fixture(scope="module")
+def thousand_mappers():
+    return algorithm1(1024, 1, 1)
+
+
+def test_census_memory_follows_the_symbols(thousand_mappers):
+    # the census keeps two int64 columns, 16 bytes a symbol (8 MiB here);
+    # one dict entry per symbol kept 36 MiB
+    arr = CodedArray(thousand_mappers.grid)  # the same grid, nothing cached
+    stats, _, kept = _traced(lambda: arr.stats)
+    assert len(stats.multiplicity) == 523_776 and stats.common_g == 2
+    assert kept < 0.75 * (arr.grid.nbytes + _THOUSAND_TEXT_BYTES)
+
+
+def test_serialize_memory_follows_the_text(thousand_mappers):
+    # the text's blocks and the joined text, plus one block's temporaries
+    # (15 MiB here); a whole-grid serializer peaked at 225 MiB
+    arr = CodedArray(thousand_mappers.grid)
+    text, peak, _ = _traced(arr.serialize)
+    assert len(text) == _THOUSAND_TEXT_BYTES
+    assert peak < 1.25 * (arr.grid.nbytes + len(text))
 
 
 @settings(max_examples=200, deadline=None)

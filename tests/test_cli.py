@@ -439,6 +439,18 @@ def test_repro_passes(run):
     assert out.count("FLAGGED") == 2
 
 
+def test_one_parser_serves_every_call(run):
+    # the parser is built once per process, and a usage error leaves it as
+    # it was for the next command
+    code, before, _ = run("repro")
+    assert code == 0
+    code, out, err = run("construct", "alg1", "--lambda", "x", "--r", "1")
+    assert code == 2 and out == "" and "invalid int value: 'x'" in err
+    code, after, _ = run("repro")
+    assert code == 0 and after == before
+    assert codedshuffle.cli.build_parser() is codedshuffle.cli.build_parser()
+
+
 def test_repro_failure_exits_1(run, monkeypatch):
     # a truncation that orphans a symbol but is not refused is a failed
     # reproduction: exit 1, with the other checks as before

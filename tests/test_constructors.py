@@ -32,6 +32,7 @@ from codedshuffle.constructors import (
     SearchBudgetExceeded,
     _clique_partition,
     _star_layout,
+    _subsets,
     check_ct_parameters,
     check_nnc_parameters,
     ct_points,
@@ -74,6 +75,13 @@ def test_rank_roundtrip_property(data):
     rank = data.draw(st.integers(0, comb(n, m) - 1))
     subset = lex_unrank(rank, m, n)
     assert lex_rank(subset, n) == rank
+
+
+@pytest.mark.parametrize("mappers,size", [(1, 1), (5, 1), (5, 5), (6, 4), (9, 3), (12, 6)])
+def test_subsets_are_lexicographic(mappers, size):
+    sets = _subsets(mappers, size)
+    assert sets.dtype == np.intp and sets.shape == (comb(mappers, size), size)
+    assert sets.tolist() == [list(c) for c in combinations(range(mappers), size)]
 
 
 def test_rank_errors():

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 21 rows took 74 s on a 2-core VM,
+with the tests that catch it.  The 26 rows took 101 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -192,6 +192,50 @@ MUTANTS = [
         "c21_ok = columns.size == at.size and not repeat.any()",
         "c21_ok = not repeat.any()",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # the census lookup one label to the right
+    (
+        PKG + "arrays.py",
+        "i = int(labels.searchsorted(s)) if",
+        'i = int(labels.searchsorted(s, "right")) if',
+        ["tests/test_arrays.py::test_census_is_a_read_only_mapping_over_two_columns"],
+    ),
+    # the census iterated in reverse
+    (
+        PKG + "arrays.py",
+        "return iter(self.labels.tolist())",
+        "return iter(self.labels[::-1].tolist())",
+        ["tests/test_arrays.py::test_census_is_a_read_only_mapping_over_two_columns"],
+    ),
+    # each serializer block dropping the row after it
+    (
+        PKG + "arrays.py",
+        "for f0 in range(0, F, step):",
+        "for f0 in range(0, F, step + 1):",
+        [
+            "tests/test_arrays.py::test_serialize_matches_bruteforce_in_small_blocks",
+            "tests/test_constructors.py::test_algorithm1_text_digests_pinned",
+        ],
+    ),
+    # each serializer block repeating the last row of the one before
+    (
+        PKG + "arrays.py",
+        "for f0 in range(0, F, step):",
+        "for f0 in range(0, F, max(1, step - 1)):",
+        [
+            "tests/test_arrays.py::test_serialize_matches_bruteforce_in_small_blocks",
+            "tests/test_constructors.py::test_algorithm1_text_digests_pinned",
+        ],
+    ),
+    # the subsets read one member short
+    (
+        PKG + "constructors.py",
+        "count=comb(mappers, size) * size)",
+        "count=comb(mappers, size) * size - 1)",
+        [
+            "tests/test_constructors.py::test_subsets_are_lexicographic[6-4]",
+            "tests/test_constructors.py::test_algorithm1_5_2_2",
+        ],
     ),
 ]
 
