@@ -14,8 +14,9 @@ distinct and, for each of its cells, the symbol's rows other than the cell's
 own miss the non-star rows of the cell's column.  Only the symbols the
 screen flags go on to the locate pass, one per multiplicity g, which finds
 each one's first violating pair from prefix ORs of the same bitsets, in O(g)
-words per cell rather than a g x g gather, and to :func:`_conditions`,
-which decides from the same bitsets which parts of the condition fail.
+words per cell rather than a g x g gather.  The screen also decides, from
+its own bitsets and only in the chunks where some cell has a hit, which
+parts of the condition fail.
 """
 
 from __future__ import annotations
@@ -66,25 +67,24 @@ def scan_groups(shape, offsets, rows, cols):
     Returns ``(first, c21_ok, c22_ok)``: the :func:`first_pair_violation`
     of the grid, whether no equal pair shares a row or a column (C2-1), and
     whether every equal pair in distinct rows and columns has stars at its
-    two crossing cells (C2-2).
+    two crossing cells (C2-2).  The screen decides both flags; the locate
+    pass runs only when one fails.
     """
-    K = shape[1]
-    counts = np.diff(offsets)
     nonstar_rows = _nonstar_rows(shape, rows, cols)
     # the locate pass alone would decide every symbol, but on a 2-core VM clean scans
     # took 2-3x as long: algorithm1(16, 2, 2) 0.27 -> 0.85 ms, 1 906 sweep arrays 80 -> 200 ms
-    flagged = _screen(nonstar_rows, offsets, rows, cols)
+    flagged, c21_ok, c22_ok = _screen(nonstar_rows, offsets, rows, cols)
+    if c21_ok and c22_ok:
+        return None, True, True
+    counts = np.diff(offsets)
     firsts = [
         _locate(nonstar_rows, offsets[:-1][flagged & (counts == g)], g, rows, cols)
         for g in np.unique(counts[flagged]).tolist()
     ]
-    if not firsts:
-        return None, True, True
     # (later, earlier) row-major positions of the first violation
-    (f2, k2), (f1, k1) = (divmod(x, K) for x in min(firsts))
+    (f2, k2), (f1, k1) = (divmod(x, shape[1]) for x in min(firsts))
     code = 1 if f1 == f2 or k1 == k2 else 2
-    first = code, (f1, k1), (f2, k2)
-    return (first, *_conditions(nonstar_rows, offsets, rows, cols, flagged))
+    return (code, (f1, k1), (f2, k2)), c21_ok, c22_ok
 
 
 def _nonstar_rows(shape, rows, cols) -> np.ndarray:
@@ -94,62 +94,47 @@ def _nonstar_rows(shape, rows, cols) -> np.ndarray:
     return _bitsets((-(-shape[0] // 64), shape[1]), cols, rows >> 6, _row_bit(rows))
 
 
-def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols) -> np.ndarray:
-    """Which symbols violate the crossing condition: exactly those that
-    repeat a row or have another of their rows non-star in one of their
-    cells' columns.  Takes :func:`group_cells` output and the columns'
-    non-star row bitsets; returns a flag per symbol."""
-    counts = np.diff(offsets)
-    flagged = np.zeros(counts.shape[0], bool)
-    for lo, hi in _chunks(offsets, nonstar_rows.shape[0]):
-        a, b = offsets[lo], offsets[hi]
-        r, local = rows[a:b], np.repeat(np.arange(hi - lo), counts[lo:hi])
-        # distinct rows set distinct bits in the symbols' row bitsets, and
-        # a repeated row flags the symbol whatever its bitset holds
-        hit = _other_rows(nonstar_rows, local, r, cols[a:b], slice(None)).any(axis=0)
-        # rows never decrease within a symbol, so a repeat is a neighbour's
-        hit[1:] |= (r[1:] == r[:-1]) & (local[1:] == local[:-1])
-        flagged[lo:hi] = np.logical_or.reduceat(hit, offsets[lo:hi] - a)
-    return flagged
+def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
+    """Which symbols violate the crossing condition, and whether C2-1 and
+    C2-2 hold.  Takes :func:`group_cells` output and the columns' non-star
+    row bitsets; returns ``(flags, c21_ok, c22_ok)``, a flag per symbol.
 
-
-def _conditions(nonstar_rows: np.ndarray, offsets, rows, cols, flagged):
-    """Whether C2-1 and C2-2 hold, decided on the symbols ``flagged`` by
-    :func:`_screen`, which are the ones that violate.
-
-    C2-1 fails exactly when one of them repeats a row or a column.  For a
-    cell i, let h_i be the rows of its symbol other than r_i that are
-    non-star in column c_i.  A row of h_i that holds one cell of the
-    symbol, in column c_i, is there only through that cell; any other row
-    holds a cell j outside column c_i whose crossing (r_j, c_i) is not a
-    star.  So C2-2 fails exactly when some h_i holds more rows than the T_i
-    rows of the first kind, that is, a row outside them.
+    A symbol violates exactly when it repeats a row or some cell i has a
+    hit: h_i, the symbol's rows other than r_i that are non-star in column
+    c_i, is not empty.  Two cells of a symbol in one column hit each other,
+    so C2-1 fails exactly when a symbol repeats a row or two of its hit
+    cells share a column.  A row of h_i that holds one cell of the symbol,
+    in column c_i, is there only through that cell; any other row holds a
+    cell j outside column c_i whose crossing (r_j, c_i) is not a star.  So
+    C2-2 fails exactly when some h_i holds a row outside the rows of the
+    symbol's cells in column c_i that are alone in their row.
     """
     words, K = nonstar_rows.shape
-    counts = np.diff(offsets)[flagged]
-    sub = np.append(0, counts.cumsum())  # the flagged symbols' offsets
-    at = np.repeat(offsets[:-1][flagged] - sub[:-1], counts) + np.arange(sub[-1])
-    r, c = rows[at], cols[at]
-    sym = np.repeat(np.arange(counts.size), counts)
-    # repeat[i]: cell i shares its row with the cell before it; rows never
-    # decrease within a symbol, so that is how every repeated row shows
-    repeat = np.zeros(at.size + 1, bool)
-    repeat[1:-1] = (r[1:] == r[:-1]) & (sym[1:] == sym[:-1])
-    columns, column = np.unique(sym * K + c, return_inverse=True)
-    c21_ok = columns.size == at.size and not repeat.any()
-    alone = ~(repeat[:-1] | repeat[1:])  # no other cell of its symbol in its row
-    for lo, hi in _chunks(sub, words):
-        a, b = sub[lo], sub[hi]
-        # each row once in the symbols' row bitsets: a repeat's bit would carry
-        hits = _other_rows(nonstar_rows, sym[a:b] - lo, r[a:b], c[a:b], ~repeat[a:b])
-        # less the rows of the alone cells in each cell's column
-        group, one = column[a:b] - column[a:b].min(), alone[a:b]
-        lone = r[a:b][one]
-        shape = words, int(group.max()) + 1
-        hits &= ~_bitsets(shape, group[one], lone >> 6, _row_bit(lone)).take(group, axis=1)
-        if hits.any():
-            return c21_ok, False
-    return c21_ok, True
+    counts = np.diff(offsets)
+    flagged = np.zeros(counts.shape[0], bool)
+    c21_ok = c22_ok = True
+    for lo, hi in _chunks(offsets, words):
+        a, b = offsets[lo], offsets[hi]
+        r, c, local = rows[a:b], cols[a:b], np.repeat(np.arange(hi - lo), counts[lo:hi])
+        # repeat[i]: cell i shares its row with the cell before it; rows never
+        # decrease within a symbol, so that is how every repeated row shows
+        repeat = np.zeros(b - a + 1, bool)
+        repeat[1:-1] = (r[1:] == r[:-1]) & (local[1:] == local[:-1])
+        hits = _other_rows(nonstar_rows, local, r, c, repeat[:-1])
+        hit = hits.any(axis=0)
+        flagged[lo:hi] = np.logical_or.reduceat(hit | repeat[:-1], offsets[lo:hi] - a)
+        c21_ok &= not repeat.any()
+        if not hit.any():
+            continue
+        at = hit.nonzero()[0]
+        columns, group = np.unique(local[at] * K + c[at], return_inverse=True)
+        c21_ok &= columns.size == at.size
+        # less, from each hit, the rows of the alone cells in its cell's column
+        one = ~(repeat[at] | repeat[at + 1])
+        lone = r[at][one]
+        sets = _bitsets((words, columns.size), group[one], lone >> 6, _row_bit(lone))
+        c22_ok &= not (hits[:, at] & ~sets.take(group, axis=1)).any()
+    return flagged, c21_ok, c22_ok
 
 
 def _chunks(offsets: np.ndarray, words: int):
@@ -162,14 +147,18 @@ def _chunks(offsets: np.ndarray, words: int):
         lo = hi
 
 
-def _other_rows(nonstar_rows: np.ndarray, local, r, c, own) -> np.ndarray:
+def _other_rows(nonstar_rows: np.ndarray, local, r, c, repeat) -> np.ndarray:
     """hits[:, i]: the rows of cell i's symbol other than r[i] that are
     non-star in column c[i].  ``local`` numbers the cells' symbols from 0,
-    and the cells ``own`` selects make up the symbols' row bitsets."""
+    and ``repeat`` marks the cells whose row the cell before them holds."""
     word, bit = r >> 6, _row_bit(r)
     shape = nonstar_rows.shape[0], int(local[-1]) + 1
+    sets = _bitsets(shape, local, word, bit)
+    if repeat.any():
+        # each row once: a repeat's bit was added again, and would carry
+        np.subtract.at(sets.reshape(-1), (word * shape[1] + local)[repeat], bit[repeat])
     hits = nonstar_rows.take(c, axis=1)
-    hits &= _bitsets(shape, local[own], word[own], bit[own]).take(local, axis=1)
+    hits &= sets.take(local, axis=1)
     hits[word, np.arange(r.size)] ^= bit  # its own row is always non-star
     return hits
 

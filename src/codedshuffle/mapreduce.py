@@ -556,24 +556,18 @@ def _execute(
         for a, b in zip(cuts, cuts[1:]):
             g = int(g_at[a])
             n, plen = (b - a) // g, width // (g - 1)
-            # payloads are left-padded to whole bytes; so are the packets, so
-            # every XOR, and the compare after the loop, is on bytes
+            # payloads are left-padded to whole bytes, so the packets' bits
+            # are too, and the compare after the loop is on bytes
             pb = (plen + 7) // 8
-            split = carriers[a - lo : b - lo].reshape(n, g, g - 1, plen)
-            if plen % 8:
-                padded = np.zeros((n, g, g - 1, 8 * pb), np.uint8)
-                padded[..., -plen:] = split
-                split = padded
-            # whole bytes per packet, so one flat pack splits at packets
-            packets = np.packbits(split.reshape(-1)).reshape(n, g - 1, g, pb)
-            # table[:, i, j]: the packet of cell i labelled j, 0 where i == j.
-            # Row-major, a g x g block's off-diagonal entries are the packets
-            # in (cell, label) order: after entry 0, runs of g + 1 entries,
-            # g off-diagonal ones and then a diagonal one
-            table = np.zeros((n, g, g, pb), np.uint8)
-            runs = table.reshape(n, g * g, pb)[:, 1:].reshape(n, g - 1, g + 1, pb)
-            runs[:, :, :g] = packets
-            totals = np.bitwise_xor.reduce(table, axis=1)
+            # table[:, i, j]: the bits of the packet of cell i labelled j in
+            # the last plen of 8 * pb, 0 where i == j.  Row-major, a g x g
+            # block's off-diagonal entries are the packets in (cell, label)
+            # order: after entry 0, runs of g + 1 entries, g off-diagonal
+            # ones and then a diagonal one
+            table = np.zeros((n, g, g, 8 * pb), np.uint8)
+            runs = table.reshape(n, g * g, 8 * pb)[:, 1:].reshape(n, g - 1, g + 1, 8 * pb)
+            runs[:, :, :g, 8 * pb - plen :] = carriers[a - lo : b - lo].reshape(n, g - 1, g, plen)
+            totals = np.packbits(np.bitwise_xor.reduce(table, axis=1), axis=-1)
             _windows(expected, pb)[first_byte[a:b]] = totals.reshape(n * g, pb)
         lo = hi
 
@@ -624,11 +618,11 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     it, in chunks of about ``_CHUNK_BITS`` carrier bits that never split a
     symbol.  The IV oracle hashes only the 512-bit stream blocks that some
     cell's carrier reads, each once.  A chunk gathers all its carriers at
-    once from those blocks; per class, the packets are packed to bytes,
-    left-padded as the payloads are, written through a view into the
-    off-diagonal entries of one (n, g, g, bytes) table and XOR-reduced over
-    the cells into the payloads.  These fill a buffer laid out as the
-    transcript's payload column, which is that column when encoding.
+    once from those blocks; per class, the packets' bits are written through
+    a view into the off-diagonal entries of one (n, g, g, bits) table,
+    left-padded to whole bytes as the payloads are, XOR-reduced over the
+    cells and packed once into the payloads.  These fill a buffer laid out
+    as the transcript's payload column, which is that column when encoding.
     ``validate_mra`` puts every XOR term on a star of the column using it.
 
     Cell i rebuilds packet(i, j) as payload_j ^ total_j ^ packet(i, j), with

@@ -738,11 +738,14 @@ def _check_pair_scan(g):
     for report in (validate_mra(arr), validate_pda(arr)):
         assert (report.checks["C2-1"], report.checks["C2-2"]) == want
     # the screen flags exactly the symbols that have a violating pair, so
-    # the locate pass finds one in each
+    # the locate pass finds one in each, and decides both C2 flags itself
     plan = arr.shuffle_plan
     nonstar_rows = codedshuffle.kernels._nonstar_rows(g.shape, plan.rows, plan.cols)
-    flagged = codedshuffle.kernels._screen(nonstar_rows, plan.offsets, plan.rows, plan.cols)
+    flagged, *flags = codedshuffle.kernels._screen(
+        nonstar_rows, plan.offsets, plan.rows, plan.cols
+    )
     assert set(plan.symbols[flagged].tolist()) == bf_violating_symbols(rows)
+    assert tuple(flags) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -862,6 +865,19 @@ def tall_grids(draw):
     return g
 
 
+def _edge_repeat(row: int, times: int) -> np.ndarray:
+    """Symbol 0 ``times`` times in row ``row`` (63 or 64, the first word's
+    last row or the second's first) and in two more rows of the next
+    column, column-mates; symbols 1 and 2 in rows 63 and 65 of that column.
+    A row bitset that added the repeated row's bit ``times`` times would
+    miss row 63 or hold row 65."""
+    g = np.full((72, times + 1), STAR, dtype=np.int64)
+    g[row, :times] = 0
+    g[[20, 70], times] = 0
+    g[[63, 65], times] = [1, 2]
+    return g
+
+
 @pytest.mark.parametrize("block", [None, 1], ids=["default-chunks", "one-symbol-chunks"])
 @settings(
     max_examples=300,
@@ -869,6 +885,10 @@ def tall_grids(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(tall_grids())
+@example(_edge_repeat(63, 2))
+@example(_edge_repeat(63, 3))
+@example(_edge_repeat(64, 2))
+@example(_edge_repeat(64, 3))
 def test_pair_scan_matches_bruteforce_on_tall_grids(monkeypatch, block, g):
     if block is not None:
         monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", block)

@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""A/B timings of two copies of the package, side by side in one process.
+
+Run from anywhere in a checkout:
+
+    python3 tools/ab_timing.py OLD_SRC NEW_SRC [--repeat N] [--seed S]
+
+``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories that each hold a
+``codedshuffle`` package, for example that of a clone of the parent commit
+and the checkout's own.  Both packages are copied to a temporary directory
+as ``cs_old`` and ``cs_new`` and imported together, so both sides share one
+interpreter and the same host load at the same moment; separate benchmark
+runs on a busy host can differ by far more than a few percent.
+
+The inputs come from the checkout: the criterion-5 sweep of
+``tests/conftest.build_sweep`` and the mutation and large arrays of
+``tools/identity_digests.py``.  The groups of cases are:
+
+* ``scan clean``: ``kernels.scan_groups`` of each sweep array, on the
+  side's own ``group_cells`` plan, built before timing;
+* ``scan mutated``: the same on each sweep array i as
+  ``identity_digests.with_mutation(arr, i)`` mutates it;
+* ``run_job+dump``: ``run_job`` plus ``dump`` of every criterion-9 job
+  (each sweep array at the four eta pairs, the smallest IV width for
+  t_base 1) at seed ``S`` (default 17), on arrays whose plans are cached;
+* ``certify``: construct, serialize, parse, stats, both validators and
+  ``load_from_array`` of each large subset-topology array;
+* ``certify mutated``: the same from each large array's mutated grid.
+
+Each case runs once on each side first, and both sides must give equal
+outputs; else the tool names the case and exits 1.  Then each case is
+timed ``N`` times per side (default 5), the side that goes first
+alternating, and its best time is kept.  For each group the tool prints the
+total of the best times on each side, the median of the per-case ratio
+new/old, and the share of cases where each side is faster.  At the
+defaults it takes about a minute on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# identity_digests puts the checkout's src and tests on the path
+from identity_digests import ETAS, LARGE_ALG1, with_mutation  # noqa: E402
+
+from codedshuffle import algorithm1  # noqa: E402
+from conftest import build_sweep  # noqa: E402
+
+SIDES = ("cs_old", "cs_new")
+
+
+def load_sides(old_src: Path, new_src: Path, tmp: Path) -> list:
+    """Both packages, copied under the names of :data:`SIDES`."""
+    sys.path.insert(0, str(tmp))
+    sides = []
+    for name, src in zip(SIDES, (old_src, new_src)):
+        shutil.copytree(
+            src / "codedshuffle", tmp / name,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        sides.append(importlib.import_module(name))
+    return sides
+
+
+def scan_case(cs, grid):
+    plan = cs.kernels.group_cells(grid)[1:]
+    return lambda: cs.kernels.scan_groups(grid.shape, *plan)
+
+
+def job_case(arr, cs, eta1, eta2, seed):
+    t = cs.choose_iv_bits(arr, 1, eta1, eta2)
+    spec = cs.JobSpec(arr.rows * eta1, arr.cols * eta2, t, seed=seed)
+
+    def run():
+        transcript, report = cs.run_job(arr, spec)
+        return transcript.dump(), report
+
+    return run
+
+
+def certify_case(cs, build):
+    def run():
+        arr = build()
+        text = arr.serialize()
+        parsed = cs.parse_array(text) == arr
+        stats = cs.compute_stats(arr)
+        mra, pda = cs.validate_mra(arr), cs.validate_pda(arr)
+        try:
+            load = cs.load_from_array(arr)
+        except ValueError as exc:
+            load = str(exc)
+        return text, parsed, stats, mra, pda, load
+
+    return run
+
+
+def report_outcome(report):
+    return dict(report.checks), report.violation and report.violation.describe(), report.details
+
+
+def job_outcome(out):
+    text, report = out
+    return text, report.to_json_dict()
+
+
+def certify_outcome(out):
+    text, parsed, st, mra, pda, load = out
+    census = (list(st.multiplicity.items()), st.histogram, st.column_stars, st.common_g,
+              st.cyclic_shift)
+    return text, parsed, census, report_outcome(mra), report_outcome(pda), load
+
+
+def groups(sides, seed: int):
+    """(name, cases, outcome) per group; a case is its thunk on each side,
+    and ``outcome`` turns a thunk's return into values to compare."""
+    sweep = [arr for *_, arr in build_sweep()]
+    mutated = [with_mutation(arr, i).grid for i, arr in enumerate(sweep)]
+    large = [algorithm1(*p) for p in LARGE_ALG1]
+    broken = [with_mutation(arr, len(sweep) + j).grid for j, arr in enumerate(large)]
+    arrays = [[cs.CodedArray(arr.grid) for arr in sweep] for cs in sides]
+    yield "scan clean", [[scan_case(cs, a.grid) for cs in sides] for a in sweep], tuple
+    yield "scan mutated", [[scan_case(cs, g) for cs in sides] for g in mutated], tuple
+    jobs = [
+        [job_case(arrs[i], cs, eta1, eta2, seed) for cs, arrs in zip(sides, arrays)]
+        for i in range(len(sweep))
+        for eta1, eta2 in ETAS
+    ]
+    yield "run_job+dump", jobs, job_outcome
+    yield "certify", [
+        [certify_case(cs, lambda cs=cs, p=p: cs.algorithm1(*p)) for cs in sides]
+        for p in LARGE_ALG1
+    ], certify_outcome
+    yield "certify mutated", [
+        [certify_case(cs, lambda cs=cs, g=g: cs.CodedArray(g)) for cs in sides]
+        for g in broken
+    ], certify_outcome
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and side")
+    ap.add_argument("--seed", type=int, default=17, help="the jobs' IV seed")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="ab-timing-") as tmp:
+        sides = load_sides(args.old_src, args.new_src, Path(tmp))
+        print(f"old {args.old_src}, new {args.new_src}, best of {args.repeat}")
+        print(f"{'group':<16}{'cases':>6}{'old ms':>10}{'new ms':>10}{'new/old':>9}"
+              f"{'median':>8}{'old faster':>12}{'new faster':>12}")
+        for name, cases, outcome in groups(sides, args.seed):
+            best = [[float("inf")] * 2 for _ in cases]
+            for i, thunks in enumerate(cases):
+                if outcome(thunks[0]()) != outcome(thunks[1]()):
+                    print(f"{name}: case {i} gives different outputs on the two sides")
+                    return 1
+                for rep in range(args.repeat):
+                    for s in (0, 1) if rep % 2 == 0 else (1, 0):
+                        t0 = time.perf_counter_ns()
+                        thunks[s]()
+                        best[i][s] = min(best[i][s], time.perf_counter_ns() - t0)
+            old, new = (sum(b[s] for b in best) / 1e6 for s in (0, 1))
+            ratio = statistics.median(b / a for a, b in best)
+            old_wins = sum(a < b for a, b in best) / len(best)
+            new_wins = sum(b < a for a, b in best) / len(best)
+            print(f"{name:<16}{len(best):>6}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}"
+                  f"{ratio:>8.3f}{old_wins:>12.0%}{new_wins:>12.0%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
