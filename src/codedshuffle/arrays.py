@@ -589,15 +589,24 @@ def _cyclic_shift(arr: CodedArray, counts: np.ndarray) -> int | None:
     ``counts`` whose stars each form one cyclic run.
     """
     F = arr.rows
-    if (counts != counts[0]).any() or counts[0] in (0, F):
+    if counts.size < 2 or (counts != counts[0]).any() or counts[0] in (0, F):
         return None
     starts = arr.star_run_starts
-    if (starts < 0).any():
-        return None
-    steps = np.diff(starts) % F
-    if steps.size == 0 or (steps != steps[0]).any():
-        return None
-    return int(steps[0])
+    shift = int(starts[1] - starts[0]) % F
+    return shift if _layout_faults(arr, counts, shift) == (None, None) else None
+
+
+def _layout_faults(arr: CodedArray, counts: np.ndarray, shift: int):
+    """The first column whose stars are not one cyclic run, and the first
+    column whose star count is not the previous column's or whose partial
+    run is not the previous one moved down by ``shift`` rows (mod F); each
+    None when there is none.  ``counts`` are the column star counts."""
+    F = arr.rows
+    starts = arr.star_run_starts
+    moved = _first(
+        (counts[1:] != counts[:-1]) | ((counts[1:] < F) & (np.diff(starts) % F != shift % F))
+    )
+    return _first(starts < 0), None if moved is None else moved + 1
 
 
 def compute_stats(arr: CodedArray) -> ArrayStats:
@@ -721,15 +730,9 @@ def validate_l_cyclic(arr: CodedArray, shift: int) -> ValidationReport:
     block is the previous column's shifted down by ``shift`` rows (mod F).
     """
     stats = arr.stats
-    F = arr.rows
-    starts = arr.star_run_starts
-    counts = np.asarray(stats.column_stars)
-    broken = _first(starts < 0)
-    moved = _first(
-        (counts[1:] != counts[:-1]) | ((counts[1:] < F) & (np.diff(starts) % F != shift % F))
-    )
+    broken, moved = _layout_faults(arr, np.asarray(stats.column_stars), shift)
     runs = None if broken is None else Violation("l-cyclic", column=broken)
-    steps = runs or (None if moved is None else Violation("l-cyclic", column=moved + 1))
+    steps = runs or (None if moved is None else Violation("l-cyclic", column=moved))
     regular = None if stats.common_g is not None else Violation("C1'")
     return _report(
         [("C1'", regular), ("stars-consecutive", runs), ("cyclic-shift", steps)],

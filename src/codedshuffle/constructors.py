@@ -80,13 +80,8 @@ def lex_rank(subset, universe: int) -> int:
         raise ValueError("subset contains duplicate elements")
     if t[0] < 0 or t[-1] >= universe:
         raise ValueError(f"element out of range [0, {universe})")
-    rank = 0
-    prev = -1
-    for j, tj in enumerate(t):
-        for v in range(prev + 1, tj):
-            rank += comb(universe - 1 - v, m - 1 - j)
-        prev = tj
-    return rank
+    # the closed form of _lex_ranks, in exact ints
+    return comb(universe, m) - 1 - sum(comb(universe - 1 - tj, m - j) for j, tj in enumerate(t))
 
 
 def lex_unrank(rank: int, size: int, universe: int) -> tuple[int, ...]:

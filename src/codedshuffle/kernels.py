@@ -7,16 +7,13 @@ and the coded shuffle all read; :func:`first_pair_violation`
 groups a bare grid itself.
 
 The scan, :func:`scan_groups`, costs time in proportion to the symbol cells,
-not to the grid or the pairs.  It first screens every symbol with packed row
+not to the grid or the pairs.  It is one pass, the screen, over packed row
 bitsets of W = ceil(F/64) uint64 words: one per symbol (its rows) and one
 per column (its non-star rows).  A symbol is clean exactly when its rows are
 distinct and, for each of its cells, the symbol's rows other than the cell's
-own miss the non-star rows of the cell's column.  Only the symbols the
-screen flags go on to the locate pass, one per multiplicity g, which finds
-each one's first violating pair from prefix ORs of the same bitsets, in O(g)
-words per cell rather than a g x g gather.  The screen also decides, from
-its own bitsets and only in the chunks where some cell has a hit, which
-parts of the condition fail.
+own miss the non-star rows of the cell's column.  In the chunks where some
+symbol is not, the screen reads from the same bitsets which parts of the
+condition fail and the first violating pair, from three candidates per cell.
 """
 
 from __future__ import annotations
@@ -25,9 +22,8 @@ import numpy as np
 
 STAR = -1
 
-# Chunk size: the screen and the locate pass take symbols whose cells hold
-# at most this many bitset words.  One symbol is never split, so a chunk
-# holds at least one.
+# Chunk size: the screen takes symbols whose cells hold at most this many
+# bitset words.  One symbol is never split, so a chunk holds at least one.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -67,22 +63,12 @@ def scan_groups(shape, offsets, rows, cols):
     Returns ``(first, c21_ok, c22_ok)``: the :func:`first_pair_violation`
     of the grid, whether no equal pair shares a row or a column (C2-1), and
     whether every equal pair in distinct rows and columns has stars at its
-    two crossing cells (C2-2).  The screen decides both flags; the locate
-    pass runs only when one fails.
+    two crossing cells (C2-2).  The screen gives all three in one pass.
     """
-    nonstar_rows = _nonstar_rows(shape, rows, cols)
-    # the locate pass alone would decide every symbol, but on a 2-core VM clean scans
-    # took 2-3x as long: algorithm1(16, 2, 2) 0.27 -> 0.85 ms, 1 906 sweep arrays 80 -> 200 ms
-    flagged, c21_ok, c22_ok = _screen(nonstar_rows, offsets, rows, cols)
-    if c21_ok and c22_ok:
+    pair, c21_ok, c22_ok = _screen(_nonstar_rows(shape, rows, cols), offsets, rows, cols)
+    if pair is None:
         return None, True, True
-    counts = np.diff(offsets)
-    firsts = [
-        _locate(nonstar_rows, offsets[:-1][flagged & (counts == g)], g, rows, cols)
-        for g in np.unique(counts[flagged]).tolist()
-    ]
-    # (later, earlier) row-major positions of the first violation
-    (f2, k2), (f1, k1) = (divmod(x, shape[1]) for x in min(firsts))
+    (f2, k2), (f1, k1) = (divmod(x, shape[1]) for x in pair)
     code = 1 if f1 == f2 or k1 == k2 else 2
     return (code, (f1, k1), (f2, k2)), c21_ok, c22_ok
 
@@ -95,23 +81,33 @@ def _nonstar_rows(shape, rows, cols) -> np.ndarray:
 
 
 def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
-    """Which symbols violate the crossing condition, and whether C2-1 and
-    C2-2 hold.  Takes :func:`group_cells` output and the columns' non-star
-    row bitsets; returns ``(flags, c21_ok, c22_ok)``, a flag per symbol.
+    """The first violating pair and whether C2-1 and C2-2 hold.  Takes
+    :func:`group_cells` output and the columns' non-star row bitsets;
+    returns ``(pair, c21_ok, c22_ok)``, where ``pair`` is None or the
+    (later, earlier) row-major positions of the first violating pair.
 
-    A symbol violates exactly when it repeats a row or some cell i has a
-    hit: h_i, the symbol's rows other than r_i that are non-star in column
-    c_i, is not empty.  Two cells of a symbol in one column hit each other,
-    so C2-1 fails exactly when a symbol repeats a row or two of its hit
-    cells share a column.  A row of h_i that holds one cell of the symbol,
-    in column c_i, is there only through that cell; any other row holds a
-    cell j outside column c_i whose crossing (r_j, c_i) is not a star.  So
-    C2-2 fails exactly when some h_i holds a row outside the rows of the
-    symbol's cells in column c_i that are alone in their row.
+    Cell i has a hit when h_i, the symbol's rows other than r_i that are
+    non-star in column c_i, is not empty.  Cells i < j of a symbol violate
+    exactly when they share a row, r_i is in h_j or r_j is in h_i.  So the
+    least pair of a chunk, by later cell and then earlier, is among three
+    candidates per cell: (1) a cell whose row the cell before it holds, with
+    the first cell in that row; (2) a hit cell whose lowest hit row is below
+    its own, with the first cell in that row; (3) a hit cell with the first
+    cell in the lowest row of its hit above its own.  The later cell of (1)
+    and (2) is their own, so only the least one counts; the earlier cell of
+    (3) is its own, so only cells before that one are tried.
+
+    Two cells of a symbol in one column hit each other, so C2-1 fails
+    exactly when a symbol repeats a row or two of its hit cells share a
+    column.  A row of h_i that holds one cell of the symbol, in column c_i,
+    is there only through that cell; any other row holds a cell j outside
+    column c_i whose crossing (r_j, c_i) is not a star.  So C2-2 fails
+    exactly when some h_i holds a row outside the rows of the symbol's
+    cells in column c_i that are alone in their row.
     """
     words, K = nonstar_rows.shape
     counts = np.diff(offsets)
-    flagged = np.zeros(counts.shape[0], bool)
+    best = None
     c21_ok = c22_ok = True
     for lo, hi in _chunks(offsets, words):
         a, b = offsets[lo], offsets[hi]
@@ -121,20 +117,42 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
         repeat = np.zeros(b - a + 1, bool)
         repeat[1:-1] = (r[1:] == r[:-1]) & (local[1:] == local[:-1])
         hits = _other_rows(nonstar_rows, local, r, c, repeat[:-1])
-        hit = hits.any(axis=0)
-        flagged[lo:hi] = np.logical_or.reduceat(hit | repeat[:-1], offsets[lo:hi] - a)
-        c21_ok &= not repeat.any()
-        if not hit.any():
+        at = hits.any(axis=0).nonzero()[0]
+        hits = hits[:, at]
+        j = repeat.nonzero()[0]
+        if not (at.size or j.size):
             continue
-        at = hit.nonzero()[0]
         columns, group = np.unique(local[at] * K + c[at], return_inverse=True)
+        c21_ok &= not j.size
         c21_ok &= columns.size == at.size
         # less, from each hit, the rows of the alone cells in its cell's column
         one = ~(repeat[at] | repeat[at + 1])
         lone = r[at][one]
         sets = _bitsets((words, columns.size), group[one], lone >> 6, _row_bit(lone))
-        c22_ok &= not (hits[:, at] & ~sets.take(group, axis=1)).any()
-    return flagged, c21_ok, c22_ok
+        c22_ok &= not (hits & ~sets.take(group, axis=1)).any()
+        # the candidates, each a cell and the row of its partner (the first
+        # cell of its symbol there): 1 and 2 at the least later cell, 3 before it
+        pos = r * K + c
+        low = _lowest(hits)
+        below = low < r[at]
+        cell, row = np.concatenate((j, at[below])), np.concatenate((r[j], low[below]))
+        least = pos[cell].min(initial=pos.max() + 1)
+        near = pos[at] < least
+        above, i = hits[:, near], at[near]
+        word = r[i] >> 6
+        above[np.arange(words)[:, None] < word] = 0
+        above[word, np.arange(i.size)] &= ~(_row_bit(r[i]) - 1)
+        up = above.any(axis=0)
+        keep = pos[cell] == least
+        cell = np.concatenate((cell[keep], i[up]))
+        row = np.concatenate((row[keep], _lowest(above[:, up])))
+        span = 64 * words  # the chunk's (symbol, row) keys ascend
+        partner = (local * span + r).searchsorted(local[cell] * span + row)
+        later = np.maximum(pos[cell], pos[partner])
+        first = int(later.min())
+        pair = first, int(np.minimum(pos[cell], pos[partner])[later == first].min())
+        best = pair if best is None else min(best, pair)
+    return best, c21_ok, c22_ok
 
 
 def _chunks(offsets: np.ndarray, words: int):
@@ -172,52 +190,15 @@ def _bitsets(shape, index, word, bit) -> np.ndarray:
     return out
 
 
+def _lowest(sets: np.ndarray) -> np.ndarray:
+    """The lowest row of each word-major bitset of ``sets``, none empty."""
+    word = (sets != 0).argmax(axis=0)
+    w = sets[word, np.arange(sets.shape[1])]
+    # the lowest set bit alone is a power of two, whose exponent is exact
+    return word * 64 + np.frexp(w & (~w + 1))[1] - 1
+
+
 def _row_bit(rows: np.ndarray) -> np.ndarray:
     """Each row's bit within its 64-bit word of a row bitset."""
     return np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
 
-
-def _locate(nonstar_rows: np.ndarray, starts: np.ndarray, g: int, rows, cols):
-    """The first violating pair of the g-cell symbols at ``starts``, as
-    (later, earlier) row-major positions; the screen flagged each of them,
-    so each has one.
-
-    Cells i < j of a symbol violate exactly when (r_i, c_j) or (r_j, c_i)
-    is not a star; a shared row or column makes it one of the pair's own
-    cells.  So cell j has an earlier partner when a row of the cells before
-    it is non-star in its column, or its row is non-star in the column of a
-    cell before it.  Prefix ORs of the cells' row bits and of their columns'
-    non-star rows test both for every cell at once, in O(g) bitset words
-    per cell; the first cell that hits is the later one, and one gather
-    along the cells before it finds the earliest partner.
-    """
-    words, K = nonstar_rows.shape
-    by_col = nonstar_rows.T  # by_col[k]: the non-star rows of column k
-    step = max(1, _BLOCK_CELLS // (g * words))
-    place = np.arange(g)  # each cell's place in its symbol
-    found = []
-    for lo in range(0, starts.shape[0], step):
-        cells = starts[lo : lo + step, None] + place
-        r, c = rows[cells], cols[cells]
-        word, bit = r >> 6, _row_bit(r)
-        n = np.arange(cells.shape[0])[:, None]
-        # seen[n, j]: the rows of cells 0..j; reach[n, j]: the rows that
-        # are non-star in the column of one of them
-        seen = np.zeros(cells.shape + (words,), np.uint64)
-        seen[n, place, word] = bit
-        np.bitwise_or.accumulate(seen, axis=1, out=seen)
-        column = by_col[c]
-        reach = np.bitwise_or.accumulate(column, axis=1)
-        # hit[n, j - 1]: cell j of symbol n has an earlier partner
-        hit = (seen[:, :-1] & column[:, 1:]).any(axis=2)
-        hit |= reach[n, place[:-1], word[:, 1:]] & bit[:, 1:] != 0
-        js = hit.argmax(axis=1)[:, None] + 1
-        rj, cj = r[n, js], c[n, js]
-        partner = by_col[cj, r >> 6] & bit != 0
-        partner |= by_col[c, rj >> 6] & _row_bit(rj) != 0
-        is_ = (partner & (place < js)).argmax(axis=1)[:, None]
-        later = (rj * K + cj).ravel()
-        earlier = (r[n, is_] * K + c[n, is_]).ravel()
-        pos = later.argmin()  # each symbol's later cell is its own
-        found.append((int(later[pos]), int(earlier[pos])))
-    return min(found)

@@ -40,23 +40,6 @@ def bf_pair_conditions(grid) -> tuple[bool, bool]:
     return distinct_ok, crossing_ok
 
 
-def bf_violating_symbols(grid) -> set[int]:
-    """The symbols with a cell pair that shares a row or a column or misses
-    a crossing star."""
-    cells = [
-        (f, k)
-        for f in range(len(grid))
-        for k in range(len(grid[0]))
-        if grid[f][k] != STAR
-    ]
-    return {
-        grid[f1][k1]
-        for (f1, k1), (f2, k2) in combinations(cells, 2)
-        if grid[f1][k1] == grid[f2][k2]
-        and (grid[f1][k2] != STAR or grid[f2][k1] != STAR)
-    }
-
-
 def bf_first_pair_violation(grid):
     """First violating equal-symbol pair, ordered by later then earlier cell.
 

@@ -48,7 +48,6 @@ from oracles import (
     bf_symbol_cells,
     bf_validate_mra,
     bf_validate_pda,
-    bf_violating_symbols,
     gather_first_pair_violation,
 )
 
@@ -737,14 +736,13 @@ def _check_pair_scan(g):
     # the first pair is
     for report in (validate_mra(arr), validate_pda(arr)):
         assert (report.checks["C2-1"], report.checks["C2-2"]) == want
-    # the screen flags exactly the symbols that have a violating pair, so
-    # the locate pass finds one in each, and decides both C2 flags itself
+    # the screen itself gives the first pair, as (later, earlier) row-major
+    # positions, and both C2 flags
     plan = arr.shuffle_plan
     nonstar_rows = codedshuffle.kernels._nonstar_rows(g.shape, plan.rows, plan.cols)
-    flagged, *flags = codedshuffle.kernels._screen(
-        nonstar_rows, plan.offsets, plan.rows, plan.cols
-    )
-    assert set(plan.symbols[flagged].tolist()) == bf_violating_symbols(rows)
+    pair, *flags = codedshuffle.kernels._screen(nonstar_rows, plan.offsets, plan.rows, plan.cols)
+    K = g.shape[1]
+    assert pair == (hit and (hit[2][0] * K + hit[2][1], hit[1][0] * K + hit[1][1]))
     assert tuple(flags) == want
 
 
@@ -878,6 +876,17 @@ def _edge_repeat(row: int, times: int) -> np.ndarray:
     return g
 
 
+def _pair_above_word_edge() -> np.ndarray:
+    """Symbol 0 at (63, 0) and (64, 1), symbol 1 at (64, 0): the first pair
+    is (2, (63, 0), (64, 1)), which misses the crossing star (64, 0).  Only
+    the earlier cell's hit holds it, one row above its own and across a
+    word edge."""
+    g = np.full((72, 2), STAR, dtype=np.int64)
+    g[63, 0] = g[64, 1] = 0
+    g[64, 0] = 1
+    return g
+
+
 @pytest.mark.parametrize("block", [None, 1], ids=["default-chunks", "one-symbol-chunks"])
 @settings(
     max_examples=300,
@@ -889,6 +898,7 @@ def _edge_repeat(row: int, times: int) -> np.ndarray:
 @example(_edge_repeat(63, 3))
 @example(_edge_repeat(64, 2))
 @example(_edge_repeat(64, 3))
+@example(_pair_above_word_edge())
 def test_pair_scan_matches_bruteforce_on_tall_grids(monkeypatch, block, g):
     if block is not None:
         monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", block)

@@ -20,6 +20,9 @@ The inputs come from the checkout: the criterion-5 sweep of
   side's own ``group_cells`` plan, built before timing;
 * ``scan mutated``: the same on each sweep array i as
   ``identity_digests.with_mutation(arr, i)`` mutates it;
+* ``scan hard``: the same on the four seeded invalid grids of
+  :func:`hard_grids`, the scan's worst cases: many cells per symbol and
+  hits in every chunk;
 * ``run_job+dump``: ``run_job`` plus ``dump`` of every criterion-9 job
   (each sweep array at the four eta pairs, the smallest IV width for
   t_base 1) at seed ``S`` (default 17), on arrays whose plans are cached;
@@ -33,7 +36,7 @@ timed ``N`` times per side (default 5), the side that goes first
 alternating, and its best time is kept.  For each group the tool prints the
 total of the best times on each side, the median of the per-case ratio
 new/old, and the share of cases where each side is faster.  At the
-defaults it takes about a minute on a 2-core VM.
+defaults it takes about a minute and a half on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from pathlib import Path
 # identity_digests puts the checkout's src and tests on the path
 from identity_digests import ETAS, LARGE_ALG1, with_mutation  # noqa: E402
 
-from codedshuffle import algorithm1  # noqa: E402
+import numpy as np  # noqa: E402
+from codedshuffle import STAR, algorithm1  # noqa: E402
 from conftest import build_sweep  # noqa: E402
 
 SIDES = ("cs_old", "cs_new")
@@ -67,6 +71,25 @@ def load_sides(old_src: Path, new_src: Path, tmp: Path) -> list:
         )
         sides.append(importlib.import_module(name))
     return sides
+
+
+def hard_grids() -> list[np.ndarray]:
+    """Random grids from ``default_rng(5)``: 512 x 512 with 1000 labels and
+    half the cells stars, 256 x 256 with 5000 labels and 80% stars,
+    256 x 256 with one label and half stars, and 2000 x 300 with 20 labels
+    and half stars; each violates the crossing condition."""
+    rng = np.random.default_rng(5)
+    grids = []
+    for shape, labels, stars in [
+        ((512, 512), 1000, 0.5),
+        ((256, 256), 5000, 0.8),
+        ((256, 256), 1, 0.5),
+        ((2000, 300), 20, 0.5),
+    ]:
+        grid = rng.integers(0, labels, shape)
+        grid[rng.random(shape) < stars] = STAR
+        grids.append(grid)
+    return grids
 
 
 def scan_case(cs, grid):
@@ -127,6 +150,7 @@ def groups(sides, seed: int):
     arrays = [[cs.CodedArray(arr.grid) for arr in sweep] for cs in sides]
     yield "scan clean", [[scan_case(cs, a.grid) for cs in sides] for a in sweep], tuple
     yield "scan mutated", [[scan_case(cs, g) for cs in sides] for g in mutated], tuple
+    yield "scan hard", [[scan_case(cs, g) for cs in sides] for g in hard_grids()], tuple
     jobs = [
         [job_case(arrs[i], cs, eta1, eta2, seed) for cs, arrs in zip(sides, arrays)]
         for i in range(len(sweep))

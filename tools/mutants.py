@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 29 rows took 128 s on a 2-core VM,
+with the tests that catch it.  The 36 rows took 102 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -189,8 +189,8 @@ MUTANTS = [
     # through the symbol's own cell there
     (
         PKG + "kernels.py",
-        "not (hits[:, at] & ~sets.take(group, axis=1)).any()",
-        "not hits[:, at].any()",
+        "not (hits & ~sets.take(group, axis=1)).any()",
+        "not hits.any()",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
     ),
     # C2-1 blind to a symbol repeated in a column
@@ -207,12 +207,59 @@ MUTANTS = [
         "    if False:\n",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce_on_tall_grids[default-chunks]"],
     ),
-    # the C2 flags decided only in the chunks where no cell has a hit
+    # the C2 flags and the first pair decided only in the chunks where no
+    # cell has a hit or repeats a row
     (
         PKG + "kernels.py",
-        "        if not hit.any():\n            continue\n",
-        "        if hit.any():\n            continue\n",
+        "        if not (at.size or j.size):\n            continue\n",
+        "        if at.size or j.size:\n            continue\n",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # the first pair blind to a cell that shares its row with an earlier one
+    (
+        PKG + "kernels.py",
+        "np.concatenate((j, at[below])), np.concatenate((r[j], low[below]))",
+        "np.concatenate((j[:0], at[below])), np.concatenate((r[j][:0], low[below]))",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # the first pair blind to a hit row below the hit cell's own
+    (
+        PKG + "kernels.py",
+        "np.concatenate((j, at[below])), np.concatenate((r[j], low[below]))",
+        "j, r[j]",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # the first pair blind to a hit row above the hit cell's own
+    (
+        PKG + "kernels.py",
+        "cell = np.concatenate((cell[keep], i[up]))\n"
+        "        row = np.concatenate((row[keep], _lowest(above[:, up])))",
+        "cell, row = cell[keep], row[keep]",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # the earlier hit cells tried only after the least later cell
+    (
+        PKG + "kernels.py",
+        "near = pos[at] < least",
+        "near = pos[at] > least",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # a bitset's lowest row read one row low
+    (
+        PKG + "kernels.py",
+        "[1] - 1",
+        "[1] - 2",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # a star run moved by the wrong shift taken for the cyclic layout
+    (
+        PKG + "arrays.py",
+        "return _first(starts < 0), None if moved is None else moved + 1",
+        "return _first(starts < 0), None",
+        [
+            "tests/test_arrays.py::test_validate_l_cyclic",
+            "tests/test_arrays.py::test_star_layout_matches_bruteforce",
+        ],
     ),
     # the census lookup one label to the right
     (
@@ -257,6 +304,13 @@ MUTANTS = [
             "tests/test_constructors.py::test_subsets_are_lexicographic[6-4]",
             "tests/test_constructors.py::test_algorithm1_5_2_2",
         ],
+    ),
+    # a subset's lexicographic rank one too high
+    (
+        PKG + "constructors.py",
+        "return comb(universe, m) - 1 - sum(",
+        "return comb(universe, m) - sum(",
+        ["tests/test_constructors.py::test_rank_examples"],
     ),
 ]
 
