@@ -99,8 +99,8 @@ FAMILIES = {
     ),
 }
 
-# construct names the subset and multiplicity families by their algorithms
-_CONSTRUCT_NAMES = {"alg1": "ct", "alg2": "gc"}
+# construct's families, the subset and multiplicity ones named by their algorithms
+_CONSTRUCT_NAMES = {"alg1": "ct", "alg2": "gc", "nnc": "nnc"}
 
 # Largest --lambda that loads and sweep take.  At the cap the closed forms
 # are exact binomials of up to about 1000 bits, and every family's load and
@@ -127,11 +127,8 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
 
 
 def _point(args):
-    """The chosen family, its point and the flag values giving it, read in
-    flag order.  Only here is it known which flags a family takes: gc takes
-    --kvec, the others --alpha, and be a fractional --r.  A sweep takes no
-    --r or --alpha and has no point; its flag values are gc's vector or none.
-    """
+    """The chosen family, its point (None for a sweep) and the flag values
+    giving it, in flag order, from the flags :func:`_add_families` gave it."""
     if args.command in ("loads", "sweep") and args.mappers > MAX_MAPPERS:
         raise ConstructionError(
             f"--lambda {args.mappers} is above MAX_MAPPERS = {MAX_MAPPERS}, "
@@ -139,7 +136,7 @@ def _point(args):
         )
     name = _CONSTRUCT_NAMES.get(args.family, args.family)
     given: dict = {}
-    if args.command != "sweep":
+    if hasattr(args, "r"):
         if len(args.r) > 4300:  # int(), also inside Fraction, reads at most 4300 digits
             raise ConstructionError(f"--r has {len(args.r)} characters, more than 4300")
         if name == "be" and "e" in args.r.lower():  # Fraction expands 1e-99999999
@@ -148,15 +145,13 @@ def _point(args):
             given["r"] = Fraction(args.r) if name == "be" else int(args.r)
         except ZeroDivisionError:
             raise ConstructionError(f"r has a zero denominator: {args.r!r}") from None
-    if name == "gc":
+    if hasattr(args, "kvec"):
         given["kvec"] = _parse_kvec(_flag(args, "kvec"))
-    elif given:
+    elif hasattr(args, "alpha"):
         given["alpha"] = _flag(args, "alpha")
-    point = None
-    if "r" in given:
-        point = (args.mappers, *given.values())
-        if name == "gc":
-            point = GcParameters(*point)
+    point = (args.mappers, *given.values()) if "r" in given else None
+    if point and name == "gc":
+        point = GcParameters(*point)
     return FAMILIES[name], point, given
 
 
@@ -470,14 +465,21 @@ def cmd_repro(_args) -> int:
     return EXIT_REPRO_FAIL if failures else EXIT_OK
 
 
-def _add_family_args(p, families, need_alpha=True, need_r=True):
-    p.add_argument("family", choices=families)
-    p.add_argument("--lambda", dest="mappers", type=int, required=True)
-    if need_r:
-        p.add_argument("--r", required=True)
-    if need_alpha:
-        p.add_argument("--alpha", type=int)
-    p.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")
+def _add_families(p, names, point=True, out=None):
+    """One sub-parser per family of ``names``, with only the flags it reads:
+    --lambda, --r at a point, gc's --kvec, else --alpha at a point, --out."""
+    families = p.add_subparsers(dest="family", required=True)
+    for name in names:
+        f = families.add_parser(name)
+        f.add_argument("--lambda", dest="mappers", type=int, required=True)
+        if point:
+            f.add_argument("--r", required=True)
+        if _CONSTRUCT_NAMES.get(name, name) == "gc":
+            f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")
+        elif point:
+            f.add_argument("--alpha", type=int)
+        if out:
+            f.add_argument("--out", help=out)
 
 
 @cache
@@ -491,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build an array family member")
-    _add_family_args(p, ("alg1", "alg2", "nnc"))
-    p.add_argument("--out", help="output path (default: stdout)")
+    _add_families(p, _CONSTRUCT_NAMES, out="output path (default: stdout)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("validate", help="validate an array file")
@@ -516,12 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("loads", help="evaluate load formulas at one point")
-    _add_family_args(p, ("ct", "nnc", "gc", "be"))
+    _add_families(p, FAMILIES)
     p.set_defaults(func=cmd_loads)
 
     p = sub.add_parser("sweep", help="CSV of loads over a parameter range")
-    _add_family_args(p, ("ct", "nnc", "gc", "be"), need_alpha=False, need_r=False)
-    p.add_argument("--out", help="CSV path (default: stdout)")
+    _add_families(p, FAMILIES, point=False, out="CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("repro", help="re-derive the published example values")

@@ -122,14 +122,15 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
         j = repeat.nonzero()[0]
         if not (at.size or j.size):
             continue
-        columns, group = np.unique(local[at] * K + c[at], return_inverse=True)
-        c21_ok &= not j.size
-        c21_ok &= columns.size == at.size
-        # less, from each hit, the rows of the alone cells in its cell's column
-        one = ~(repeat[at] | repeat[at + 1])
-        lone = r[at][one]
-        sets = _bitsets((words, columns.size), group[one], lone >> 6, _row_bit(lone))
-        c22_ok &= not (hits & ~sets.take(group, axis=1)).any()
+        if c21_ok or c22_ok:  # once both fail, only the first pair is left
+            columns, group = np.unique(local[at] * K + c[at], return_inverse=True)
+            c21_ok &= not j.size
+            c21_ok &= columns.size == at.size
+            # less, from each hit, the rows of the alone cells in its cell's column
+            one = ~(repeat[at] | repeat[at + 1])
+            lone = r[at][one]
+            sets = _bitsets((words, columns.size), group[one], lone >> 6, _row_bit(lone))
+            c22_ok &= not (hits & ~sets.take(group, axis=1)).any()
         # the candidates, each a cell and the row of its partner (the first
         # cell of its symbol there): 1 and 2 at the least later cell, 3 before it
         pos = r * K + c

@@ -767,8 +767,8 @@ def test_pair_scan_matches_bruteforce_one_symbol_per_chunk(monkeypatch, g):
 
 def test_pair_scan_memory_is_bounded():
     # one symbol of multiplicity 1024, clean and then with one more copy in
-    # column 0, which sends it to the locate pass: the bound holds a few
-    # (1025, 1025) boolean star gathers, but not int64 indices for its
+    # column 0, which gives its cells hits: the bound holds the screen's row
+    # bitsets (16 words per cell or column), but not int64 indices for its
     # 524 800 pairs
     g = np.full((1024, 1024), STAR, dtype=np.int64)
     np.fill_diagonal(g, 0)

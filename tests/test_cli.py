@@ -134,6 +134,37 @@ def test_missing_kvec_exit_code(run, argv):
     assert "--kvec" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("construct alg1 --lambda 4 --r 2 --alpha 2", "--kvec 2,3"),
+        ("construct nnc --lambda 12 --r 2 --alpha 4", "--kvec 2,3"),
+        ("construct alg2 --lambda 4 --r 2 --kvec 2,3", "--alpha 2"),
+        ("loads ct --lambda 6 --r 2 --alpha 2", "--kvec 9,9"),
+        ("loads nnc --lambda 12 --r 2 --alpha 4", "--kvec 9,9"),
+        ("loads be --lambda 12 --r 5/2 --alpha 4", "--kvec 9,9"),
+        ("loads gc --lambda 4 --r 2 --kvec 2,3", "--alpha 7"),
+        ("sweep ct --lambda 4", "--kvec 1"),
+        ("sweep nnc --lambda 4", "--kvec 1"),
+        ("sweep be --lambda 4", "--kvec 1"),
+    ]
+    + [
+        (f"sweep {family} --lambda 4" + (" --kvec 1,1,1" if family == "gc" else ""), flag)
+        for family in FAMILIES
+        for flag in ("--r 1", "--alpha 1")
+    ],
+    ids=lambda x: x.replace(" ", "_"),
+)
+def test_foreign_flag_exit_code(run, argv, flag):
+    # a family command takes only the flags its family reads: the command
+    # runs without the foreign flag, and with it exits 2 naming it
+    code, _, _ = run(*argv.split())
+    assert code == 0
+    code, out, err = run(*argv.split(), *flag.split())
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_validate_json(run, tmp_path):
     path = _write(tmp_path, "mra_irregular")
     code, out, _ = run("validate", path)
@@ -227,7 +258,8 @@ _ODD_TOKENS = st.one_of(
 @given(st.sampled_from(_FAMILY_COMMANDS + _ARRAY_COMMANDS), st.data())
 def test_nnc_parameters_never_raise(run, tmp_path, command, data):
     # any small, fractional or non-integer --lambda/--r/--alpha/--kvec of
-    # any family's construct, loads or sweep, and any such --keep of
+    # any family's construct, loads or sweep (only the flags that family
+    # takes, so the values get past argparse), and any such --keep of
     # truncate or --files/--functions/--iv-bits/--seed of simulate on a
     # 4 x 5 array, ends in a documented exit code.  Values are drawn near
     # the flags' ranges, and each flag is now and then left out or given an
@@ -246,16 +278,15 @@ def test_nnc_parameters_never_raise(run, tmp_path, command, data):
     else:
         lam = data.draw(st.integers(2, 10 if command[1] in ("alg1", "alg2") else 16))
         r = data.draw(st.integers(1, lam))
-        size = lam - 1 if command[0] == "sweep" else lam - r
-        kvec = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-        values = {
-            "--lambda": lam,
-            "--r": r,
-            "--alpha": data.draw(st.integers(1, lam)),
-            "--kvec": ",".join(map(str, kvec)),
-        }
-        if command[0] == "sweep":  # a sweep takes no --r or --alpha
-            del values["--r"], values["--alpha"]
+        values = {"--lambda": lam}
+        if command[0] != "sweep":  # a sweep takes no --r or --alpha
+            values["--r"] = r
+        if command[1] in ("gc", "alg2"):
+            size = lam - 1 if command[0] == "sweep" else lam - r
+            kvec = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+            values["--kvec"] = ",".join(map(str, kvec))
+        elif command[0] != "sweep":
+            values["--alpha"] = data.draw(st.integers(1, lam))
     argv = list(command)
     if command in _ARRAY_COMMANDS:
         argv.append(_write(tmp_path, "mra_irregular"))
@@ -535,6 +566,16 @@ def test_array_digests_pinned(constructor_sweep):
         "c5a471ae438eee31672fe4a3007123079c43b87d27a758347e0345c075476e84",
         "799278c5287a05dc05c6e6e1ce135276ad9e868d6550fb9bd09df0c209e29786",
         "65c55f31ecdf30488bf31292d700553a5bdd3b546952b09d994babb77009c052",
+    )
+
+
+def test_job_digest_pinned(constructor_sweep):
+    # the jobs digest of tools/identity_digests.py at seed 17 alone: the
+    # transcript dump and report of each of the 7 624 criterion-9 jobs
+    sweep = [arr for *_, arr in constructor_sweep]
+    assert _identity_digests().job_digest(sweep, seeds=(17,)) == (
+        "dfac71ce94dc49db8468e712e086dca176f9871025688dd2dd420da07d9d08a4",
+        7624,
     )
 
 

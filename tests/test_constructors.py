@@ -39,7 +39,7 @@ from codedshuffle.constructors import (
     gc_points,
     nnc_points,
 )
-from codedshuffle.metrics import be_load, be_points
+from codedshuffle.metrics import be_load, be_points, load_from_array, nnc_load
 
 from conftest import nnc_triples
 from oracles import bf_algorithm1, bf_clique_partition, bf_lex_rank
@@ -458,14 +458,18 @@ _NNC_NO_FILL = [
 
 
 def test_nnc_fills_pinned():
+    # and each built array's load is the closed form that loads nnc prints
     digest = hashlib.sha256()
     no_fill = []
     for point in nnc_triples(20, min_g=2):
         try:
-            digest.update(nnc_pda(*point).serialize().encode())
+            arr = nnc_pda(*point)
         except ConstructionError as exc:
             assert "exhaustive" in str(exc)
             no_fill.append(point)
+            continue
+        digest.update(arr.serialize().encode())
+        assert load_from_array(arr) == nnc_load(*point), point
     assert no_fill == _NNC_NO_FILL
     assert digest.hexdigest() == _NNC_TEXT_DIGEST
 

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 36 rows took 102 s on a 2-core VM,
+with the tests that catch it.  The 40 rows took 145 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -161,6 +161,30 @@ MUTANTS = [
         "self.slot = read.cumsum()",
         ["tests/test_mapreduce.py::test_carriers_match_oracle"],
     ),
+    # gc's parser also taking --alpha
+    (
+        PKG + "cli.py",
+        "        elif point:\n",
+        "        if point:\n",
+        ["tests/test_cli.py::test_foreign_flag_exit_code"],
+    ),
+    # a sweep's ct, nnc and be parsers taking --alpha
+    (
+        PKG + "cli.py",
+        "        elif point:\n",
+        "        else:\n",
+        ["tests/test_cli.py::test_foreign_flag_exit_code"],
+    ),
+    # --kvec given to every family
+    (
+        PKG + "cli.py",
+        '        if _CONSTRUCT_NAMES.get(name, name) == "gc":\n'
+        '            f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")\n'
+        "        elif point:\n",
+        '        f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")\n'
+        '        if point and _CONSTRUCT_NAMES.get(name, name) != "gc":\n',
+        ["tests/test_cli.py::test_foreign_flag_exit_code"],
+    ),
     # repro exiting 0 although a check failed
     (
         PKG + "cli.py",
@@ -196,7 +220,7 @@ MUTANTS = [
     # C2-1 blind to a symbol repeated in a column
     (
         PKG + "kernels.py",
-        "        c21_ok &= columns.size == at.size\n",
+        "            c21_ok &= columns.size == at.size\n",
         "",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
     ),
@@ -206,6 +230,14 @@ MUTANTS = [
         "    if repeat.any():\n",
         "    if False:\n",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce_on_tall_grids[default-chunks]"],
+    ),
+    # C2 decided only while both flags hold, so one failing leaves the
+    # other undecided in the chunks after it
+    (
+        PKG + "kernels.py",
+        "if c21_ok or c22_ok:",
+        "if c21_ok and c22_ok:",
+        ["tests/test_arrays.py::test_pair_scan_matches_bruteforce_one_symbol_per_chunk"],
     ),
     # the C2 flags and the first pair decided only in the chunks where no
     # cell has a hit or repeats a row
