@@ -12,6 +12,7 @@ reference.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -400,6 +401,25 @@ def bf_algorithm1(mappers: int, r: int, alpha: int) -> list[list[int]]:
                 rank[union] = bf_lex_rank(union, mappers)
             row.append(rank[union])
         grid.append(row)
+    return grid
+
+
+def bf_algorithm2(mappers: int, r: int, ks) -> list[list[int]]:
+    """The concatenated family as the paper builds it: for each degree a with
+    K_a > 0, ascending, K_a copies of the (mappers, r, a) subset-topology
+    grid side by side, copy m of degree a with its symbols raised by m times
+    the block's symbol count C(mappers, a + r) past those of every lower
+    degree."""
+    grid: list[list[int]] = [[] for _ in range(comb(mappers, r))]
+    offset = 0
+    for a, count in enumerate(ks, start=1):
+        if not count:
+            continue
+        block = bf_algorithm1(mappers, r, a)
+        for _ in range(count):
+            for row, cells in zip(grid, block):
+                row.extend(STAR if e == STAR else e + offset for e in cells)
+            offset += comb(mappers, a + r)
     return grid
 
 

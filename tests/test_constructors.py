@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -41,8 +42,8 @@ from codedshuffle.constructors import (
 )
 from codedshuffle.metrics import be_load, be_points, load_from_array, nnc_load
 
-from conftest import nnc_triples
-from oracles import bf_algorithm1, bf_clique_partition, bf_lex_rank
+from conftest import alg2_params, nnc_triples
+from oracles import bf_algorithm1, bf_algorithm2, bf_clique_partition, bf_lex_rank
 
 
 # --- subset ranking -----------------------------------------------------------
@@ -131,6 +132,13 @@ def test_algorithm1_matches_reference(lam):
         points = random.Random(lam).sample(points, 6)
     for point in points:
         assert algorithm1(*point).grid.tolist() == bf_algorithm1(*point)
+
+
+@pytest.mark.parametrize("lam", range(2, 10))
+def test_algorithm1_transposes_with_its_sides(lam):
+    # the entry of rows T and columns U is the rank of T | U either way round
+    for _, r, alpha in ct_points(lam):
+        assert np.array_equal(algorithm1(lam, r, alpha).grid, algorithm1(lam, alpha, r).grid.T)
 
 
 # sha256 of serialize() for the large arrays the benchmark builds
@@ -224,6 +232,39 @@ def test_algorithm2_matches_golden(golden):
     assert algorithm2(GcParameters(4, 2, (2, 0))) == golden["gc_4_2_k20"]
     assert algorithm2(GcParameters(4, 2, (0, 3))) == golden["gc_4_2_k03"]
     assert algorithm2(GcParameters(4, 2, (2, 3))) == golden["gc_4_2_k23"]
+
+
+def _larger_gc_points(count: int = 10, seed: int = 7):
+    """``count`` points of 6 to 10 mappers, multiplicities in 0..3, each
+    grid at most 2**15 cells, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        lam = rng.randint(6, 10)
+        r = rng.randint(1, lam - 1)
+        ks = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(lam - r))
+        if any(ks) and comb(lam, r) * GcParameters(lam, r, ks).reducer_count <= 2**15:
+            points.append(GcParameters(lam, r, ks))
+    return points
+
+
+def test_algorithm2_matches_reference():
+    larger = _larger_gc_points()
+    # the sample holds skipped degrees and triple copies
+    assert any(0 in p.multiplicities for p in larger)
+    assert any(3 in p.multiplicities for p in larger)
+    for params in [*alg2_params(max_mappers=5), *larger]:
+        assert algorithm2(params).grid.tolist() == bf_algorithm2(*params), params
+
+
+def test_algorithm2_builds_a_high_degree_block_quickly():
+    # the 1024 x 1024 grid of degree 1023 ranks 1023-subsets of 1024
+    # mappers; a binomial table over every (a, b) it could index would hold
+    # a million entries, most of them too large for int64
+    t0 = time.perf_counter()
+    arr = algorithm2(GcParameters(1024, 1, (0,) * 1022 + (1,)))
+    assert time.perf_counter() - t0 < 2
+    assert arr.grid.shape == (1024, 1024) and arr.symbol_count == 1
 
 
 def test_algorithm2_single_block_equals_algorithm1():
