@@ -80,7 +80,7 @@ def lex_rank(subset, universe: int) -> int:
         raise ValueError("subset contains duplicate elements")
     if t[0] < 0 or t[-1] >= universe:
         raise ValueError(f"element out of range [0, {universe})")
-    # the closed form of _lex_ranks, in exact ints
+    # the closed form _fill ranks by, in exact ints
     return comb(universe, m) - 1 - sum(comb(universe - 1 - tj, m - j) for j, tj in enumerate(t))
 
 
@@ -114,20 +114,37 @@ def _subsets(mappers: int, size: int) -> np.ndarray:
     return np.fromiter(members, np.intp, count=comb(mappers, size) * size).reshape(-1, size)
 
 
-def _lex_ranks(sets: np.ndarray, mappers: int) -> np.ndarray:
-    """:func:`lex_rank` of each row of ``sets`` (ascending size-q subsets).
+def _binomials(mappers: int, sizes) -> np.ndarray:
+    """C(mappers-1-t, b) at row t, column b where :func:`lex_rank`'s closed
+    form reads it for some q in ``sizes``, b <= mappers-1-t < b + mappers - q
+    (so at most C(mappers, q)), else 0: exact in int64 whenever ranks are."""
+    table = np.zeros((mappers, max(sizes) + 1), np.int64)
+    for b in range(1, table.shape[1]):
+        top = b + mappers - min(q for q in sizes if q >= b)
+        table[b:top, b] = [comb(a, b) for a in range(b, top)]
+    return table[::-1]
 
-    The closed form C(mappers, q) - 1 - sum_j C(mappers-1-t_j, q-j) of
-    t_0 < ... < t_{q-1} reads C(a, b) only at a - b <= mappers-1-q, where
-    it is at most C(mappers, q); the other table entries stay 0, so the
-    table is exact in int64 whenever the ranks are.
-    """
-    q = sets.shape[-1]
-    binom = np.array(
-        [[comb(a, b) if a - b < mappers - q else 0 for b in range(q + 1)] for a in range(mappers)],
-        np.int64,
-    )
-    return comb(mappers, q) - 1 - binom[mappers - 1 - sets, q - np.arange(q)].sum(axis=-1)
+
+def _fill(out: np.ndarray, table: np.ndarray, r: int, alpha: int, first: int) -> None:
+    """Write symbol-offset copies of the (mappers, r, alpha) subset-topology
+    block, symbols from ``first`` on, into ``out``, a (C(mappers, r), copies,
+    C(mappers, alpha)) view of a star grid; ``table`` is :func:`_binomials`.
+
+    Symbol s is the s-th (r+alpha)-subset S, and its cells are the splits
+    of S into a row T and the column S - T: the r-subsets of S's positions
+    in lexicographic order and their complements in reverse order.  A
+    q-subset's rank is C(mappers, q) - 1 - x, x a sum of table entries, so
+    x indexes the reversed axes."""
+    members = _subsets(len(table), r + alpha)
+    x = []
+    for pos in (_subsets(r + alpha, r), _subsets(r + alpha, alpha)[::-1]):
+        sets = members.take(pos, axis=1)
+        x.append(table[sets[..., 0], pos.shape[1]])
+        for j in range(1, pos.shape[1]):
+            x[-1] += table[sets[..., j], pos.shape[1] - j]
+    n, m = len(members), out.shape[1]  # symbols per copy, copies
+    del members, sets  # each as large as the grid at (1024, 1, 1)
+    out[::-1, :, ::-1][x[0], :, x[1]] = np.arange(first, first + n * m).reshape(m, n).T[:, None]
 
 
 def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
@@ -137,27 +154,16 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     set, both in lexicographic order.  The entry is a star when T and U
     intersect, otherwise the lexicographic rank of T | U among the
     (alpha+r)-subsets, making the result C(r+alpha, r)-regular with
-    C(mappers, alpha+r) symbols.
-
-    Only the symbol cells are enumerated: symbol s is the s-th
-    (r+alpha)-subset S, and its cells are the splits of S into a row T and
-    the column S - T.  The r-subsets of S's positions come in lexicographic
-    order and their complements in reverse order, and each row and column
-    index is the closed-form rank of :func:`_lex_ranks`, so no Python work
-    is done per cell and no work per star.
+    C(mappers, alpha+r) symbols.  :func:`_fill` writes only the symbol
+    cells, with no Python work per cell and no work per star.
     """
     lam = mappers
     check_ct_parameters(lam, r, alpha)
     # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
     _check_cells(lam, lam, least="at least ")
     _check_cells(comb(lam, r), comb(lam, alpha))
-    unions = _subsets(lam, r + alpha)
-    split = _subsets(r + alpha, r)
-    rest = _subsets(r + alpha, alpha)[::-1]  # the complement of each split
     grid = np.full((comb(lam, r), comb(lam, alpha)), STAR, dtype=np.int64)
-    grid[_lex_ranks(unions[:, split], lam), _lex_ranks(unions[:, rest], lam)] = (
-        np.arange(len(unions))[:, None]
-    )
+    _fill(grid[:, None], _binomials(lam, (r, alpha)), r, alpha, 0)
     grid.setflags(write=False)
     return CodedArray(grid)
 
@@ -166,15 +172,10 @@ def shift_symbols(arr: CodedArray, offset: int) -> CodedArray:
     """Add a constant to every integer entry; stars are unchanged."""
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    return CodedArray(_shifted(arr.grid, offset))
-
-
-def _shifted(grid: np.ndarray, offset: int) -> np.ndarray:
-    """A frozen copy of ``grid`` with ``offset`` added to each symbol."""
-    out = grid.copy()
-    out[out != STAR] += offset
-    out.setflags(write=False)
-    return out
+    grid = arr.grid.copy()
+    grid[grid != STAR] += offset
+    grid.setflags(write=False)
+    return CodedArray(grid)
 
 
 @dataclass(frozen=True)
@@ -275,18 +276,17 @@ def algorithm2(params: GcParameters) -> CodedArray:
     """
     lam, r = params.mappers, params.computation
     _check_cells(lam, lam, least="at least ")  # as in algorithm1
-    _check_cells(comb(lam, r), params.reducer_count)
-    blocks: list[np.ndarray] = []
-    group_offset = 0
-    for a, count in enumerate(params.multiplicities, start=1):
-        if count == 0:
-            continue
-        base = algorithm1(lam, r, a)
-        s1 = comb(lam, a + r)
-        for m in range(count):
-            blocks.append(_shifted(base.grid, group_offset + m * s1))
-        group_offset += count * s1
-    grid = np.hstack(blocks)
+    rows, cols = comb(lam, r), params.reducer_count
+    _check_cells(rows, cols)
+    degrees = [(a, count) for a, count in enumerate(params.multiplicities, start=1) if count]
+    table = _binomials(lam, [r] + [a for a, _ in degrees])
+    grid = np.full((rows, cols), STAR, dtype=np.int64)
+    col = first = 0
+    for a, count in degrees:
+        width = count * comb(lam, a)
+        _fill(grid[:, col : col + width].reshape(rows, count, -1), table, r, a, first)
+        col += width
+        first += count * comb(lam, a + r)
     grid.setflags(write=False)
     return CodedArray(grid)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,25 @@ def build_sweep() -> list:
 @pytest.fixture(scope="session")
 def constructor_sweep() -> list:
     return build_sweep()
+
+
+def identity_digests():
+    """tools/identity_digests.py, imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity_digests.py"
+    spec = importlib.util.spec_from_file_location("identity_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return digests
+
+
+@pytest.fixture(scope="session")
+def criterion_9_jobs(constructor_sweep) -> tuple[str, list]:
+    """The 7 624 seed-17 jobs of acceptance criterion 9, run once: each
+    sweep array at eta (1, 1), (1, 2), (2, 1) and (2, 2) with the smallest
+    IV width for t_base 1.  Their jobs digest and their reports, four per
+    array in that order."""
+    sweep = [arr for *_, arr in constructor_sweep]
+    return identity_digests().job_digest(sweep, seeds=(17,))
 
 
 @pytest.hookimpl(hookwrapper=True)

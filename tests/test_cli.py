@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +15,8 @@ from hypothesis import strategies as st
 import codedshuffle
 from codedshuffle import load_fixture, parse_array
 from codedshuffle.cli import FAMILIES, MAX_MAPPERS, main
+
+from conftest import identity_digests
 
 
 @pytest.fixture
@@ -537,19 +538,10 @@ def test_cli_determinism(run, tmp_path):
     assert out1 == out2
 
 
-def _identity_digests():
-    """tools/identity_digests.py, imported as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "identity_digests.py"
-    spec = importlib.util.spec_from_file_location("identity_digests", path)
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
-    return digests
-
-
 def test_cli_digest_pinned():
     # the cli digest of tools/identity_digests.py: the argv, exit code,
     # stdout and stderr of its 84 commands, run in process
-    digests = _identity_digests()
+    digests = identity_digests()
     cli = hashlib.sha256()
     for argv in digests.cli_commands():
         cli.update(digests.cli_outcome(argv))
@@ -562,18 +554,18 @@ def test_array_digests_pinned(constructor_sweep):
     # the arrays, parse and stats digests of tools/identity_digests.py over
     # the sweep arrays and the large subset-topology arrays
     sweep = [arr for *_, arr in constructor_sweep]
-    assert _identity_digests().array_digests(sweep) == (
+    assert identity_digests().array_digests(sweep) == (
         "c5a471ae438eee31672fe4a3007123079c43b87d27a758347e0345c075476e84",
         "799278c5287a05dc05c6e6e1ce135276ad9e868d6550fb9bd09df0c209e29786",
         "65c55f31ecdf30488bf31292d700553a5bdd3b546952b09d994babb77009c052",
     )
 
 
-def test_job_digest_pinned(constructor_sweep):
+def test_job_digest_pinned(criterion_9_jobs):
     # the jobs digest of tools/identity_digests.py at seed 17 alone: the
     # transcript dump and report of each of the 7 624 criterion-9 jobs
-    sweep = [arr for *_, arr in constructor_sweep]
-    assert _identity_digests().job_digest(sweep, seeds=(17,)) == (
+    digest, reports = criterion_9_jobs
+    assert (digest, len(reports)) == (
         "dfac71ce94dc49db8468e712e086dca176f9871025688dd2dd420da07d9d08a4",
         7624,
     )

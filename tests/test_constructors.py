@@ -31,6 +31,7 @@ from codedshuffle.constructors import (
     ConstructionError,
     GcParameters,
     SearchBudgetExceeded,
+    _binomials,
     _clique_partition,
     _star_layout,
     _subsets,
@@ -83,6 +84,20 @@ def test_subsets_are_lexicographic(mappers, size):
     sets = _subsets(mappers, size)
     assert sets.dtype == np.intp and sets.shape == (comb(mappers, size), size)
     assert sets.tolist() == [list(c) for c in combinations(range(mappers), size)]
+
+
+@pytest.mark.parametrize("mappers", range(2, 8))
+def test_binomial_table_holds_what_the_ranks_read(mappers):
+    # row t, column b holds C(mappers-1-t, b) exactly where the closed form
+    # of lex_rank reads it for some size in use, and 0 everywhere else
+    for n in range(1, mappers):
+        for sizes in combinations(range(1, mappers), n):
+            expect = np.zeros((mappers, max(sizes) + 1), np.int64)
+            for q in sizes:
+                for subset in combinations(range(mappers), q):
+                    for j, t in enumerate(subset):
+                        expect[t, q - j] = comb(mappers - 1 - t, q - j)
+            assert _binomials(mappers, sizes).tolist() == expect.tolist(), sizes
 
 
 def test_rank_errors():
@@ -156,22 +171,24 @@ def test_algorithm1_text_digests_pinned(point):
     assert hashlib.sha256(text.encode()).hexdigest() == _ALG1_TEXT_DIGESTS[point]
 
 
+def _traced_peak(call):
+    """``call()`` and the most memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_algorithm1_memory_is_bounded():
     # 924 x 924: the int64 grid is 6.5 MiB.  The builder and the parser
     # freeze their grids and hand them over, so no copy of the grid is made;
     # the parser adds the text's bytes and byte classes (1.6 MiB each) and
     # its row-block temporaries.
-    def peak(call):
-        tracemalloc.start()
-        try:
-            out = call()
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    arr, build_peak = peak(lambda: algorithm1(12, 6, 6))
-    text, text_peak = peak(arr.serialize)
-    parsed, parse_peak = peak(lambda: parse_array(text))
+    arr, build_peak = _traced_peak(lambda: algorithm1(12, 6, 6))
+    text, text_peak = _traced_peak(arr.serialize)
+    parsed, parse_peak = _traced_peak(lambda: parse_array(text))
     assert build_peak < 9 * 2**20
     assert text_peak < 8 * 2**20
     assert parse_peak < 12.5 * 2**20
@@ -265,6 +282,15 @@ def test_algorithm2_builds_a_high_degree_block_quickly():
     arr = algorithm2(GcParameters(1024, 1, (0,) * 1022 + (1,)))
     assert time.perf_counter() - t0 < 2
     assert arr.grid.shape == (1024, 1024) and arr.symbol_count == 1
+
+
+def test_algorithm2_memory_is_bounded():
+    # three copies of the 924 x 924 block of (12, 6, 6), 19.5 MiB of grid:
+    # each copy is written straight into the grid, so nothing else of its
+    # size is allocated
+    arr, peak = _traced_peak(lambda: algorithm2(GcParameters(12, 6, (0,) * 5 + (3,))))
+    assert arr.grid.shape == (924, 3 * 924)
+    assert peak < arr.grid.nbytes + 2**20
 
 
 def test_algorithm2_single_block_equals_algorithm1():

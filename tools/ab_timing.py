@@ -16,6 +16,8 @@ The inputs come from the checkout: the criterion-5 sweep of
 ``tests/conftest.build_sweep`` and the mutation and large arrays of
 ``tools/identity_digests.py``.  The groups of cases are:
 
+* ``build``: construct each sweep array from its point (a gc point's
+  ``GcParameters`` included) and ``compute_stats`` of it;
 * ``scan clean``: ``kernels.scan_groups`` of each sweep array, on the
   side's own ``group_cells`` plan, built before timing;
 * ``scan mutated``: the same on each sweep array i as
@@ -108,6 +110,20 @@ def job_case(arr, cs, eta1, eta2, seed):
     return run
 
 
+def build_case(cs, family, point):
+    construct = {
+        "ct": lambda: cs.algorithm1(*point),
+        "gc": lambda: cs.algorithm2(cs.GcParameters(*point)),
+        "nnc": lambda: cs.nnc_pda(*point),
+    }[family]
+
+    def run():
+        arr = construct()
+        return arr, cs.compute_stats(arr)
+
+    return run
+
+
 def certify_case(cs, build):
     def run():
         arr = build()
@@ -133,21 +149,33 @@ def job_outcome(out):
     return text, report.to_json_dict()
 
 
+def census(st):
+    return (list(st.multiplicity.items()), st.histogram, st.column_stars, st.common_g,
+            st.cyclic_shift)
+
+
+def build_outcome(out):
+    arr, st = out
+    return arr.grid.shape, arr.grid.tobytes(), census(st)
+
+
 def certify_outcome(out):
     text, parsed, st, mra, pda, load = out
-    census = (list(st.multiplicity.items()), st.histogram, st.column_stars, st.common_g,
-              st.cyclic_shift)
-    return text, parsed, census, report_outcome(mra), report_outcome(pda), load
+    return text, parsed, census(st), report_outcome(mra), report_outcome(pda), load
 
 
 def groups(sides, seed: int):
     """(name, cases, outcome) per group; a case is its thunk on each side,
     and ``outcome`` turns a thunk's return into values to compare."""
-    sweep = [arr for *_, arr in build_sweep()]
+    points = build_sweep()
+    sweep = [arr for *_, arr in points]
     mutated = [with_mutation(arr, i).grid for i, arr in enumerate(sweep)]
     large = [algorithm1(*p) for p in LARGE_ALG1]
     broken = [with_mutation(arr, len(sweep) + j).grid for j, arr in enumerate(large)]
     arrays = [[cs.CodedArray(arr.grid) for arr in sweep] for cs in sides]
+    yield "build", [
+        [build_case(cs, family, tuple(point)) for cs in sides] for family, point, _ in points
+    ], build_outcome
     yield "scan clean", [[scan_case(cs, a.grid) for cs in sides] for a in sweep], tuple
     yield "scan mutated", [[scan_case(cs, g) for cs in sides] for g in mutated], tuple
     yield "scan hard", [[scan_case(cs, g) for cs in sides] for g in hard_grids()], tuple

@@ -36,7 +36,8 @@ from ``tests/conftest.py``, and prints five sha256 values:
 
 Two commits compute the same thing exactly when all digests agree.  The
 job digest takes about 20 s on a 2-core VM; :func:`job_digest` gives it
-at any seeds, and the test suite pins the seed-17 half.
+at any seeds, and the test suite pins the seed-17 half and checks the same
+jobs' reports for acceptance criterion 9.
 """
 
 from __future__ import annotations
@@ -192,11 +193,11 @@ def array_digests(sweep: list[CodedArray]) -> tuple[str, str, str]:
     return arrays.hexdigest(), parse.hexdigest(), stats.hexdigest()
 
 
-def job_digest(sweep: list[CodedArray], seeds=SEEDS) -> tuple[str, int]:
+def job_digest(sweep: list[CodedArray], seeds=SEEDS) -> tuple[str, list]:
     """The ``jobs`` digest of the sweep arrays' jobs at ``seeds``, and the
-    number of jobs."""
+    report of each job in the order run: array, then eta, then seed."""
     jobs = hashlib.sha256()
-    count = 0
+    reports = []
     for arr in sweep:
         for eta1, eta2 in ETAS:
             t = choose_iv_bits(arr, 1, eta1, eta2)
@@ -205,8 +206,8 @@ def job_digest(sweep: list[CodedArray], seeds=SEEDS) -> tuple[str, int]:
                 tr, rep = run_job(arr, spec)
                 jobs.update(tr.dump().encode())
                 jobs.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
-                count += 1
-    return jobs.hexdigest(), count
+                reports.append(rep)
+    return jobs.hexdigest(), reports
 
 
 def main() -> None:
@@ -216,9 +217,9 @@ def main() -> None:
         cli.update(cli_outcome(argv))
     sweep = [arr for *_, arr in build_sweep()]
     arrays, parse, stats = array_digests(sweep)
-    jobs, count = job_digest(sweep)
+    jobs, reports = job_digest(sweep)
     print(f"arrays {arrays} ({len(sweep)} sweep + {len(LARGE_ALG1)} large)")
-    print(f"jobs   {jobs} ({count} jobs)")
+    print(f"jobs   {jobs} ({len(reports)} jobs)")
     print(f"parse  {parse} ({len(sweep) + len(LARGE_ALG1)} faulted texts)")
     print(f"stats  {stats} ({len(sweep) + len(LARGE_ALG1)} arrays and their mutations)")
     print(f"cli    {cli.hexdigest()} ({len(commands)} commands)")

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 40 rows took 145 s on a 2-core VM,
+with the tests that catch it.  The 44 rows took 91 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -336,6 +336,34 @@ MUTANTS = [
             "tests/test_constructors.py::test_subsets_are_lexicographic[6-4]",
             "tests/test_constructors.py::test_algorithm1_5_2_2",
         ],
+    ),
+    # every copy of a block offset by one symbol instead of the block's count
+    (
+        PKG + "constructors.py",
+        "+ first + count * np.arange(out.shape[1])",
+        "+ first + np.arange(out.shape[1])",
+        ["tests/test_constructors.py::test_algorithm2_matches_reference"],
+    ),
+    # each degree's symbols starting where the first degree's do
+    (
+        PKG + "constructors.py",
+        "        first += count * comb(lam, a + r)\n",
+        "",
+        ["tests/test_constructors.py::test_algorithm2_matches_reference"],
+    ),
+    # the sums of table entries taken as ranks, not as ranks from the end
+    (
+        PKG + "constructors.py",
+        "out[::-1, :, ::-1][x[0], :, x[1]]",
+        "out[x[0], :, x[1]]",
+        ["tests/test_constructors.py::test_algorithm1_matches_reference[6]"],
+    ),
+    # the binomial table's read rule a - b < mappers - q taken as <=
+    (
+        PKG + "constructors.py",
+        "for a in range(b, top)]",
+        "for a in range(b, top + 1)]",
+        ["tests/test_constructors.py::test_binomial_table_holds_what_the_ranks_read[5]"],
     ),
     # a subset's lexicographic rank one too high
     (
