@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 44 rows took 91 s on a 2-core VM,
+with the tests that catch it.  The 44 rows took about 95 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -340,8 +340,8 @@ MUTANTS = [
     # every copy of a block offset by one symbol instead of the block's count
     (
         PKG + "constructors.py",
-        "+ first + count * np.arange(out.shape[1])",
-        "+ first + np.arange(out.shape[1])",
+        "np.arange(first, first + n * m).reshape(m, n).T[:, None]",
+        "first + np.arange(n)[:, None, None] + np.arange(m)",
         ["tests/test_constructors.py::test_algorithm2_matches_reference"],
     ),
     # each degree's symbols starting where the first degree's do
