@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -62,6 +63,17 @@ def identity_digests():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     return digests
+
+
+def traced(call):
+    """``call()``, its traced peak and the traced bytes it left held."""
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,7 @@ from codedshuffle.mapreduce import (
 
 from codedshuffle.cli import FAMILIES
 
+from conftest import traced
 from oracles import bf_carrier, bf_dump, bf_run_job
 
 
@@ -418,6 +419,18 @@ def test_run_job_memory_is_bounded(kvec, eta, iv_bits):
         tracemalloc.stop()
     assert rep.all_ok
     assert peak < 4 * 2**20
+
+
+def test_run_job_memory_follows_the_block():
+    # algorithm1(16, 2, 2) at 4 x 4 batches and functions: 10 920 cells of
+    # 320 carrier bits, about 13 blocks of 2**18 bits, peak at 3.6 MiB; the
+    # job in one block peaks at 9.9 MiB
+    arr = algorithm1(16, 2, 2)
+    spec = JobSpec(480, 480, 20, 17)
+    assert validate_mra(arr).ok and arr.shuffle_plan
+    (_, rep), peak, _ = traced(lambda: run_job(arr, spec))
+    assert rep.all_ok
+    assert peak < 5 * 2**20
 
 
 def test_hand_built_transcript_dumps_and_decodes_the_same(golden):
