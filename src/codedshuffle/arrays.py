@@ -24,7 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import STAR, group_cells, scan_groups
+from . import kernels
+from .kernels import STAR, blocks, group_cells, scan_groups
 
 __all__ = [
     "STAR",
@@ -215,14 +216,14 @@ class CodedArray:
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an equal array.
 
-        The rows are written in blocks of about ``_BLOCK_CHARS`` characters
-        (a row's text holds at least 2K; a block holds at least one row), as
-        the parser reads them, so the temporaries follow the block and not
-        the grid.  Each block is built by :func:`_block_text` from the
+        The rows are written in blocks of at most ``kernels.BLOCK`` // 2K
+        rows (a row's text holds at least 2K characters; a block holds at
+        least one row), so the temporaries follow the block and not the
+        grid.  Each block is built by :func:`_block_text` from the
         symbol cells of its own slice of the grid.
         """
         F, K = self.grid.shape
-        step = max(1, _BLOCK_CHARS // (2 * K))  # rows per block
+        step = max(1, kernels.BLOCK // (2 * K))  # rows per block
         stars = np.frombuffer((b"* " * (K - 1) + b"*\n") * step, np.uint8)
         flat = self.grid.reshape(-1)
         parts = [f"{F} {K}\n"]
@@ -266,10 +267,6 @@ class CodedArray:
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_DIGITS = len(str(_INT64_MAX))
-
-# Data rows are parsed in blocks of about this many characters (a block
-# holds at least one row), which bounds the parser's temporaries.
-_BLOCK_CHARS = 1 << 18
 
 # bytes.translate table: the class of each byte of the text.  A token is a
 # run of non-zero classes once line breaks (the ASCII ones of
@@ -333,11 +330,12 @@ def parse_array(text: str) -> CodedArray:
     pass over the byte classes finds the line breaks and the lines that
     hold a token; ``#`` bytes, found with ``bytes.find``, mark the comment
     lines, whose bytes then become gaps in the byte classes.  The data rows
-    are read in blocks of about ``_BLOCK_CHARS`` characters cut at line
-    breaks, each with a few numpy passes over its bytes: tokens and faults
-    per row as sums over each line's bytes, symbols from the place values of their digits, and
-    each symbol's cell from the token starts before its digits, scattered
-    into a grid that starts as stars.
+    are read in blocks of whole rows, cut on their characters by the block
+    rule, :func:`~codedshuffle.kernels.blocks`, each with a few numpy passes
+    over its bytes: tokens and faults per row as sums over each line's
+    bytes, symbols from the place values of their digits, and each symbol's
+    cell from the token starts before its digits, scattered into a grid
+    that starts as stars.
     Tokens of ``_INT64_DIGITS`` or more digits are read with ``int``.  The
     passes only flag suspect rows; :func:`_check_row` reads the first one
     token by token and raises the message naming its fault, so a valid row
@@ -392,14 +390,10 @@ def parse_array(text: str) -> CodedArray:
     if 2 * rows * cols <= len(text):
         grid = np.full((rows, cols), STAR, dtype=np.int64)
     data = lines[1:]
-    row_ends = ends[data]
-    lo = 0
-    while lo < rows:
-        # from the line break before row lo to the one after row hi - 1
-        a = ends[data[lo] - 1]
-        hi = min(rows, int(row_ends.searchsorted(a + _BLOCK_CHARS)) + 1)
+    # a row's characters run from the line break before it to its own
+    cuts = blocks(ends[data] - ends[data[0] - 1])
+    for lo, hi in zip(cuts, cuts[1:]):
         _parse_block(text, buf, cls, ends, data[lo:hi], lo, cols, grid)
-        lo = hi
     grid.setflags(write=False)
     return CodedArray(grid)
 

@@ -22,9 +22,25 @@ import numpy as np
 
 STAR = -1
 
-# Chunk size: the screen takes symbols whose cells hold at most this many
-# bitset words.  One symbol is never split, so a chunk holds at least one.
-_BLOCK_CELLS = 1 << 18
+# The block rule of every pass that bounds its temporaries: a block holds at
+# most this many of the pass's units (text bytes, bitset words, carrier bits),
+# or one item that alone holds more.
+BLOCK = 1 << 18
+
+
+def blocks(ends: np.ndarray) -> list[int]:
+    """The cuts 0 = c0 < ... < ck = n of n items whose sizes sum to
+    ``ends[i]`` over items 0..i: each run [c, c') greedily holds the most
+    items that fit in :data:`BLOCK` units, or one item that does not fit."""
+    n = len(ends)
+    if n and ends[-1] <= BLOCK:  # one block, without a search
+        return [0, n]
+    cuts = [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        base = ends[lo - 1] if lo else 0
+        cuts.append(max(lo + 1, int(ends.searchsorted(base + BLOCK, "right"))))
+    return cuts
 
 
 def group_cells(grid: np.ndarray):
@@ -109,7 +125,8 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
     counts = np.diff(offsets)
     best = None
     c21_ok = c22_ok = True
-    for lo, hi in _chunks(offsets, words):
+    cuts = blocks(offsets[1:] * words)
+    for lo, hi in zip(cuts, cuts[1:]):
         a, b = offsets[lo], offsets[hi]
         r, c, local = rows[a:b], cols[a:b], np.repeat(np.arange(hi - lo), counts[lo:hi])
         # repeat[i]: cell i shares its row with the cell before it; rows never
@@ -154,16 +171,6 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
         pair = first, int(np.minimum(pos[cell], pos[partner])[later == first].min())
         best = pair if best is None else min(best, pair)
     return best, c21_ok, c22_ok
-
-
-def _chunks(offsets: np.ndarray, words: int):
-    """Runs [lo, hi) of whole symbols whose cells hold at most
-    ``_BLOCK_CELLS`` bitset words of ``words`` each, one symbol at least."""
-    lo, budget = 0, max(1, _BLOCK_CELLS // words)
-    while lo < offsets.shape[0] - 1:
-        hi = max(lo + 1, int(offsets.searchsorted(offsets[lo] + budget, "right")) - 1)
-        yield lo, hi
-        lo = hi
 
 
 def _other_rows(nonstar_rows: np.ndarray, local, r, c, repeat) -> np.ndarray:

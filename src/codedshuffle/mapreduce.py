@@ -19,6 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
+from . import kernels
 from .arrays import CodedArray, validate_mra
 from .constructors import GcParameters, _subsets, check_nnc_parameters, ct_parameters
 
@@ -158,11 +159,6 @@ def choose_iv_bits(
 # one 512-bit block per 64 bytes of IV bits (8 MiB at the cap), so the cap
 # bounds both its memory and its run time.
 MAX_JOB_IV_BITS = 1 << 26
-
-# Carrier bits per chunk of the executor's cell order, one byte per bit while
-# packets are cut from carriers; one symbol is never split, so a chunk holds
-# the symbols that start within its budget.
-_CHUNK_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -528,20 +524,16 @@ def _execute(
     row[order] = sent
 
     # class-major order: the plan's cells by their symbol's multiplicity g,
-    # stably, so each class, and each chunk of about _CHUNK_BITS carrier
-    # bits, is a run of whole symbols
+    # stably, so each class, and each chunk the block rule cuts on carrier
+    # bits (one byte per bit while packets are cut), is a run of whole symbols
     cells = g_cell.argsort(kind="stable")
     g_at = g_cell[cells]
     rows, cols, first_byte = plan.rows[cells], plan.cols[cells], offsets[row[cells]]
     classes = ((g_at[1:] != g_at[:-1]).nonzero()[0] + 1).tolist()
     chunks = [n_cells]
-    if n_cells * width > _CHUNK_BITS:
-        # a chunk holds the symbols whose first carrier bit is in its budget
-        first = np.zeros(n_cells, bool)
-        first[plan.offsets[:-1]] = True
-        starts = first[cells].nonzero()[0]
-        chunk = starts * width // _CHUNK_BITS
-        chunks[:0] = starts[1:][chunk[1:] != chunk[:-1]].tolist()
+    if n_cells * width > kernels.BLOCK:
+        ends = np.sort(counts).cumsum()  # the cell each symbol ends at
+        chunks = ends[np.array(kernels.blocks(ends * width)[1:]) - 1].tolist()
 
     ivs = _IvTable(
         IvOracle(spec.seed, spec.iv_bits), eta1, eta2,
@@ -615,8 +607,8 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
 
     The executor walks the cells of the array's cached shuffle plan in
     class-major order (symbols by multiplicity g), so each class is a run of
-    it, in chunks of about ``_CHUNK_BITS`` carrier bits that never split a
-    symbol.  The IV oracle hashes only the 512-bit stream blocks that some
+    it, in chunks of whole symbols cut on their carrier bits by the block
+    rule, :func:`~codedshuffle.kernels.blocks`.  The IV oracle hashes only the 512-bit stream blocks that some
     cell's carrier reads, each once.  A chunk gathers all its carriers at
     once from those blocks; per class, the packets' bits are written through
     a view into the off-diagonal entries of one (n, g, g, bits) table,

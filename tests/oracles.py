@@ -65,6 +65,18 @@ def bf_first_pair_violation(grid):
     return None
 
 
+def bf_blocks(sizes, budget: int) -> list[int]:
+    """The cuts of items of ``sizes`` into runs, greedily: an item starts a
+    new run when the run so far holds an item and would pass ``budget``."""
+    cuts, run = [0], 0
+    for i, size in enumerate(sizes):
+        if i > cuts[-1] and run + size > budget:
+            cuts.append(i)
+            run = 0
+        run += size
+    return cuts + [len(sizes)] if sizes else cuts
+
+
 # Gathered cells per chunk of same-g symbols; one symbol is never split, so a
 # chunk holds max(1, _BLOCK_CELLS // g**2) symbols.
 _BLOCK_CELLS = 1 << 18

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import time
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,7 +32,9 @@ from codedshuffle import (
 )
 from codedshuffle.kernels import first_pair_violation, group_cells
 
+from conftest import traced
 from oracles import (
+    bf_blocks,
     bf_cyclic_shift,
     bf_equal_up_to_relabeling,
     bf_first_orphan,
@@ -179,8 +180,8 @@ def test_comments_are_ignored(monkeypatch):
     text = "3 3\n0 * 1\n  # 7 * x\n\n\t#\n1 0 *\n# 9\n* 1 0\n # tail 5\n"
     want = [[0, STAR, 1], [1, 0, STAR], [STAR, 1, 0]]
     assert bf_parse_array(text) == want
-    for block in (codedshuffle.arrays._BLOCK_CHARS, 1, 12):
-        monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+    for block in (codedshuffle.kernels.BLOCK, 1, 12):
+        monkeypatch.setattr(codedshuffle.kernels, "BLOCK", block)
         assert parse_array(text).grid.tolist() == want, block
 
 
@@ -233,7 +234,7 @@ def test_serialize_matches_bruteforce(g):
 @example(np.array([_WIDTH_EDGES + [STAR], [STAR] + _WIDTH_EDGES], dtype=np.int64), 1)
 def test_serialize_matches_bruteforce_in_small_blocks(monkeypatch, g, block):
     # one row per block at 1, and blocks of a few rows up to 24 characters
-    monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+    monkeypatch.setattr(codedshuffle.kernels, "BLOCK", block)
     assert CodedArray(g).serialize() == bf_serialize(g.tolist())
 
 
@@ -334,7 +335,7 @@ def test_parse_matches_reference(text):
 @given(parse_texts, st.integers(1, 24))
 def test_parse_matches_reference_in_small_blocks(monkeypatch, text, block):
     # blocks of one or a few rows: faults and symbols in later blocks
-    monkeypatch.setattr(codedshuffle.arrays, "_BLOCK_CHARS", block)
+    monkeypatch.setattr(codedshuffle.kernels, "BLOCK", block)
     _check_parse(text)
 
 
@@ -590,12 +591,7 @@ def test_validate_pda_large_label_is_cheap():
     # such code
     arr = parse_array("2 2\n3000000 *\n* 3000000\n")
     t0 = time.perf_counter()
-    tracemalloc.start()
-    try:
-        rep = validate_pda(arr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak, _ = traced(lambda: validate_pda(arr))
     assert time.perf_counter() - t0 < 0.2
     assert peak < 2**20
     assert rep.violation.describe() == "A2 symbol=0"
@@ -761,8 +757,24 @@ def test_pair_scan_matches_bruteforce(g):
 def test_pair_scan_matches_bruteforce_one_symbol_per_chunk(monkeypatch, g):
     # every symbol is its own chunk, so the earliest violation is chosen
     # across chunks as well as within one
-    monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(codedshuffle.kernels, "BLOCK", 1)
     _check_pair_scan(g)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.integers(0, 12), max_size=12), st.integers(1, 24))
+@example([], 5)  # no items
+@example([9], 5)  # one item over the budget
+@example([9, 2, 3, 5, 4, 1], 5)  # exact fits, after an item over it
+@example([1, 2, 3], 24)  # all items in one block
+def test_blocks_matches_bruteforce(monkeypatch, sizes, budget):
+    monkeypatch.setattr(codedshuffle.kernels, "BLOCK", budget)
+    ends = np.cumsum(np.array(sizes, dtype=np.int64))
+    assert codedshuffle.kernels.blocks(ends) == bf_blocks(sizes, budget)
 
 
 def test_pair_scan_memory_is_bounded():
@@ -775,24 +787,9 @@ def test_pair_scan_memory_is_bounded():
     broken = g.copy()
     broken[5, 0] = 0
     for grid, want in [(g, None), (broken, bf_first_pair_violation(broken.tolist()))]:
-        tracemalloc.start()
-        try:
-            assert first_pair_violation(grid) == want
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak, _ = traced(lambda: first_pair_violation(grid))
+        assert got == want
         assert peak < 8 * 2**20
-
-
-def _traced(call):
-    """``call()``, its traced peak and the traced bytes it left held."""
-    tracemalloc.start()
-    try:
-        out = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak, kept
 
 
 # algorithm1(1024, 1, 1): 1024 x 1024 cells, 523 776 symbols of two cells
@@ -809,7 +806,7 @@ def test_census_memory_follows_the_symbols(thousand_mappers):
     # the census keeps two int64 columns, 16 bytes a symbol (8 MiB here);
     # one dict entry per symbol kept 36 MiB
     arr = CodedArray(thousand_mappers.grid)  # the same grid, nothing cached
-    stats, _, kept = _traced(lambda: arr.stats)
+    stats, _, kept = traced(lambda: arr.stats)
     assert len(stats.multiplicity) == 523_776 and stats.common_g == 2
     assert kept < 0.75 * (arr.grid.nbytes + _THOUSAND_TEXT_BYTES)
 
@@ -818,7 +815,7 @@ def test_serialize_memory_follows_the_text(thousand_mappers):
     # the text's blocks and the joined text, plus one block's temporaries
     # (15 MiB here); a whole-grid serializer peaked at 225 MiB
     arr = CodedArray(thousand_mappers.grid)
-    text, peak, _ = _traced(arr.serialize)
+    text, peak, _ = traced(arr.serialize)
     assert len(text) == _THOUSAND_TEXT_BYTES
     assert peak < 1.25 * (arr.grid.nbytes + len(text))
 
@@ -901,7 +898,7 @@ def _pair_above_word_edge() -> np.ndarray:
 @example(_pair_above_word_edge())
 def test_pair_scan_matches_bruteforce_on_tall_grids(monkeypatch, block, g):
     if block is not None:
-        monkeypatch.setattr(codedshuffle.kernels, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(codedshuffle.kernels, "BLOCK", block)
     _check_pair_scan(g)
 
 

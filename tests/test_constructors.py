@@ -43,7 +43,7 @@ from codedshuffle.constructors import (
 )
 from codedshuffle.metrics import be_load, be_points, load_from_array, nnc_load
 
-from conftest import alg2_params, nnc_triples
+from conftest import alg2_params, nnc_triples, traced
 from oracles import bf_algorithm1, bf_algorithm2, bf_clique_partition, bf_lex_rank
 
 
@@ -171,24 +171,14 @@ def test_algorithm1_text_digests_pinned(point):
     assert hashlib.sha256(text.encode()).hexdigest() == _ALG1_TEXT_DIGESTS[point]
 
 
-def _traced_peak(call):
-    """``call()`` and the most memory tracemalloc saw allocated during it."""
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_algorithm1_memory_is_bounded():
     # 924 x 924: the int64 grid is 6.5 MiB.  The builder and the parser
     # freeze their grids and hand them over, so no copy of the grid is made;
     # the parser adds the text's bytes and byte classes (1.6 MiB each) and
     # its row-block temporaries.
-    arr, build_peak = _traced_peak(lambda: algorithm1(12, 6, 6))
-    text, text_peak = _traced_peak(arr.serialize)
-    parsed, parse_peak = _traced_peak(lambda: parse_array(text))
+    arr, build_peak, _ = traced(lambda: algorithm1(12, 6, 6))
+    text, text_peak, _ = traced(arr.serialize)
+    parsed, parse_peak, _ = traced(lambda: parse_array(text))
     assert build_peak < 9 * 2**20
     assert text_peak < 8 * 2**20
     assert parse_peak < 12.5 * 2**20
@@ -288,7 +278,7 @@ def test_algorithm2_memory_is_bounded():
     # three copies of the 924 x 924 block of (12, 6, 6), 19.5 MiB of grid:
     # each copy is written straight into the grid, so nothing else of its
     # size is allocated
-    arr, peak = _traced_peak(lambda: algorithm2(GcParameters(12, 6, (0,) * 5 + (3,))))
+    arr, peak, _ = traced(lambda: algorithm2(GcParameters(12, 6, (0,) * 5 + (3,))))
     assert arr.grid.shape == (924, 3 * 924)
     assert peak < arr.grid.nbytes + 2**20
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -411,12 +410,7 @@ def test_run_job_memory_is_bounded(kvec, eta, iv_bits):
     assert spec.files * spec.functions * spec.iv_bits == iv_bits
     # the crossing scan and the shuffle plan are cached per array, not per job
     assert validate_mra(arr).ok and arr.shuffle_plan
-    tracemalloc.start()
-    try:
-        _, rep = run_job(arr, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, rep), peak, _ = traced(lambda: run_job(arr, spec))
     assert rep.all_ok
     assert peak < 4 * 2**20
 
@@ -687,7 +681,7 @@ def test_run_job_matches_reference_on_fixtures(name):
 def test_run_job_matches_reference_one_symbol_per_chunk(monkeypatch, name):
     # a budget of one carrier bit closes a chunk after every symbol, so each
     # chunk gathers its own carriers and a class spans many chunks
-    monkeypatch.setattr("codedshuffle.mapreduce._CHUNK_BITS", 1)
+    monkeypatch.setattr("codedshuffle.kernels.BLOCK", 1)
     gathers = []
     carriers = _IvTable.carriers
 
