@@ -109,16 +109,6 @@ _CONSTRUCT_NAMES = {"alg1": "ct", "alg2": "gc", "nnc": "nnc"}
 MAX_MAPPERS = 1000
 
 
-def _flag(args, name: str):
-    """The value of an optional flag the chosen family requires."""
-    value = getattr(args, name)
-    if value is None:
-        raise ConstructionError(
-            f"--{name} is required for {args.command} {args.family}"
-        )
-    return value
-
-
 def _parse_kvec(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -146,9 +136,9 @@ def _point(args):
         except ZeroDivisionError:
             raise ConstructionError(f"r has a zero denominator: {args.r!r}") from None
     if hasattr(args, "kvec"):
-        given["kvec"] = _parse_kvec(_flag(args, "kvec"))
+        given["kvec"] = _parse_kvec(args.kvec)
     elif hasattr(args, "alpha"):
-        given["alpha"] = _flag(args, "alpha")
+        given["alpha"] = args.alpha
     point = (args.mappers, *given.values()) if "r" in given else None
     if point and name == "gc":
         point = GcParameters(*point)
@@ -475,9 +465,11 @@ def _add_families(p, names, point=True, out=None):
         if point:
             f.add_argument("--r", required=True)
         if _CONSTRUCT_NAMES.get(name, name) == "gc":
-            f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")
+            f.add_argument(
+                "--kvec", required=True, help="comma-separated multiplicities K_1,K_2,..."
+            )
         elif point:
-            f.add_argument("--alpha", type=int)
+            f.add_argument("--alpha", type=int, required=True)
         if out:
             f.add_argument("--out", help=out)
 

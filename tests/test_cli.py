@@ -546,7 +546,7 @@ def test_cli_digest_pinned():
     for argv in digests.cli_commands():
         cli.update(digests.cli_outcome(argv))
     assert cli.hexdigest() == (
-        "a6866d88bb56f679739dda90c209c45687d6d9d2822b122b3d20e501cfff690a"
+        "1ac7c1f8768f074879f6de97afffda4075c516e7f48c2b359e028e9f02ab827d"
     )
 
 
