@@ -216,14 +216,15 @@ class CodedArray:
     def serialize(self) -> str:
         """Canonical text form; re-parsing yields an equal array.
 
-        The rows are written in blocks of at most ``kernels.BLOCK`` // 2K
-        rows (a row's text holds at least 2K characters; a block holds at
-        least one row), so the temporaries follow the block and not the
-        grid.  Each block is built by :func:`_block_text` from the
-        symbol cells of its own slice of the grid.
+        The rows are written in blocks of as many rows as fit their all-star
+        text, 2K characters a row, in the block rule's ``kernels.BLOCK``
+        characters (at least one row, at most the grid's), so the
+        temporaries follow the block and not the grid.  Each block is built
+        by :func:`_block_text` from the symbol cells of its own slice of
+        the grid.
         """
         F, K = self.grid.shape
-        step = max(1, kernels.BLOCK // (2 * K))  # rows per block
+        step = max(1, min(F, kernels.BLOCK // (2 * K)))  # rows per block
         stars = np.frombuffer((b"* " * (K - 1) + b"*\n") * step, np.uint8)
         flat = self.grid.reshape(-1)
         parts = [f"{F} {K}\n"]

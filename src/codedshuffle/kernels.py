@@ -11,9 +11,17 @@ not to the grid or the pairs.  It is one pass, the screen, over packed row
 bitsets of W = ceil(F/64) uint64 words: one per symbol (its rows) and one
 per column (its non-star rows).  A symbol is clean exactly when its rows are
 distinct and, for each of its cells, the symbol's rows other than the cell's
-own miss the non-star rows of the cell's column.  In the chunks where some
+own miss the non-star rows of the cell's column.  In the blocks where some
 symbol is not, the screen reads from the same bitsets which parts of the
 condition fail and the first violating pair, from three candidates per cell.
+
+The one block rule of the package is here too.  Each pass that bounds its
+temporaries cuts its items into runs with :func:`blocks`, each run holding
+at most :data:`BLOCK` of the pass's units or one item: the parser's rows by
+their text bytes, the screen's symbols by their cells' bitset words and the
+executor's symbols by their carrier bits; the serializer takes the rows whose
+all-star text fits in :data:`BLOCK` bytes.  Each reads ``kernels.BLOCK`` when
+it runs, so setting it sizes them all.
 """
 
 from __future__ import annotations
@@ -22,9 +30,8 @@ import numpy as np
 
 STAR = -1
 
-# The block rule of every pass that bounds its temporaries: a block holds at
-# most this many of the pass's units (text bytes, bitset words, carrier bits),
-# or one item that alone holds more.
+# Units per block of every pass that bounds its temporaries (text bytes,
+# bitset words, carrier bits); a block of one item may hold more.
 BLOCK = 1 << 18
 
 
@@ -105,7 +112,7 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
     Cell i has a hit when h_i, the symbol's rows other than r_i that are
     non-star in column c_i, is not empty.  Cells i < j of a symbol violate
     exactly when they share a row, r_i is in h_j or r_j is in h_i.  So the
-    least pair of a chunk, by later cell and then earlier, is among three
+    least pair of a block, by later cell and then earlier, is among three
     candidates per cell: (1) a cell whose row the cell before it holds, with
     the first cell in that row; (2) a hit cell whose lowest hit row is below
     its own, with the first cell in that row; (3) a hit cell with the first
@@ -164,7 +171,7 @@ def _screen(nonstar_rows: np.ndarray, offsets: np.ndarray, rows, cols):
         keep = pos[cell] == least
         cell = np.concatenate((cell[keep], i[up]))
         row = np.concatenate((row[keep], _lowest(above[:, up])))
-        span = 64 * words  # the chunk's (symbol, row) keys ascend
+        span = 64 * words  # the block's (symbol, row) keys ascend
         partner = (local * span + r).searchsorted(local[cell] * span + row)
         later = np.maximum(pos[cell], pos[partner])
         first = int(later.min())

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 44 rows took about 95 s on a 2-core VM,
+with the tests that catch it.  The 47 rows took about 95 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -175,14 +175,17 @@ MUTANTS = [
         "        else:\n",
         ["tests/test_cli.py::test_foreign_flag_exit_code"],
     ),
-    # --kvec given to every family
+    # --kvec given to every family, required by gc's
     (
         PKG + "cli.py",
         '        if _CONSTRUCT_NAMES.get(name, name) == "gc":\n'
-        '            f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")\n'
+        "            f.add_argument(\n"
+        '                "--kvec", required=True, help="comma-separated multiplicities K_1,K_2,..."\n'
+        "            )\n"
         "        elif point:\n",
-        '        f.add_argument("--kvec", help="comma-separated multiplicities K_1,K_2,...")\n'
-        '        if point and _CONSTRUCT_NAMES.get(name, name) != "gc":\n',
+        '        gc = _CONSTRUCT_NAMES.get(name, name) == "gc"\n'
+        '        f.add_argument("--kvec", required=gc, help="comma-separated multiplicities K_1,K_2,...")\n'
+        "        if point and not gc:\n",
         ["tests/test_cli.py::test_foreign_flag_exit_code"],
     ),
     # repro exiting 0 although a check failed
@@ -282,6 +285,30 @@ MUTANTS = [
         "[1] - 1",
         "[1] - 2",
         ["tests/test_arrays.py::test_pair_scan_matches_bruteforce"],
+    ),
+    # a block cut before an item that ends exactly at the budget
+    (
+        PKG + "kernels.py",
+        'ends.searchsorted(base + BLOCK, "right")',
+        'ends.searchsorted(base + BLOCK, "left")',
+        ["tests/test_arrays.py::test_blocks_matches_bruteforce"],
+    ),
+    # every block after the first measured from the first item
+    (
+        PKG + "kernels.py",
+        "base = ends[lo - 1] if lo else 0",
+        "base = 0",
+        ["tests/test_arrays.py::test_blocks_matches_bruteforce"],
+    ),
+    # a block so large that no pass is ever cut: the memory pins fail
+    (
+        PKG + "kernels.py",
+        "BLOCK = 1 << 18",
+        "BLOCK = 1 << 40",
+        [
+            "tests/test_mapreduce.py::test_run_job_memory_follows_the_block",
+            "tests/test_arrays.py::test_serialize_memory_follows_the_text",
+        ],
     ),
     # a star run moved by the wrong shift taken for the cyclic layout
     (
