@@ -820,6 +820,15 @@ def test_serialize_memory_follows_the_text(thousand_mappers):
     assert peak < 1.25 * (arr.grid.nbytes + len(text))
 
 
+def test_serialize_block_holds_at_most_the_grid():
+    # a block's all-star text is cut to the grid's rows; cut only by the
+    # block rule, a 2 x 2 grid's text peaked at 261 KiB
+    arr = CodedArray(np.array([[0, STAR], [STAR, 0]]))
+    text, peak, _ = traced(arr.serialize)
+    assert text == "2 2\n0 *\n* 0\n"
+    assert peak < 2**14
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grids())
 def test_first_orphan_property(g):

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 47 rows took about 95 s on a 2-core VM,
+with the tests that catch it.  The 48 rows took about 95 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -353,6 +353,14 @@ MUTANTS = [
             "tests/test_arrays.py::test_serialize_matches_bruteforce_in_small_blocks",
             "tests/test_constructors.py::test_algorithm1_text_digests_pinned",
         ],
+    ),
+    # each serializer block's all-star text cut by the block rule alone,
+    # never to the grid's rows
+    (
+        PKG + "arrays.py",
+        "max(1, min(F, kernels.BLOCK // (2 * K)))",
+        "max(1, kernels.BLOCK // (2 * K))",
+        ["tests/test_arrays.py::test_serialize_block_holds_at_most_the_grid"],
     ),
     # the subsets read one member short
     (
