@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .kernels import STAR, blocks, group_cells, scan_groups
+from .kernels import STAR, group_cells, scan_groups
 
 __all__ = [
     "STAR",
@@ -392,7 +392,7 @@ def parse_array(text: str) -> CodedArray:
         grid = np.full((rows, cols), STAR, dtype=np.int64)
     data = lines[1:]
     # a row's characters run from the line break before it to its own
-    cuts = blocks(ends[data] - ends[data[0] - 1])
+    cuts = kernels.blocks(ends[data] - ends[data[0] - 1])
     for lo, hi in zip(cuts, cuts[1:]):
         _parse_block(text, buf, cls, ends, data[lo:hi], lo, cols, grid)
     grid.setflags(write=False)
