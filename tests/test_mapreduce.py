@@ -417,7 +417,7 @@ def test_run_job_memory_is_bounded(kvec, eta, iv_bits):
 
 def test_run_job_memory_follows_the_block():
     # algorithm1(16, 2, 2) at 4 x 4 batches and functions: 10 920 cells of
-    # 320 carrier bits, about 13 blocks of 2**18 bits, peak at 3.6 MiB; the
+    # 320 carrier bits, 14 blocks of at most 2**18 bits, peak at 3.6 MiB; the
     # job in one block peaks at 9.9 MiB
     arr = algorithm1(16, 2, 2)
     spec = JobSpec(480, 480, 20, 17)
