@@ -30,15 +30,21 @@ The inputs come from the checkout: the criterion-5 sweep of
   t_base 1) at seed ``S`` (default 17), on arrays whose plans are cached;
 * ``certify``: construct, serialize, parse, stats, both validators and
   ``load_from_array`` of each large subset-topology array;
-* ``certify mutated``: the same from each large array's mutated grid.
+* ``certify mutated``: the same from each large array's mutated grid;
+* ``text``: ``parse_array`` of the text of each sweep array, of each sweep
+  array i as ``with_mutation(arr, i)`` mutates it, and of each large array
+  and its mutated copy, every text serialized before timing; a case's
+  output is the parsed grid or the error message.  Its rows below the
+  group's give the sweep cases, the large ones, and each large array with
+  its mutated copy.
 
 Each case runs once on each side first, and both sides must give equal
 outputs; else the tool names the case and exits 1.  Then each case is
 timed ``N`` times per side (default 5), the side that goes first
-alternating, and its best time is kept.  For each group the tool prints the
-total of the best times on each side, the median of the per-case ratio
-new/old, and the share of cases where each side is faster.  At the
-defaults it takes about a minute and a half on a 2-core VM.
+alternating, and its best time is kept.  For each group, and each part
+of a group that has parts, the tool prints the total of the best times on
+each side, the median of the per-case ratio new/old, and the share of
+cases where each side is faster.  At the defaults it takes about two minutes on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from pathlib import Path
 from identity_digests import ETAS, LARGE_ALG1, with_mutation  # noqa: E402
 
 import numpy as np  # noqa: E402
-from codedshuffle import STAR, algorithm1  # noqa: E402
+from codedshuffle import STAR, CodedArray, algorithm1  # noqa: E402
 from conftest import build_sweep  # noqa: E402
 
 SIDES = ("cs_old", "cs_new")
@@ -140,6 +146,16 @@ def certify_case(cs, build):
     return run
 
 
+def parse_case(cs, text):
+    def run():
+        try:
+            return cs.parse_array(text).grid
+        except cs.ArrayFormatError as exc:
+            return str(exc)
+
+    return run
+
+
 def report_outcome(report):
     return dict(report.checks), report.violation and report.violation.describe(), report.details
 
@@ -159,14 +175,19 @@ def build_outcome(out):
     return arr.grid.shape, arr.grid.tobytes(), census(st)
 
 
+def parse_outcome(out):
+    return out if isinstance(out, str) else (out.shape, out.tobytes())
+
+
 def certify_outcome(out):
     text, parsed, st, mra, pda, load = out
     return text, parsed, census(st), report_outcome(mra), report_outcome(pda), load
 
 
 def groups(sides, seed: int):
-    """(name, cases, outcome) per group; a case is its thunk on each side,
-    and ``outcome`` turns a thunk's return into values to compare."""
+    """(name, cases, outcome, parts) per group; a case is its thunk on each
+    side, ``outcome`` turns a thunk's return into values to compare, and
+    ``parts`` names slices of the cases reported on their own rows."""
     points = build_sweep()
     sweep = [arr for *_, arr in points]
     mutated = [with_mutation(arr, i).grid for i, arr in enumerate(sweep)]
@@ -175,24 +196,44 @@ def groups(sides, seed: int):
     arrays = [[cs.CodedArray(arr.grid) for arr in sweep] for cs in sides]
     yield "build", [
         [build_case(cs, family, tuple(point)) for cs in sides] for family, point, _ in points
-    ], build_outcome
-    yield "scan clean", [[scan_case(cs, a.grid) for cs in sides] for a in sweep], tuple
-    yield "scan mutated", [[scan_case(cs, g) for cs in sides] for g in mutated], tuple
-    yield "scan hard", [[scan_case(cs, g) for cs in sides] for g in hard_grids()], tuple
+    ], build_outcome, []
+    yield "scan clean", [[scan_case(cs, a.grid) for cs in sides] for a in sweep], tuple, []
+    yield "scan mutated", [[scan_case(cs, g) for cs in sides] for g in mutated], tuple, []
+    yield "scan hard", [[scan_case(cs, g) for cs in sides] for g in hard_grids()], tuple, []
     jobs = [
         [job_case(arrs[i], cs, eta1, eta2, seed) for cs, arrs in zip(sides, arrays)]
         for i in range(len(sweep))
         for eta1, eta2 in ETAS
     ]
-    yield "run_job+dump", jobs, job_outcome
+    yield "run_job+dump", jobs, job_outcome, []
     yield "certify", [
         [certify_case(cs, lambda cs=cs, p=p: cs.algorithm1(*p)) for cs in sides]
         for p in LARGE_ALG1
-    ], certify_outcome
+    ], certify_outcome, []
     yield "certify mutated", [
         [certify_case(cs, lambda cs=cs, g=g: cs.CodedArray(g)) for cs in sides]
         for g in broken
-    ], certify_outcome
+    ], certify_outcome, []
+    # each large array's text beside its mutated copy's
+    texts = [a.serialize() for a in sweep] + [CodedArray(g).serialize() for g in mutated]
+    for arr, g in zip(large, broken):
+        texts += [arr.serialize(), CodedArray(g).serialize()]
+    n = 2 * len(sweep)
+    yield "text", [[parse_case(cs, t) for cs in sides] for t in texts], parse_outcome, [
+        ("sweep", slice(0, n)),
+        ("large", slice(n, None)),
+        *((str(p), slice(n + 2 * j, n + 2 * j + 2)) for j, p in enumerate(LARGE_ALG1)),
+    ]
+
+
+def row(name: str, best: list) -> str:
+    """The report line of the cases whose best times are ``best``."""
+    old, new = (sum(b[s] for b in best) / 1e6 for s in (0, 1))
+    ratio = statistics.median(b / a for a, b in best)
+    old_wins = sum(a < b for a, b in best) / len(best)
+    new_wins = sum(b < a for a, b in best) / len(best)
+    return (f"{name:<16}{len(best):>6}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}"
+            f"{ratio:>8.3f}{old_wins:>12.0%}{new_wins:>12.0%}")
 
 
 def main() -> int:
@@ -207,7 +248,7 @@ def main() -> int:
         print(f"old {args.old_src}, new {args.new_src}, best of {args.repeat}")
         print(f"{'group':<16}{'cases':>6}{'old ms':>10}{'new ms':>10}{'new/old':>9}"
               f"{'median':>8}{'old faster':>12}{'new faster':>12}")
-        for name, cases, outcome in groups(sides, args.seed):
+        for name, cases, outcome, parts in groups(sides, args.seed):
             best = [[float("inf")] * 2 for _ in cases]
             for i, thunks in enumerate(cases):
                 if outcome(thunks[0]()) != outcome(thunks[1]()):
@@ -218,12 +259,9 @@ def main() -> int:
                         t0 = time.perf_counter_ns()
                         thunks[s]()
                         best[i][s] = min(best[i][s], time.perf_counter_ns() - t0)
-            old, new = (sum(b[s] for b in best) / 1e6 for s in (0, 1))
-            ratio = statistics.median(b / a for a, b in best)
-            old_wins = sum(a < b for a, b in best) / len(best)
-            new_wins = sum(b < a for a, b in best) / len(best)
-            print(f"{name:<16}{len(best):>6}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}"
-                  f"{ratio:>8.3f}{old_wins:>12.0%}{new_wins:>12.0%}")
+            print(row(name, best))
+            for part, cut in parts:
+                print(row(f"  {part}", best[cut]))
     return 0
 
 
