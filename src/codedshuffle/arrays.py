@@ -15,6 +15,7 @@ validators check the two classical condition sets:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -269,20 +270,18 @@ class CodedArray:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_DIGITS = len(str(_INT64_MAX))
 
-# bytes.translate table: the class of each byte of the text.  A token is a
-# run of non-zero classes once line breaks (the ASCII ones of
-# str.splitlines) count as gaps, which _BREAK & 3 makes them; inside a line,
-# str.split separates ASCII text only at space, tab and \x1f.  Two
-# neighbouring bytes whose classes sum to _BAD or more hold a fault: a byte
-# of no token class, or a star beside another token byte.
-_GAP, _DIGIT, _STAR, _BAD, _BREAK = range(5)
-_CLASS = bytes(
+# The class of each byte.  The parser classes only the control bytes, to
+# find the line breaks (those of str.splitlines), and the rare bytes of each
+# block of rows, those that are neither a star nor a space.  Inside a line,
+# str.split separates ASCII text only at space, tab and \x1f.
+_GAP, _DIGIT, _STAR, _BREAK, _BAD = range(5)
+_CLASS = np.array([
     _BREAK if b in b"\n\r\x0b\x0c\x1c\x1d\x1e" else
     _GAP if b in b" \t\x1f" else
     _DIGIT if b in b"0123456789" else
     _STAR if b == ord("*") else _BAD
     for b in range(256)
-)
+], np.uint8)
 # place values of the digits of tokens shorter than _INT64_DIGITS
 _POW10 = 10 ** np.arange(_INT64_DIGITS - 1, dtype=np.int64)
 # the least symbol of each token width from 2 to _INT64_DIGITS
@@ -327,45 +326,70 @@ def parse_array(text: str) -> CodedArray:
     is required.  Line breaks are those of ``str.splitlines``.
 
     The text is read as one byte per character (see
-    :func:`_one_byte_per_char`) and never split into Python strings.  One
-    pass over the byte classes finds the line breaks and the lines that
-    hold a token; ``#`` bytes, found with ``bytes.find``, mark the comment
-    lines, whose bytes then become gaps in the byte classes.  The data rows
-    are read in blocks of whole rows, cut on their characters by the block
-    rule, :func:`~codedshuffle.kernels.blocks`, each with a few numpy passes
-    over its bytes: tokens and faults per row as sums over each line's
-    bytes, symbols from the place values of their digits, and each symbol's
-    cell from the token starts before its digits, scattered into a grid
-    that starts as stars.
+    :func:`_one_byte_per_char`) and never split into Python strings, and
+    only two kinds of byte are classed: the control bytes, among which are
+    the line breaks, found a block of ``kernels.BLOCK`` bytes at a time,
+    and in each block of rows the rare bytes, those that are neither a star
+    nor a space.  A line holds a token when its greatest byte is above a
+    space or it holds a control byte of no token class, unless it is a
+    comment, whose ``#`` ``bytes.find`` finds.  The data rows are read in
+    blocks of whole rows, cut on their characters by the block rule,
+    :func:`~codedshuffle.kernels.blocks`.  A block takes a handful of numpy
+    passes over its bytes (the star mask, the rare positions, the ``**``
+    test, the packed star mask) and the rest is work per rare byte: digit
+    runs and bad bytes from the rare bytes' classes, the tokens before each
+    row and each digit run (which gives its cell) from popcounts of the
+    packed star mask, each run's first digit marked as a star, and symbols
+    from the place values of their digits, scattered into a grid that
+    starts as stars.
     Tokens of ``_INT64_DIGITS`` or more digits are read with ``int``.  The
-    passes only flag suspect rows; :func:`_check_row` reads the first one
-    token by token and raises the message naming its fault, so a valid row
-    never reaches a per-token Python loop.  The grid is allocated only when
-    the text is long enough to hold it, so a header that declares more
-    cells than the text has raises at its first short row.
+    passes flag exactly the rows that hold a fault; :func:`_check_row`
+    reads the first one token by token and raises the message naming its
+    fault, so a valid row never reaches a per-token Python loop.  The grid
+    is allocated only when the text is long enough to hold it, so a header
+    that declares more cells than the text has raises at its first short
+    row.
     """
     if not text:
         raise ArrayFormatError("empty input")
     if not text.endswith("\n"):
         raise ArrayFormatError("trailing newline required")
     buf = _one_byte_per_char(text)
-    cls = np.frombuffer(buf.translate(_CLASS), np.uint8)
-    # line i is text[begins[i]:ends[i]], ends[i] its line break
-    ends = (cls == _BREAK).nonzero()[0]
+    raw = np.frombuffer(buf, np.uint8)
+    # line i is text[begins[i]:ends[i]], ends[i] its line break.  The breaks
+    # are control bytes, classed a block at a time, and so are the other
+    # control bytes of no token class, whose lines ``odd`` hold a token.
+    ends, odd, n = [], [], 0
+    for c in range(0, raw.size, kernels.BLOCK):
+        at = (raw[c : c + kernels.BLOCK] < ord(" ")).nonzero()[0]
+        if c:
+            at += c
+        ctrl = raw[at]
+        if np.count_nonzero(ctrl != ord("\n")):  # other control bytes
+            kind = _CLASS.take(ctrl)
+            bad = at[kind == _BAD]
+            at = at[kind == _BREAK]
+            odd.append(np.unique(at.searchsorted(bad)) + n)
+        ends.append(at)
+        n += at.size
+    ends = ends[0] if len(ends) == 1 else np.concatenate(ends)
     begins = np.empty_like(ends)
     begins[0] = 0
     np.add(ends[:-1], 1, out=begins[1:])
+    # the lines that hold a token: the header, then the data rows; each
+    # line's segment ends at its break, which is below a space
+    held = np.maximum.reduceat(raw, begins) > ord(" ")
+    for lines in odd:
+        held[lines] = True
+    notes = []  # the comment lines, in order
     at = buf.find(b"#")
-    if at >= 0:
-        cls = cls.copy()  # frombuffer's classes are read-only
     while at >= 0:
         i = int(ends.searchsorted(at))
         if not buf[begins[i] : at].strip(b" \t\x1f"):
-            cls[begins[i] : ends[i]] = _GAP  # a comment holds no token
+            notes.append(i)
         at = buf.find(b"#", ends[i])
-    # the lines that hold a token: the header, then the data rows; each
-    # line's segment ends at its break, whose class has no token bit
-    held = np.bitwise_or.reduceat(cls, begins) & 3
+    if notes:
+        held[notes] = False  # a comment holds no token
     lines = held.nonzero()[0]
     if not lines.size:
         raise ArrayFormatError("empty grid")
@@ -374,7 +398,8 @@ def parse_array(text: str) -> CodedArray:
     if len(header) != 2:
         raise ArrayFormatError("header must be 'F K'")
     try:
-        if not all(h.isascii() and h.isdigit() for h in header):
+        digits = "".join(header)
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError("F and K must be ASCII decimal")
         rows, cols = int(header[0]), int(header[1])
     except ValueError as exc:
@@ -389,12 +414,13 @@ def parse_array(text: str) -> CodedArray:
     # a text too short for the grid has a short row, which raises.
     grid = None
     if 2 * rows * cols <= len(text):
-        grid = np.full((rows, cols), STAR, dtype=np.int64)
+        grid = np.empty((rows, cols), np.int64)
+        grid.fill(STAR)
     data = lines[1:]
     # a row's characters run from the line break before it to its own
     cuts = kernels.blocks(ends[data] - ends[data[0] - 1])
     for lo, hi in zip(cuts, cuts[1:]):
-        _parse_block(text, buf, cls, ends, data[lo:hi], lo, cols, grid)
+        _parse_block(text, raw, ends, notes, data[lo:hi], lo, cols, grid)
     grid.setflags(write=False)
     return CodedArray(grid)
 
@@ -421,45 +447,62 @@ def _ascii_stand_in(ch: str) -> int:
     return ord(" ") if ch.isspace() else ord("?")
 
 
-def _parse_block(text, buf, cls, ends, data, f0: int, cols: int, grid) -> None:
+def _parse_block(text, raw, ends, notes, data, f0: int, cols: int, grid) -> None:
     """Check data rows ``f0, f0 + 1, ...``, on lines ``data``, and write
-    their symbols to ``grid``.  ``cls`` holds the byte classes of ``buf``,
-    in which the lines between the rows hold only gaps.
+    their symbols to ``grid``.  ``raw`` holds the text's bytes, ``ends``
+    its line breaks and ``notes`` its comment lines.
     """
     a = ends[data[0] - 1]
-    cb = cls[a : ends[data[-1]] + 1] & 3  # starts and ends at a line break
-    tok = cb != _GAP
-    starts = tok[1:] > tok[:-1]  # starts[j]: a token begins at a + j + 1
+    blk = raw[a : ends[data[-1]] + 1]  # starts and ends at a line break
+    if notes:
+        inner = notes[bisect_right(notes, data[0]) : bisect_left(notes, data[-1])]
+        if inner:
+            blk = blk.copy()  # frombuffer's bytes are read-only
+            for i in inner:  # a comment holds no token
+                blk[ends[i - 1] + 1 - a : ends[i] - a] = ord(" ")
+    star = blk == ord("*")
+    at = (star == (blk == ord(" "))).nonzero()[0]  # the rare bytes: neither
+    kind = _CLASS.take(blk[at])
+    digit_at = at[kind == _DIGIT]
     # digit runs; in a row without faults each is a whole symbol token
-    digit = cb == _DIGIT
-    edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
-    run_at, run_end = edges[0::2], edges[1::2]
-    run_len = run_end - run_at
-    # Row f0 + i owns starts[seg[i]:seg[i + 1]] and the neighbouring byte
-    # pairs at the same offsets; the blank lines after it hold neither a
-    # token start nor a fault.  starts[:run_at[r]] counts run r's token and
-    # those before it.  Merged, the two sets of cuts (breaks and digits, so
-    # never equal) take one sum of token starts per segment; a prefix sum over
-    # the bytes took the six large perfbench texts 21 ms, not 12.6 (2-core VM).
+    edges = np.empty(digit_at.size + 1, bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(digit_at[1:], digit_at[:-1] + 1, out=edges[1:-1])
+    edges = edges.nonzero()[0]  # each run's first digit, then the end
+    run_len = edges[1:] - edges[:-1]
+    run_at = digit_at[edges[:-1]]
+    run_end = run_at + run_len
+    # Each run's first digit is marked as a star, so that the stars count
+    # every token; a star before a run, or after a run of one digit, then
+    # makes a pair of neighbouring stars.
+    star[run_at] = True
+    pairs = np.logical_and(star[1:], star[:-1])
+    # The tokens before a byte are the marked stars before it: those of the
+    # 64-bit words of the packed mask up to its own, less those of its own
+    # word from its bit on.  Row f0 + i runs from its line break seg[i] to
+    # the next row's; the blank and comment lines after it hold only gaps
+    # and breaks.
     seg = ends[data - 1] - a
-    cuts = np.empty(seg.size + run_at.size, np.intp)
-    at_seg = np.arange(seg.size) + run_at.searchsorted(seg)
-    at_run = np.arange(run_at.size) + seg.searchsorted(run_at)
-    cuts[at_seg], cuts[at_run] = seg, run_at
-    # uint32 sums take half the time of intp ones; they cannot overflow in
-    # a block of fewer than 2**32 bytes
-    dtype = np.uint32 if cb.size < 1 << 32 else np.intp
-    sums = np.add.reduceat(starts.view(np.uint8), cuts, dtype=dtype)
-    suspect = np.add.reduceat(sums, at_seg) != cols
-    suspect |= np.logical_or.reduceat(cb[1:] + cb[:-1] >= _BAD, seg)
+    words = np.zeros(-(-blk.size // 64), "<u8")
+    packed = np.packbits(star, bitorder="little")
+    words.view(np.uint8)[: packed.size] = packed
+    x = np.concatenate((seg, [blk.size - 1], run_at)).view(np.uint64)
+    w = x >> 6
+    before = np.add.accumulate(np.bitwise_count(words).astype(np.intp))[w]
+    before -= np.bitwise_count(words[w] >> (x & 63))
+    suspect = before[1 : seg.size + 1] - before[: seg.size] != cols
+    # a fault is a bad byte, a pair of stars or a star after a run
+    if kind.max() == _BAD or np.count_nonzero(pairs) or np.count_nonzero(star[run_end]):
+        faults = np.concatenate((at[kind == _BAD], pairs.nonzero()[0], run_at[star[run_end]]))
+        suspect[seg.searchsorted(faults, "right") - 1] = True
     wide = {}
     for r in (run_len >= _INT64_DIGITS).nonzero()[0].tolist():
-        digits = buf[a + run_at[r] : a + run_end[r]].lstrip(b"0") or b"0"
+        digits = blk[run_at[r] : run_end[r]].tobytes().lstrip(b"0") or b"0"
         if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
             suspect[seg.searchsorted(run_at[r]) - 1] = True
         else:
             wide[r] = int(digits)
-    if suspect.any():
+    if np.count_nonzero(suspect):
         f = int(suspect.argmax())
         line = data[f]
         _check_row(f0 + f, text[ends[line - 1] + 1 : ends[line]], cols)
@@ -467,16 +510,17 @@ def _parse_block(text, buf, cls, ends, data, f0: int, cols: int, grid) -> None:
         return
     # every row holds ``cols`` tokens and the lines between rows none, so
     # token i of the block is cell i of its rows; each digit is weighted by
-    # the digits after it in its run
-    digit_at = digit.nonzero()[0]
+    # the digits after it in its run (wide runs are set below), and a run's
+    # symbol is the difference of the sums of the terms up to its ends,
+    # which int64 wrapping leaves exact
     place = (run_end - 1).repeat(run_len) - digit_at
-    np.minimum(place, _POW10.size - 1, out=place)  # wide runs are set below
-    raw = np.frombuffer(buf, np.uint8, count=cb.size, offset=a)
-    terms = _POW10[place] * (raw[digit_at] - ord("0"))
-    # the token starts up to each run's cut include its own
+    terms = _POW10.take(place, mode="clip") * (blk[digit_at] - ord("0"))
+    total = np.zeros(terms.size + 1, np.int64)
+    np.add.accumulate(terms, out=total[1:])
+    total = total[edges]
     flat = grid.reshape(-1)
-    cells = sums.cumsum(dtype=np.intp)[at_run - 1] + (f0 * cols - 1)
-    flat[cells] = np.add.reduceat(terms, run_len.cumsum() - run_len)
+    cells = before[seg.size + 1 :] + f0 * cols
+    flat[cells] = total[1:] - total[:-1]
     for r, value in wide.items():
         flat[cells[r]] = value
 
