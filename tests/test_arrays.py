@@ -339,6 +339,59 @@ def test_parse_matches_reference_in_small_blocks(monkeypatch, text, block):
     _check_parse(text)
 
 
+# Faults put into a long text at byte p, a space between two stars: each
+# takes the text and p and gives the faulty text.  A tab, \x1f and a
+# non-ASCII space are gaps and a zero-padded 20-digit token is a symbol, so
+# those texts still parse; a comment line goes after the row that holds p.
+_LONG_TEXT_FAULTS = {
+    "pair": lambda t, p: t[: p + 1] + "**" + t[p + 2 :],
+    "star-digit": lambda t, p: t[: p + 1] + "*7" + t[p + 2 :],
+    "digit-star": lambda t, p: t[: p + 1] + "7*" + t[p + 2 :],
+    "bad": lambda t, p: t[: p + 1] + "x" + t[p + 2 :],
+    "tab": lambda t, p: t[:p] + "\t" + t[p + 1 :],
+    "unit-separator": lambda t, p: t[:p] + "\x1f" + t[p + 1 :],
+    "crlf": lambda t, p: t[:p] + "\r\n" + t[p + 1 :],
+    "comment": lambda t, p: t[: t.index("\n", p) + 1] + " # 12 * x ** 7\n" + t[t.index("\n", p) + 1 :],
+    "nbsp": lambda t, p: t[:p] + "\u00a0" + t[p + 1 :],
+    "dropped": lambda t, p: t[:p] + t[p + 2 :],
+    "extra": lambda t, p: t[:p] + " *" + t[p:],
+    "wide": lambda t, p: t[: p + 1] + "00000000000000000123" + t[p + 2 :],
+}
+
+
+@pytest.fixture(scope="module")
+def long_texts():
+    """The texts of two subset-topology arrays, and for each two places p
+    (a space with 64 or more bytes of stars and spaces on each side): one
+    from ``default_rng(11)`` in the middle half of the text, one in the
+    last data row, before its last 64 bytes when it can be."""
+    rng = np.random.default_rng(11)
+    out = {}
+    for point in [(10, 4, 4), (12, 6, 6)]:
+        text = algorithm1(*point).serialize()
+        b = np.frombuffer(text.encode(), np.uint8)
+        other = np.concatenate(([0], np.cumsum((b != ord(" ")) & (b != ord("*")))))
+        p = np.arange(64, b.size - 64)
+        quiet = p[(b[p] == ord(" ")) & (other[p + 65] == other[p - 64])]
+        middle = quiet[(quiet > b.size // 4) & (quiet < 3 * b.size // 4)]
+        last = quiet[quiet > text.rindex("\n", 0, -1)]
+        out[point] = text, [int(rng.choice(middle)), int(last[-1])]
+    return out
+
+
+@pytest.mark.parametrize("fault", sorted(_LONG_TEXT_FAULTS))
+@pytest.mark.parametrize("point", [(10, 4, 4), (12, 6, 6)])
+def test_parse_matches_reference_on_long_texts(monkeypatch, long_texts, point, fault):
+    # one fault deep inside a long star run and one in the last row, at the
+    # default block and at blocks of a few rows
+    text, places = long_texts[point]
+    for p in places:
+        faulty = _LONG_TEXT_FAULTS[fault](text, p)
+        for block in (codedshuffle.kernels.BLOCK, 1 << 12):
+            monkeypatch.setattr(codedshuffle.kernels, "BLOCK", block)
+            _check_parse(faulty)
+
+
 # --- statistics --------------------------------------------------------------
 
 
