@@ -294,10 +294,11 @@ def _block_text(cells: np.ndarray, stars: np.ndarray) -> str:
 
     Numpy passes whose cost grows with the symbol cells and the text's
     bytes: each symbol token's extra digits are new bytes after its star
-    byte, the all-star text fills the other bytes in order, and the digits
-    are written one place value per pass.  np.insert of the new bytes gave
-    the same text with about 40 bytes of temporaries per new byte: a
-    35 MiB peak, not 15, serializing ``algorithm1(1024, 1, 1)``.
+    byte, the all-star text fills the other bytes in order (a plain copy
+    when no symbol has two digits), and the digits are written one place
+    value per pass.  np.insert of the new bytes gave the same text with
+    about 40 bytes of temporaries per new byte: a 35 MiB peak, not 15,
+    serializing ``algorithm1(1024, 1, 1)``.
     """
     at = np.flatnonzero(cells != STAR)  # symbol cells, row-major
     syms = cells[at]
@@ -305,12 +306,15 @@ def _block_text(cells: np.ndarray, stars: np.ndarray) -> str:
     # every token moves right by the bytes added before it
     added = np.cumsum(width - 1)
     last = 2 * at + added  # each token's last digit
-    text = np.empty(stars.size + (int(added[-1]) if added.size else 0), np.uint8)
-    new = np.zeros(text.size, bool)
     digits = int(width.max(initial=0))
-    for place in range(digits - 1):
-        new[last[width > place + 1] - place] = True
-    text[~new] = stars
+    if digits < 2:  # no token adds a byte
+        text = stars.copy()
+    else:
+        text = np.empty(stars.size + int(added[-1]), np.uint8)
+        new = np.zeros(text.size, bool)
+        for place in range(digits - 1):
+            new[last[width > place + 1] - place] = True
+        text[~new] = stars
     for place in range(digits):
         on = width > place
         text[last[on] - place] = ord("0") + syms[on] // 10**place % 10
