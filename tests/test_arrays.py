@@ -340,13 +340,16 @@ def test_parse_matches_reference_in_small_blocks(monkeypatch, text, block):
 
 
 # Faults put into a long text at byte p, a space between two stars: each
-# takes the text and p and gives the faulty text.  A tab, \x1f and a
-# non-ASCII space are gaps and a zero-padded 20-digit token is a symbol, so
-# those texts still parse; a comment line goes after the row that holds p.
+# takes the text and p and gives the faulty text.  A pair of stars, a star
+# before a digit and a digit after a star each replace the three bytes
+# "* *" and keep the row's stars plus digit runs at its column count.  A
+# tab, \x1f and a non-ASCII space are gaps and a zero-padded 20-digit token
+# is a symbol, so those texts still parse; a comment line goes after the
+# row that holds p.
 _LONG_TEXT_FAULTS = {
-    "pair": lambda t, p: t[: p + 1] + "**" + t[p + 2 :],
-    "star-digit": lambda t, p: t[: p + 1] + "*7" + t[p + 2 :],
-    "digit-star": lambda t, p: t[: p + 1] + "7*" + t[p + 2 :],
+    "pair": lambda t, p: t[: p - 1] + "** " + t[p + 2 :],
+    "star-digit": lambda t, p: t[: p - 1] + "*7 " + t[p + 2 :],
+    "digit-star": lambda t, p: t[: p - 1] + "12*" + t[p + 2 :],
     "bad": lambda t, p: t[: p + 1] + "x" + t[p + 2 :],
     "tab": lambda t, p: t[:p] + "\t" + t[p + 1 :],
     "unit-separator": lambda t, p: t[:p] + "\x1f" + t[p + 1 :],
@@ -380,7 +383,7 @@ def long_texts():
 
 
 @pytest.mark.parametrize("fault", sorted(_LONG_TEXT_FAULTS))
-@pytest.mark.parametrize("point", [(10, 4, 4), (12, 6, 6)])
+@pytest.mark.parametrize("point", [(10, 4, 4), (12, 6, 6)], ids=["10-4-4", "12-6-6"])
 def test_parse_matches_reference_on_long_texts(monkeypatch, long_texts, point, fault):
     # one fault deep inside a long star run and one in the last row, at the
     # default block and at blocks of a few rows

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 48 rows took about 95 s on a 2-core VM,
+with the tests that catch it.  The 53 rows took about 95 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -333,6 +333,48 @@ MUTANTS = [
         "return iter(self.labels.tolist())",
         "return iter(self.labels[::-1].tolist())",
         ["tests/test_arrays.py::test_census_is_a_read_only_mapping_over_two_columns"],
+    ),
+    # the parser blind to a pair of neighbouring stars (and so to a star
+    # before a digit, which the mark of a run's first digit makes a pair)
+    (
+        PKG + "arrays.py",
+        "np.count_nonzero(pairs) or ",
+        "",
+        [
+            "tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-pair]",
+            "tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-star-digit]",
+        ],
+    ),
+    # the parser blind to a star after a run of two or more digits
+    (
+        PKG + "arrays.py",
+        " or np.count_nonzero(star[run_end])",
+        "",
+        ["tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-digit-star]"],
+    ),
+    # the stars of a comment line between rows counted as tokens
+    (
+        PKG + "arrays.py",
+        'blk[ends[i - 1] + 1 - a : ends[i] - a] = ord(" ")',
+        'line = blk[ends[i - 1] + 1 - a : ends[i] - a]; line[line != ord("*")] = ord(" ")',
+        [
+            "tests/test_arrays.py::test_comments_are_ignored",
+            "tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-comment]",
+        ],
+    ),
+    # a tab read as a token byte, not a gap
+    (
+        PKG + "arrays.py",
+        '_GAP if b in b" \\t\\x1f" else',
+        '_GAP if b in b" \\x1f" else',
+        ["tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-tab]"],
+    ),
+    # each block's last row counted one byte short of its line break
+    (
+        PKG + "arrays.py",
+        "[blk.size - 1]",
+        "[blk.size - 2]",
+        ["tests/test_arrays.py::test_parse_matches_reference_on_long_texts[10-4-4-tab]"],
     ),
     # each serializer block dropping the row after it
     (
