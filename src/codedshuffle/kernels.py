@@ -20,8 +20,9 @@ temporaries cuts its items into runs with :func:`blocks`, each run holding
 at most :data:`BLOCK` of the pass's units or one item: the parser's rows by
 their text bytes, the screen's symbols by their cells' bitset words and the
 executor's symbols by their carrier bits; the serializer takes the rows whose
-all-star text fits in :data:`BLOCK` bytes.  Each reads ``kernels.BLOCK`` when
-it runs, so setting it sizes them all.
+all-star text fits in :data:`BLOCK` bytes, and the parser's scan for line
+breaks :data:`BLOCK` bytes at a time.  Each reads ``kernels.BLOCK`` when it
+runs, so setting it sizes them all.
 """
 
 from __future__ import annotations
