@@ -490,10 +490,10 @@ def _parse_block(text, raw, ends, notes, data, f0: int, cols: int, grid) -> None
     words = np.zeros(-(-blk.size // 64), "<u8")
     packed = np.packbits(star, bitorder="little")
     words.view(np.uint8)[: packed.size] = packed
-    x = np.concatenate((seg, [blk.size - 1], run_at)).view(np.uint64)
+    x = np.concatenate((seg, [blk.size - 1], run_at))
     w = x >> 6
     before = np.add.accumulate(np.bitwise_count(words).astype(np.intp))[w]
-    before -= np.bitwise_count(words[w] >> (x & 63))
+    before -= np.bitwise_count(words[w] >> (x & 63).view(np.uint64))
     suspect = before[1 : seg.size + 1] - before[: seg.size] != cols
     # a fault is a bad byte, a pair of stars or a star after a run
     if kind.max() == _BAD or np.count_nonzero(pairs) or np.count_nonzero(star[run_end]):
