@@ -270,16 +270,16 @@ class CodedArray:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_DIGITS = len(str(_INT64_MAX))
 
-# The class of each byte.  The parser classes only the control bytes, to
-# find the line breaks (those of str.splitlines), and the rare bytes of each
-# block of rows, those that are neither a star nor a space.  Inside a line,
-# str.split separates ASCII text only at space, tab and \x1f.
-_GAP, _DIGIT, _STAR, _BREAK, _BAD = range(5)
+# The class of each byte, read only for the control bytes, among which are
+# the line breaks of str.splitlines, and for the rare bytes of a block of
+# rows, those that are neither a star nor a space.  Inside a line, str.split
+# separates ASCII text only at space, tab and \x1f.  _BAD, a byte of no
+# token, is the greatest class.
+_GAP, _DIGIT, _BREAK, _BAD = range(4)
 _CLASS = np.array([
     _BREAK if b in b"\n\r\x0b\x0c\x1c\x1d\x1e" else
     _GAP if b in b" \t\x1f" else
-    _DIGIT if b in b"0123456789" else
-    _STAR if b == ord("*") else _BAD
+    _DIGIT if b in b"0123456789" else _BAD
     for b in range(256)
 ], np.uint8)
 # place values of the digits of tokens shorter than _INT64_DIGITS
