@@ -354,7 +354,9 @@ _LONG_TEXT_FAULTS = {
     "tab": lambda t, p: t[:p] + "\t" + t[p + 1 :],
     "unit-separator": lambda t, p: t[:p] + "\x1f" + t[p + 1 :],
     "crlf": lambda t, p: t[:p] + "\r\n" + t[p + 1 :],
-    "comment": lambda t, p: t[: t.index("\n", p) + 1] + " # 12 * x ** 7\n" + t[t.index("\n", p) + 1 :],
+    "comment": lambda t, p: (
+        t[: t.index("\n", p) + 1] + " # 12 * x ** 7\n" + t[t.index("\n", p) + 1 :]
+    ),
     "nbsp": lambda t, p: t[:p] + "\u00a0" + t[p + 1 :],
     "dropped": lambda t, p: t[:p] + t[p + 2 :],
     "extra": lambda t, p: t[:p] + " *" + t[p:],

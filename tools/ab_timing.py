@@ -44,7 +44,8 @@ timed ``N`` times per side (default 5), the side that goes first
 alternating, and its best time is kept.  For each group, and each part
 of a group that has parts, the tool prints the total of the best times on
 each side, the median of the per-case ratio new/old, and the share of
-cases where each side is faster.  At the defaults it takes about two minutes on a 2-core VM.
+cases where each side is faster.  At the defaults it takes about two
+minutes on a 2-core VM.
 """
 
 from __future__ import annotations
