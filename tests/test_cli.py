@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codedshuffle
-from codedshuffle import load_fixture, parse_array
+from codedshuffle import cli, load_fixture, parse_array, run_job
 from codedshuffle.cli import FAMILIES, MAX_MAPPERS, main
+from codedshuffle.mapreduce import Message, ShuffleTranscript, _reduce
 
 from conftest import identity_digests
 
@@ -429,6 +430,25 @@ def test_simulate_transcript_dump(run, tmp_path):
     lines = dump.read_text().splitlines()
     assert len(lines) == 8
     assert all(len(ln.split()) == 4 for ln in lines)
+
+
+def test_simulate_decode_failure_exits_3(run, tmp_path, monkeypatch):
+    # run_job decodes its own payloads, which decode by construction; only a
+    # transcript given to _reduce can fail a reducer, so one with a payload
+    # bit flipped stands in for the job's
+    def corrupted(arr, spec):
+        transcript, _ = run_job(arr, spec)
+        m, *rest = transcript.messages
+        bad = ShuffleTranscript([Message(m.sender, m.symbol, m.bits, m.payload ^ 1), *rest])
+        return bad, _reduce(arr, spec, bad)
+
+    monkeypatch.setattr(cli, "run_job", corrupted)
+    code, out, _ = run(
+        "simulate", _write(tmp_path, "cyclic_pda_4"), "--files", "4", "--functions", "4",
+        "--iv-bits", "3",
+    )
+    assert code == 3
+    assert json.loads(out)["all_decoded"] is False
 
 
 def test_seed_env_var(run, tmp_path, monkeypatch):

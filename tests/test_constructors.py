@@ -171,6 +171,19 @@ def test_algorithm1_text_digests_pinned(point):
     assert hashlib.sha256(text.encode()).hexdigest() == _ALG1_TEXT_DIGESTS[point]
 
 
+def test_algorithm1_refuses_a_huge_lambda_before_its_parameters(monkeypatch):
+    # ct_parameters builds a tuple of mappers - r multiplicities, so the
+    # mappers**2 cell refusal comes before it
+    def unreachable(*_):
+        raise AssertionError("ct_parameters called before the cell refusal")
+
+    monkeypatch.setattr("codedshuffle.constructors.ct_parameters", unreachable)
+    with pytest.raises(
+        ConstructionError, match="at least a 4097 x 4097 array exceeds MAX_ARRAY_CELLS"
+    ):
+        algorithm1(4097, 1, 1)
+
+
 def test_algorithm1_memory_is_bounded():
     # 924 x 924: the int64 grid is 6.5 MiB.  The builder and the parser
     # freeze their grids and hand them over, so no copy of the grid is made;

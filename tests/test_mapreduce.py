@@ -194,6 +194,41 @@ def test_oracle_spans_hash_blocks():
     assert o.value(0, 5) != o.value(0, 6)
 
 
+_T700 = (
+    "313d4780d82b5891b1b06d7c6f0045b8b8692d4d4b4b84b0ac2adc6326ba54b2"
+    "1d554639343db4b0477e70b02e151fad3ef007b203a9f9b92a514f1182f60f2e"
+    "2e0620508ca6a97a348bb5bc53c678e47fbf9e2b886ed0b"
+)
+
+
+@pytest.mark.parametrize(
+    "seed, t, q, n, want",
+    [
+        (7, 13, 0, 0, "125"),
+        (7, 13, 2, 4, "bc7"),
+        (2**64 + 7, 13, 2, 4, "bc7"),  # seeds are taken mod 2**64
+        (1, 100, 0, 5, "a2d05979b210aabd76d438a8f"),  # bits 500-599: blocks 0 and 1
+        (1, 100, 0, 10**12, "7d3422bfc576213f10a221c33"),
+        (
+            3, 512, 3, 0,
+            "cd39e27ffe7444f6ce70a5a683911dbd961fcb4b5682ee2981b475b915e8fcd0"
+            "6ed962c20a7645a0ea5aaf9f0b89e0d4a2e673e1f28fb43cc6adc6cf0e675dc7",
+        ),
+        (
+            3, 512, 3, 1,
+            "81b70f44dcb91b8f3a6c00a3b2f3b20d59004047732f8503a8d57cd8cb8716b2"
+            "7027a1fd8d129b87fe681c1dcfdc5bac056b5bd2cb50a1466bcaa8e2b1903317",
+        ),
+        (9, 700, 1, 2, _T700),  # bits 1400-2099: blocks 2, 3 and 4
+        (2**70 + 9, 700, 1, 2, _T700),
+    ],
+)
+def test_oracle_known_answers(seed, t, q, n, want):
+    # fixed values, so that the reference route rests not only on agreeing
+    # with ``blocks``
+    assert IvOracle(seed, t).value(q, n) == int(want, 16)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
