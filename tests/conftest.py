@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.util
 import tracemalloc
 from itertools import product
@@ -66,7 +67,10 @@ def identity_digests():
 
 
 def traced(call):
-    """``call()``, its traced peak and the traced bytes it left held."""
+    """``call()``, its traced peak and the traced bytes it left held.
+    Garbage is collected first, so no collection of earlier garbage runs
+    inside the trace."""
+    gc.collect()
     tracemalloc.start()
     try:
         out = call()

@@ -29,7 +29,9 @@ The inputs come from the checkout: the criterion-5 sweep of
   (each sweep array at the four eta pairs, the smallest IV width for
   t_base 1) at seed ``S`` (default 17), on arrays whose plans are cached;
 * ``certify``: construct, serialize, parse, stats, both validators and
-  ``load_from_array`` of each large subset-topology array;
+  ``load_from_array`` of each large subset-topology array and of each
+  sweep array, built from its point; its rows below the group's give the
+  large cases and the sweep ones;
 * ``certify mutated``: the same from each large array's mutated grid;
 * ``text``: ``parse_array`` of the text of each sweep array, of each sweep
   array i as ``with_mutation(arr, i)`` mutates it, and of each large array
@@ -117,12 +119,17 @@ def job_case(arr, cs, eta1, eta2, seed):
     return run
 
 
-def build_case(cs, family, point):
-    construct = {
+def builder(cs, family, point):
+    """The side's construction of ``family``'s array at ``point``, as a thunk."""
+    return {
         "ct": lambda: cs.algorithm1(*point),
         "gc": lambda: cs.algorithm2(cs.GcParameters(*point)),
         "nnc": lambda: cs.nnc_pda(*point),
     }[family]
+
+
+def build_case(cs, family, point):
+    construct = builder(cs, family, point)
 
     def run():
         arr = construct()
@@ -208,9 +215,14 @@ def groups(sides, seed: int):
     ]
     yield "run_job+dump", jobs, job_outcome, []
     yield "certify", [
-        [certify_case(cs, lambda cs=cs, p=p: cs.algorithm1(*p)) for cs in sides]
-        for p in LARGE_ALG1
-    ], certify_outcome, []
+        [certify_case(cs, builder(cs, "ct", p)) for cs in sides] for p in LARGE_ALG1
+    ] + [
+        [certify_case(cs, builder(cs, family, tuple(point))) for cs in sides]
+        for family, point, _ in points
+    ], certify_outcome, [
+        ("large", slice(0, len(LARGE_ALG1))),
+        ("sweep", slice(len(LARGE_ALG1), None)),
+    ]
     yield "certify mutated", [
         [certify_case(cs, lambda cs=cs, g=g: cs.CodedArray(g)) for cs in sides]
         for g in broken

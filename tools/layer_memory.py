@@ -6,7 +6,7 @@ Run from anywhere in a checkout:
     python3 tools/layer_memory.py [--lambda 1024] [--r 1] [--alpha 1]
 
 It imports the package from the checkout's ``src`` and, under
-``tracemalloc``, runs in turn: ``algorithm1(lambda, r, alpha)``, its
+``tests/conftest.traced``, runs in turn: ``algorithm1(lambda, r, alpha)``, its
 ``stats``, its ``shuffle_plan``, ``serialize``, ``parse_array`` of that text
 and ``validate_mra`` of the parsed array (a fresh array, so that call builds
 its own census and plan).  Each layer's peak is the most traced memory
@@ -20,30 +20,17 @@ few seconds on a 2-core VM; tracemalloc slows the calls several times.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from codedshuffle import algorithm1, parse_array, validate_mra  # noqa: E402
+from conftest import traced  # noqa: E402
 
 MIB = 2**20
-
-
-def traced(call):
-    """``call()``, its traced peak and the traced bytes it left held."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak, kept
 
 
 def main(argv=None) -> int:
