@@ -228,8 +228,7 @@ def cmd_simulate(args) -> int:
     spec = JobSpec(args.files, args.functions, t, seed)
     transcript, report = run_job(arr, spec)
     if args.dump_transcript:
-        with open(args.dump_transcript, "w", encoding="utf-8") as fh:
-            fh.write(transcript.dump())
+        _write_out(transcript.dump(), args.dump_transcript)
     payload = report.to_json_dict()
     payload["iv_bits"] = t
     payload["message_count"] = len(transcript.messages)

@@ -5,7 +5,7 @@ Three families are produced:
 * ``algorithm1``: the combinatorial-topology array indexed by r-subsets
   (rows) and alpha-subsets (columns) of the mapper set, starred where the
   subsets intersect and otherwise carrying the lexicographic rank of their
-  union;
+  union; it is ``algorithm2`` with one reducer per alpha-subset;
 * ``algorithm2``: horizontal concatenation of symbol-offset copies of
   ``algorithm1`` blocks, one group per connectivity degree alpha;
 * ``nnc_pda``: the r-cyclic g-regular family for the wrap-around topology
@@ -154,18 +154,14 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     set, both in lexicographic order.  The entry is a star when T and U
     intersect, otherwise the lexicographic rank of T | U among the
     (alpha+r)-subsets, making the result C(r+alpha, r)-regular with
-    C(mappers, alpha+r) symbols.  :func:`_fill` writes only the symbol
-    cells, with no Python work per cell and no work per star.
+    C(mappers, alpha+r) symbols: :func:`algorithm2` at the single degree
+    alpha, built by :func:`ct_parameters`.
     """
-    lam = mappers
-    check_ct_parameters(lam, r, alpha)
-    # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
-    _check_cells(lam, lam, least="at least ")
-    _check_cells(comb(lam, r), comb(lam, alpha))
-    grid = np.full((comb(lam, r), comb(lam, alpha)), STAR, dtype=np.int64)
-    _fill(grid[:, None], _binomials(lam, (r, alpha)), r, alpha, 0)
-    grid.setflags(write=False)
-    return CodedArray(grid)
+    check_ct_parameters(mappers, r, alpha)
+    # ct_parameters holds mappers - r multiplicities: refuse a huge mapper
+    # count before it, as algorithm2 would after it
+    _check_cells(mappers, mappers, least="at least ")
+    return algorithm2(ct_parameters(mappers, r, alpha))
 
 
 def shift_symbols(arr: CodedArray, offset: int) -> CodedArray:
@@ -275,7 +271,8 @@ def algorithm2(params: GcParameters) -> CodedArray:
     count, and each alpha group is offset past all preceding groups.
     """
     lam, r = params.mappers, params.computation
-    _check_cells(lam, lam, least="at least ")  # as in algorithm1
+    # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
+    _check_cells(lam, lam, least="at least ")
     rows, cols = comb(lam, r), params.reducer_count
     _check_cells(rows, cols)
     degrees = [(a, count) for a, count in enumerate(params.multiplicities, start=1) if count]

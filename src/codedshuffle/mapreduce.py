@@ -194,27 +194,16 @@ class IvOracle:
     def __init__(self, seed: int, iv_bits: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self.t = iv_bits
-        self._blocks: dict[tuple[int, int], int] = {}
 
     def _digest(self, q: int, b: int) -> bytes:
         """Block b of stream q: 512 bits, most significant first."""
         return hashlib.blake2b(self._KEY.pack(self.seed, q, b)).digest()
 
-    def _block(self, q: int, b: int) -> int:
-        key = (q, b)
-        got = self._blocks.get(key)
-        if got is None:
-            got = int.from_bytes(self._digest(q, b), "big")
-            self._blocks[key] = got
-        return got
-
     def value(self, q: int, n: int) -> int:
         start = n * self.t
         end = start + self.t
         first, last = start // self._BLOCK_BITS, (end - 1) // self._BLOCK_BITS
-        acc = 0
-        for b in range(first, last + 1):
-            acc = (acc << self._BLOCK_BITS) | self._block(q, b)
+        acc = int.from_bytes(b"".join(self._digest(q, b) for b in range(first, last + 1)), "big")
         span = (last + 1) * self._BLOCK_BITS
         acc >>= span - end
         return acc & ((1 << self.t) - 1)
