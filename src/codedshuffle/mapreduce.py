@@ -584,7 +584,7 @@ def _reduce(
 
 
 def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeReport]:
-    """Execute map, coded shuffle, and reduce; verify every recovered IV.
+    """Execute map, coded shuffle and reduce, and report each reducer's decode.
 
     Reducer k is assigned the function block [k*eta2, (k+1)*eta2) and batch f
     holds files [f*eta1, (f+1)*eta1).  The carrier of a cell (u, v) is the
@@ -611,6 +611,11 @@ def run_job(arr: CodedArray, spec: JobSpec) -> tuple[ShuffleTranscript, DecodeRe
     when every other message of its symbol equals the XOR the encoder
     computed, pad bits included.  One byte compare of the whole payload
     column marks the wrong messages; ``np.add.reduceat`` over the symbols
-    and ``np.bincount`` over the cells' columns give the verdicts.
+    and ``np.bincount`` over the cells' columns give the verdicts.  Here the
+    expected column is the transcript's own, so the compare checks the
+    encoder's payloads against themselves and every reducer decodes by
+    construction: only a transcript given to :func:`_reduce` can fail one.
+    That the payloads are bit-exact rests on the test suite's brute-force
+    reference, ``bf_run_job`` in ``tests/oracles.py``.
     """
     return _execute(arr, spec)

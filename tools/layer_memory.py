@@ -5,11 +5,11 @@ Run from anywhere in a checkout:
 
     python3 tools/layer_memory.py [--lambda 1024] [--r 1] [--alpha 1]
 
-It imports the package from the checkout's ``src`` and, under
-``tests/conftest.traced``, runs in turn: ``algorithm1(lambda, r, alpha)``, its
-``stats``, its ``shuffle_plan``, ``serialize``, ``parse_array`` of that text
-and ``validate_mra`` of the parsed array (a fresh array, so that call builds
-its own census and plan).  Each layer's peak is the most traced memory
+It imports the package from the checkout's ``src`` and, under the test
+suite's ``conftest.traced``, runs in turn: ``algorithm1(lambda, r,
+alpha)``, its ``stats``, its ``shuffle_plan``, ``serialize``,
+``parse_array`` of that text and ``validate_mra`` of the parsed array (a
+fresh array, so that call builds its own census and plan).  Each layer's peak is the most traced memory
 allocated during its call, and its kept bytes what of that is still held
 when the call returns (a cached property counts what the array caches).
 It prints one JSON object: the point, the grid's and the text's bytes, and
