@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedshuffle import (
+    access_pattern,
     algorithm1,
     algorithm2,
     compute_stats,
     lex_rank,
     lex_unrank,
+    mrg_nnc,
     nnc_pda,
     parse_array,
     shift_symbols,
@@ -37,6 +39,7 @@ from codedshuffle.constructors import (
     _subsets,
     check_ct_parameters,
     check_nnc_parameters,
+    ct_parameters,
     ct_points,
     gc_points,
     nnc_points,
@@ -172,16 +175,20 @@ def test_algorithm1_text_digests_pinned(point):
 
 
 def test_algorithm1_refuses_a_huge_lambda_before_its_parameters(monkeypatch):
-    # ct_parameters builds a tuple of mappers - r multiplicities, so the
-    # mappers**2 cell refusal comes before it
+    # C(mappers, r) and the binomial table grow with the mapper count, so
+    # the mappers**2 cell refusal comes before any binomial
     def unreachable(*_):
-        raise AssertionError("ct_parameters called before the cell refusal")
+        raise AssertionError("binomials built before the cell refusal")
 
-    monkeypatch.setattr("codedshuffle.constructors.ct_parameters", unreachable)
-    with pytest.raises(
-        ConstructionError, match="at least a 4097 x 4097 array exceeds MAX_ARRAY_CELLS"
+    monkeypatch.setattr("codedshuffle.constructors._binomials", unreachable)
+    for build in (
+        lambda: algorithm1(4097, 1, 1),
+        lambda: algorithm2(GcParameters(4097, 1, (1,) + (0,) * 4095)),
     ):
-        algorithm1(4097, 1, 1)
+        with pytest.raises(
+            ConstructionError, match="at least a 4097 x 4097 array exceeds MAX_ARRAY_CELLS"
+        ):
+            build()
 
 
 def test_algorithm1_memory_is_bounded():
@@ -297,8 +304,11 @@ def test_algorithm2_memory_is_bounded():
 
 
 def test_algorithm2_single_block_equals_algorithm1():
-    params = GcParameters(5, 2, (0, 1, 0))
-    assert algorithm2(params) == algorithm1(5, 2, 2)
+    for lam in range(2, 8):
+        for point in ct_points(lam):
+            arr = algorithm1(*point)
+            assert algorithm2(ct_parameters(*point)) == arr, point
+            assert arr.grid.tolist() == bf_algorithm1(*point), point
 
 
 def test_algorithm2_5_2_111():
@@ -503,8 +513,14 @@ def _small_wrap_layouts(max_cells: int):
     "layout", list(_small_wrap_layouts(16)), ids=lambda t: "-".join(map(str, t))
 )
 def test_clique_partition_matches_reference(layout):
-    mask, cells = _star_layout(*layout)
-    assert sorted(cells.tolist()) == np.argwhere(~mask).tolist()
+    size, r, alpha = layout
+    mask = access_pattern(mrg_nnc(size, r, alpha))
+    cells = np.argwhere(~mask)
+    if r == 1:
+        # the search's layout is the graph's mask, its cells in search order
+        star_mask, star_cells = _star_layout(size, 1, alpha)
+        assert np.array_equal(star_mask, mask)
+        assert sorted(star_cells.tolist()) == cells.tolist()
     for g in [g for g in range(2, len(cells) + 1) if len(cells) % g == 0]:
         cliques = _clique_partition(mask, cells, g)
         assert (cliques is None) == (bf_clique_partition(mask, g) is None), g
