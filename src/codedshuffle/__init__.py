@@ -20,11 +20,18 @@ from .arrays import (
 from .constructors import (
     ConstructionError,
     GcParameters,
+    MapReduceGraph,
     SearchBudgetExceeded,
+    access_pattern,
     algorithm1,
     algorithm2,
+    computation_load,
     lex_rank,
     lex_unrank,
+    mrg_canonical,
+    mrg_ct,
+    mrg_gc,
+    mrg_nnc,
     nnc_pda,
     shift_symbols,
 )
@@ -32,15 +39,8 @@ from .mapreduce import (
     DecodeReport,
     JobPreconditionError,
     JobSpec,
-    MapReduceGraph,
     ShuffleTranscript,
-    access_pattern,
     choose_iv_bits,
-    computation_load,
-    mrg_canonical,
-    mrg_ct,
-    mrg_gc,
-    mrg_nnc,
     run_job,
 )
 from .metrics import (

@@ -37,17 +37,13 @@ from .constructors import (
     ct_parameters,
     ct_points,
     gc_points,
-    nnc_pda,
-    nnc_points,
-)
-from .mapreduce import (
-    JobSpec,
-    choose_iv_bits,
     mrg_ct,
     mrg_gc,
     mrg_nnc,
-    run_job,
+    nnc_pda,
+    nnc_points,
 )
+from .mapreduce import JobSpec, choose_iv_bits, run_job
 from .metrics import (
     be_load,
     be_lower_bound,

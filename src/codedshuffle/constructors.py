@@ -1,16 +1,21 @@
-"""Deterministic builders for the coded-array families.
+"""Each topology's two descriptions: its map-reduce graph and its array.
 
-Three families are produced:
+A map-reduce graph (:class:`MapReduceGraph`) says which mapper stores which
+batch and which reducer reads which mapper; its :func:`access_pattern` is
+the star mask of the topology's coded array.  Three families are built
+both ways, each from one set of rules:
 
-* ``algorithm1``: the combinatorial-topology array indexed by r-subsets
-  (rows) and alpha-subsets (columns) of the mapper set, starred where the
-  subsets intersect and otherwise carrying the lexicographic rank of their
-  union; it is ``algorithm2`` with one reducer per alpha-subset;
-* ``algorithm2``: horizontal concatenation of symbol-offset copies of
-  ``algorithm1`` blocks, one group per connectivity degree alpha;
-* ``nnc_pda``: the r-cyclic g-regular family for the wrap-around topology
-  where mapper m stores r consecutive batches and reducer m reads alpha
-  consecutive mappers.
+* ``mrg_ct`` and ``algorithm1``: the combinatorial topology, one reducer
+  per alpha-subset of mappers.  The array's rows are the r-subsets and its
+  columns the alpha-subsets of the mapper set, starred where the subsets
+  intersect and otherwise carrying the lexicographic rank of their union;
+* ``mrg_gc`` and ``algorithm2``: K_alpha reducers per alpha-subset.  The
+  array concatenates symbol-offset copies of ``algorithm1`` blocks, one
+  group per connectivity degree alpha;
+* ``mrg_nnc`` and ``nnc_pda``: the wrap-around topology, where mapper m
+  stores r consecutive batches and reducer m reads alpha consecutive
+  mappers.  The array is the r-cyclic g-regular family, whose fill search
+  takes its star mask from the graph.
 
 All builders are pure and deterministic: identical parameters give
 byte-identical serialized arrays.
@@ -19,6 +24,7 @@ byte-identical serialized arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
@@ -27,6 +33,10 @@ import numpy as np
 from .arrays import STAR, CodedArray
 
 __all__ = [
+    "MapReduceGraph",
+    "mrg_canonical",
+    "access_pattern",
+    "computation_load",
     "ConstructionError",
     "SearchBudgetExceeded",
     "GcParameters",
@@ -41,12 +51,70 @@ __all__ = [
     "algorithm1",
     "shift_symbols",
     "algorithm2",
+    "mrg_ct",
+    "mrg_gc",
+    "mrg_nnc",
     "nnc_pda",
 ]
 
 
 class ConstructionError(ValueError):
     """Raised when constructor parameters violate a precondition."""
+
+
+@dataclass(frozen=True, eq=False)
+class MapReduceGraph:
+    """Two-layer bipartite structure held as boolean incidence arrays:
+    ``storage[f, m]`` is True when mapper m stores batch f, and
+    ``links[m, k]`` when reducer k is linked to mapper m.  Both layers are
+    kept as read-only bool copies."""
+
+    storage: np.ndarray
+    links: np.ndarray
+
+    def __post_init__(self):
+        for name in ("storage", "links"):
+            layer = np.array(getattr(self, name), dtype=bool)
+            layer.setflags(write=False)
+            object.__setattr__(self, name, layer)
+        if not (
+            self.storage.ndim == self.links.ndim == 2
+            and self.storage.shape[1] == self.links.shape[0]
+        ):
+            raise ValueError(
+                f"layers must be F x M and M x K, got {self.storage.shape} "
+                f"and {self.links.shape}"
+            )
+
+    @property
+    def batch_count(self) -> int:
+        return self.storage.shape[0]
+
+    @property
+    def mapper_count(self) -> int:
+        return self.links.shape[0]
+
+    @property
+    def reducer_count(self) -> int:
+        return self.links.shape[1]
+
+
+def mrg_canonical(arr: CodedArray) -> MapReduceGraph:
+    """One mapper per batch; reducer k linked where its column has stars."""
+    return MapReduceGraph(np.eye(arr.rows, dtype=bool), arr.star_mask)
+
+
+def access_pattern(graph: MapReduceGraph) -> np.ndarray:
+    """Boolean F x K grid: True where reducer k can read batch f, the
+    boolean product of the two layers."""
+    # BLAS is exact on 0/1 terms for sums below 2**53; on a 924-wide
+    # product (2-core VM) float64 took 0.05 s, int64 1.0 s and bool 0.2 s
+    return graph.storage.astype(np.float64) @ graph.links > 0
+
+
+def computation_load(graph: MapReduceGraph) -> Fraction:
+    """Total batch-degree over the mapper layer divided by the batch count."""
+    return Fraction(int(graph.storage.sum()), graph.batch_count)
 
 
 MAX_ARRAY_CELLS = 2**24
@@ -147,6 +215,29 @@ def _fill(out: np.ndarray, table: np.ndarray, r: int, alpha: int, first: int) ->
     out[::-1, :, ::-1][x[0], :, x[1]] = np.arange(first, first + n * m).reshape(m, n).T[:, None]
 
 
+def _subset_array(lam: int, r: int, degrees) -> CodedArray:
+    """Symbol-offset copies of the per-alpha subset-topology blocks, side by
+    side: ``degrees`` lists (alpha, copies) pairs in ascending alpha.
+
+    Copy m of a block is offset by (m-1) times the block's symbol count,
+    and each alpha group is offset past all preceding groups.
+    """
+    # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
+    _check_cells(lam, lam, least="at least ")
+    rows, cols = comb(lam, r), sum(count * comb(lam, a) for a, count in degrees)
+    _check_cells(rows, cols)
+    table = _binomials(lam, [r] + [a for a, _ in degrees])
+    grid = np.full((rows, cols), STAR, dtype=np.int64)
+    col = first = 0
+    for a, count in degrees:
+        width = count * comb(lam, a)
+        _fill(grid[:, col : col + width].reshape(rows, count, -1), table, r, a, first)
+        col += width
+        first += count * comb(lam, a + r)
+    grid.setflags(write=False)
+    return CodedArray(grid)
+
+
 def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     """Combinatorial-topology array: C(mappers, r) x C(mappers, alpha).
 
@@ -154,14 +245,11 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     set, both in lexicographic order.  The entry is a star when T and U
     intersect, otherwise the lexicographic rank of T | U among the
     (alpha+r)-subsets, making the result C(r+alpha, r)-regular with
-    C(mappers, alpha+r) symbols: :func:`algorithm2` at the single degree
-    alpha, built by :func:`ct_parameters`.
+    C(mappers, alpha+r) symbols: :func:`algorithm2`'s array with one
+    reducer per alpha-subset.
     """
     check_ct_parameters(mappers, r, alpha)
-    # ct_parameters holds mappers - r multiplicities: refuse a huge mapper
-    # count before it, as algorithm2 would after it
-    _check_cells(mappers, mappers, least="at least ")
-    return algorithm2(ct_parameters(mappers, r, alpha))
+    return _subset_array(mappers, r, ((alpha, 1),))
 
 
 def shift_symbols(arr: CodedArray, offset: int) -> CodedArray:
@@ -204,22 +292,18 @@ class GcParameters:
             raise ConstructionError("at least one multiplicity must be positive")
 
     @property
+    def degrees(self) -> tuple[tuple[int, int], ...]:
+        """The (alpha, K_alpha) pairs with K_alpha > 0, in ascending alpha."""
+        return tuple((a, k) for a, k in enumerate(self.multiplicities, start=1) if k)
+
+    @property
     def reducer_count(self) -> int:
-        lam = self.mappers
-        return sum(
-            k * comb(lam, a)
-            for a, k in enumerate(self.multiplicities, start=1)
-            if k
-        )
+        return sum(k * comb(self.mappers, a) for a, k in self.degrees)
 
     @property
     def symbol_total(self) -> int:
         lam, r = self.mappers, self.computation
-        return sum(
-            k * comb(lam, a + r)
-            for a, k in enumerate(self.multiplicities, start=1)
-            if k
-        )
+        return sum(k * comb(lam, a + r) for a, k in self.degrees)
 
     def __iter__(self):
         """(mappers, computation, multiplicities), like every family's points."""
@@ -270,22 +354,28 @@ def algorithm2(params: GcParameters) -> CodedArray:
     index; copy m of a block is offset by (m-1) times the block's symbol
     count, and each alpha group is offset past all preceding groups.
     """
-    lam, r = params.mappers, params.computation
-    # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
-    _check_cells(lam, lam, least="at least ")
-    rows, cols = comb(lam, r), params.reducer_count
-    _check_cells(rows, cols)
-    degrees = [(a, count) for a, count in enumerate(params.multiplicities, start=1) if count]
-    table = _binomials(lam, [r] + [a for a, _ in degrees])
-    grid = np.full((rows, cols), STAR, dtype=np.int64)
-    col = first = 0
-    for a, count in degrees:
-        width = count * comb(lam, a)
-        _fill(grid[:, col : col + width].reshape(rows, count, -1), table, r, a, first)
-        col += width
-        first += count * comb(lam, a + r)
-    grid.setflags(write=False)
-    return CodedArray(grid)
+    return _subset_array(params.mappers, params.computation, params.degrees)
+
+
+def mrg_ct(mappers: int, r: int, alpha: int) -> MapReduceGraph:
+    """Combinatorial topology: one reducer per alpha-subset of mappers."""
+    return mrg_gc(ct_parameters(mappers, r, alpha))
+
+
+def mrg_gc(params: GcParameters) -> MapReduceGraph:
+    """Batches indexed by r-subsets; K_alpha reducers per alpha-subset.
+
+    Reducers are ordered exactly like the columns of ``algorithm2``:
+    ascending alpha, then copy index, then lexicographic subset order.
+    """
+    lam = params.mappers
+
+    def members(size: int) -> np.ndarray:
+        """Row i marks the mappers of the i-th size-subset, lexicographic."""
+        return (_subsets(lam, size)[..., None] == np.arange(lam)).any(axis=1)
+
+    links = [np.tile(members(a).T, count) for a, count in params.degrees]
+    return MapReduceGraph(members(params.computation), np.hstack(links))
 
 
 # --- r-cyclic g-regular family -------------------------------------------
@@ -337,15 +427,24 @@ def nnc_points(mappers: int):
                 yield mappers, r, alpha
 
 
-def _star_layout(size: int, r: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size x size wrap-around star mask and its integer cells as
-    (row, column) pairs: column by column, each column's cells in wrap order
-    from the end of its star block."""
-    z = alpha * r
+def mrg_nnc(mappers: int, r: int, alpha: int) -> MapReduceGraph:
+    """Wrap-around topology: mapper m stores batches r*m .. r*m + r - 1 and
+    reducer k is linked to mappers k .. k + alpha - 1, all mod mappers."""
+    lam = mappers
+    check_nnc_parameters(lam, r, alpha)
+    i = np.arange(lam)
+    return MapReduceGraph((i[:, None] - r * i) % lam < r, (i[:, None] - i) % lam < alpha)
+
+
+def _star_layout(size: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size x size wrap-around star mask at r = 1 and its integer cells
+    as (row, column) pairs: column by column, each column's cells in wrap
+    order from the end of its star block.  At r = 1 each mapper stores only
+    its own batch, so the graph's links are its access pattern."""
     k = np.arange(size)
-    mask = (k[:, None] - r * k) % size < z
-    rows = (r * k[:, None] + z + np.arange(size - z)) % size
-    return mask, np.stack([rows.ravel(), np.repeat(k, size - z)], axis=1)
+    rows = (k[:, None] + alpha + np.arange(size - alpha)) % size
+    cells = np.stack([rows.ravel(), np.repeat(k, size - alpha)], axis=1)
+    return mrg_nnc(size, 1, alpha).links, cells
 
 
 def _bitset(flags: np.ndarray) -> int:
@@ -441,7 +540,7 @@ def nnc_pda(mappers: int, r: int, alpha: int) -> CodedArray:
     # the step bound needs only the cell count, so check it before the
     # layout is built
     _check_fill_steps(n * (n - alpha), g)
-    mask, cells = _star_layout(n, 1, alpha)
+    mask, cells = _star_layout(n, alpha)
     cliques = _clique_partition(mask, cells, g)
     if cliques is None and r == 1:
         raise ConstructionError(

@@ -1,4 +1,4 @@
-"""Map-reduce graphs and the coded shuffle simulation.
+"""The coded shuffle simulation.
 
 The simulation executes the full scheme an array encodes: a seeded oracle
 supplies every intermediate value (IV), each reducer multicasts one XOR per
@@ -21,22 +21,14 @@ import numpy as np
 
 from . import kernels
 from .arrays import CodedArray, validate_mra
-from .constructors import GcParameters, _subsets, check_nnc_parameters, ct_parameters
 
 __all__ = [
-    "MapReduceGraph",
     "JobSpec",
     "Message",
     "ShuffleTranscript",
     "ReducerResult",
     "DecodeReport",
     "JobPreconditionError",
-    "mrg_canonical",
-    "mrg_ct",
-    "mrg_gc",
-    "mrg_nnc",
-    "access_pattern",
-    "computation_load",
     "choose_iv_bits",
     "run_job",
 ]
@@ -44,95 +36,6 @@ __all__ = [
 
 class JobPreconditionError(ValueError):
     """Raised when a simulation parameter violates a divisibility rule."""
-
-
-@dataclass(frozen=True, eq=False)
-class MapReduceGraph:
-    """Two-layer bipartite structure held as boolean incidence arrays:
-    ``storage[f, m]`` is True when mapper m stores batch f, and
-    ``links[m, k]`` when reducer k is linked to mapper m.  Both layers are
-    kept as read-only bool copies."""
-
-    storage: np.ndarray
-    links: np.ndarray
-
-    def __post_init__(self):
-        for name in ("storage", "links"):
-            layer = np.array(getattr(self, name), dtype=bool)
-            layer.setflags(write=False)
-            object.__setattr__(self, name, layer)
-        if not (
-            self.storage.ndim == self.links.ndim == 2
-            and self.storage.shape[1] == self.links.shape[0]
-        ):
-            raise ValueError(
-                f"layers must be F x M and M x K, got {self.storage.shape} "
-                f"and {self.links.shape}"
-            )
-
-    @property
-    def batch_count(self) -> int:
-        return self.storage.shape[0]
-
-    @property
-    def mapper_count(self) -> int:
-        return self.links.shape[0]
-
-    @property
-    def reducer_count(self) -> int:
-        return self.links.shape[1]
-
-
-def mrg_canonical(arr: CodedArray) -> MapReduceGraph:
-    """One mapper per batch; reducer k linked where its column has stars."""
-    return MapReduceGraph(np.eye(arr.rows, dtype=bool), arr.star_mask)
-
-
-def mrg_ct(mappers: int, r: int, alpha: int) -> MapReduceGraph:
-    """Combinatorial topology: one reducer per alpha-subset of mappers."""
-    return mrg_gc(ct_parameters(mappers, r, alpha))
-
-
-def mrg_gc(params: GcParameters) -> MapReduceGraph:
-    """Batches indexed by r-subsets; K_alpha reducers per alpha-subset.
-
-    Reducers are ordered exactly like the columns of ``algorithm2``:
-    ascending alpha, then copy index, then lexicographic subset order.
-    """
-    lam = params.mappers
-
-    def members(size: int) -> np.ndarray:
-        """Row i marks the mappers of the i-th size-subset, lexicographic."""
-        return (_subsets(lam, size)[..., None] == np.arange(lam)).any(axis=1)
-
-    links = [
-        np.tile(members(a).T, count)
-        for a, count in enumerate(params.multiplicities, start=1)
-        if count
-    ]
-    return MapReduceGraph(members(params.computation), np.hstack(links))
-
-
-def mrg_nnc(mappers: int, r: int, alpha: int) -> MapReduceGraph:
-    """Wrap-around topology: mapper m stores batches r*m .. r*m + r - 1 and
-    reducer k is linked to mappers k .. k + alpha - 1, all mod mappers."""
-    lam = mappers
-    check_nnc_parameters(lam, r, alpha)
-    i = np.arange(lam)
-    return MapReduceGraph((i[:, None] - r * i) % lam < r, (i[:, None] - i) % lam < alpha)
-
-
-def access_pattern(graph: MapReduceGraph) -> np.ndarray:
-    """Boolean F x K grid: True where reducer k can read batch f, the
-    boolean product of the two layers."""
-    # BLAS is exact on 0/1 terms for sums below 2**53; on a 924-wide
-    # product (2-core VM) float64 took 0.05 s, int64 1.0 s and bool 0.2 s
-    return graph.storage.astype(np.float64) @ graph.links > 0
-
-
-def computation_load(graph: MapReduceGraph) -> Fraction:
-    """Total batch-degree over the mapper layer divided by the batch count."""
-    return Fraction(int(graph.storage.sum()), graph.batch_count)
 
 
 def choose_iv_bits(

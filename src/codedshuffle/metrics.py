@@ -166,16 +166,15 @@ def gc_load(params: GcParameters) -> Fraction:
     """Achievable load with K_alpha reducers per alpha-subset."""
     lam, r = params.mappers, params.computation
     total = Fraction(0)
-    for a, k in enumerate(params.multiplicities, start=1):
-        if k:
-            total += Fraction(k * comb(lam - r, a), comb(r + a, r) - 1)
+    for a, k in params.degrees:
+        total += Fraction(k * comb(lam - r, a), comb(r + a, r) - 1)
     return total / params.reducer_count
 
 
 def gc_lower_bound(params: GcParameters) -> Fraction:
     """Homogeneous-network lower bound at the parameters' computation load."""
     lam, r = params.mappers, params.computation
-    terms = [(a, k) for a, k in enumerate(params.multiplicities, start=1) if k]
+    terms = params.degrees
     num = sum(k * comb(lam - r, a) for a, k in terms)
     reach = sum(k * (comb(lam, a) - comb(lam - r, a)) for a, k in terms)
     return Fraction(num, params.reducer_count * reach)

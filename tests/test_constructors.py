@@ -518,7 +518,7 @@ def test_clique_partition_matches_reference(layout):
     cells = np.argwhere(~mask)
     if r == 1:
         # the search's layout is the graph's mask, its cells in search order
-        star_mask, star_cells = _star_layout(size, 1, alpha)
+        star_mask, star_cells = _star_layout(size, alpha)
         assert np.array_equal(star_mask, mask)
         assert sorted(star_cells.tolist()) == cells.tolist()
     for g in [g for g in range(2, len(cells) + 1) if len(cells) % g == 0]:
