@@ -3,7 +3,7 @@
 A map-reduce graph (:class:`MapReduceGraph`) says which mapper stores which
 batch and which reducer reads which mapper; its :func:`access_pattern` is
 the star mask of the topology's coded array.  Three families are built
-both ways, each from one set of rules:
+both ways:
 
 * ``mrg_ct`` and ``algorithm1``: the combinatorial topology, one reducer
   per alpha-subset of mappers.  The array's rows are the r-subsets and its
@@ -216,12 +216,8 @@ def _fill(out: np.ndarray, table: np.ndarray, r: int, alpha: int, first: int) ->
 
 
 def _subset_array(lam: int, r: int, degrees) -> CodedArray:
-    """Symbol-offset copies of the per-alpha subset-topology blocks, side by
-    side: ``degrees`` lists (alpha, copies) pairs in ascending alpha.
-
-    Copy m of a block is offset by (m-1) times the block's symbol count,
-    and each alpha group is offset past all preceding groups.
-    """
+    """The array :func:`algorithm2` describes, given its (alpha, K_alpha)
+    pairs in ascending alpha as ``degrees``."""
     # C(lam, k) >= lam for 0 < k < lam: refuse before any binomial
     _check_cells(lam, lam, least="at least ")
     rows, cols = comb(lam, r), sum(count * comb(lam, a) for a, count in degrees)

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 55 rows took about 105 s on a 2-core VM,
+with the tests that catch it.  The 57 rows took about 130 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -81,28 +81,28 @@ MUTANTS = [
     ),
     # the graph layers left writable
     (
-        PKG + "mapreduce.py",
+        PKG + "constructors.py",
         "            layer.setflags(write=False)\n",
         "",
         ["tests/test_mapreduce.py::test_graph_layers_are_read_only_bool_copies"],
     ),
     # the copies of an alpha-subset's reducers repeated instead of tiled
     (
-        PKG + "mapreduce.py",
+        PKG + "constructors.py",
         "np.tile(members(a).T, count)",
         "np.repeat(members(a).T, count, axis=1)",
         ["tests/test_mapreduce.py::test_access_pattern_matches_arrays"],
     ),
     # the wrap-around links transposed
     (
-        PKG + "mapreduce.py",
+        PKG + "constructors.py",
         "(i[:, None] - i) % lam < alpha",
         "(i - i[:, None]) % lam < alpha",
         ["tests/test_mapreduce.py::test_mrg_nnc_example"],
     ),
     # layers of different mapper counts accepted
     (
-        PKG + "mapreduce.py",
+        PKG + "constructors.py",
         "\n            and self.storage.shape[1] == self.links.shape[0]",
         "",
         ["tests/test_mapreduce.py::test_graph_rejects_bad_layers[mapper-counts-differ]"],
@@ -449,10 +449,11 @@ MUTANTS = [
         "acc >>= span - end + 1",
         ["tests/test_mapreduce.py::test_oracle_known_answers"],
     ),
-    # algorithm1 handing a huge mapper count to ct_parameters unrefused
+    # the subset builder handing a huge mapper count to its binomials
+    # unrefused
     (
         PKG + "constructors.py",
-        """    _check_cells(mappers, mappers, least="at least ")\n""",
+        """    _check_cells(lam, lam, least="at least ")\n""",
         "",
         [
             "tests/test_constructors.py::"
@@ -465,6 +466,20 @@ MUTANTS = [
         "return comb(universe, m) - 1 - sum(",
         "return comb(universe, m) - sum(",
         ["tests/test_constructors.py::test_rank_examples"],
+    ),
+    # every degree read one too low
+    (
+        PKG + "constructors.py",
+        "enumerate(self.multiplicities, start=1)",
+        "enumerate(self.multiplicities, start=0)",
+        ["tests/test_constructors.py::test_algorithm2_5_2_111"],
+    ),
+    # the search's cells shifted one row down their columns
+    (
+        PKG + "constructors.py",
+        "(k[:, None] + alpha + np.arange(size - alpha)) % size",
+        "(k[:, None] + alpha + 1 + np.arange(size - alpha)) % size",
+        ["tests/test_constructors.py::test_clique_partition_matches_reference[4-1-1]"],
     ),
 ]
 
