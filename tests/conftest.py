@@ -28,6 +28,12 @@ def alg2_params(max_mappers: int = 6, max_k: int = 3):
                     yield GcParameters(lam, r, kvec)
 
 
+def one_hot(mappers: int, r: int, alpha: int) -> GcParameters:
+    """The subset-topology point (mappers, r, alpha) as a multiplicity
+    vector: one reducer per alpha-subset and none of any other degree."""
+    return GcParameters(mappers, r, tuple(int(a == alpha) for a in range(1, mappers - r + 1)))
+
+
 def nnc_triples(max_mappers: int = 12, min_g: int = 3):
     """Wrap-around points with integral coding gain at least min_g."""
     for lam in range(2, max_mappers + 1):

@@ -45,7 +45,7 @@ from codedshuffle.mapreduce import (
 
 from codedshuffle.cli import FAMILIES
 
-from conftest import traced
+from conftest import one_hot, traced
 from oracles import bf_carrier, bf_dump, bf_run_job
 
 
@@ -68,6 +68,14 @@ def test_mrg_ct_example():
     reads = access_pattern(g)[:, 0]
     assert np.array_equal(reads, g.storage[:, 0] | g.storage[:, 1])
     assert reads.sum() == 5
+
+
+def test_mrg_ct_equals_the_one_hot_mrg_gc():
+    for lam in range(2, 9):
+        for point in FAMILIES["ct"].points(lam):
+            ct, gc = mrg_ct(*point), mrg_gc(one_hot(*point))
+            assert np.array_equal(ct.storage, gc.storage), point
+            assert np.array_equal(ct.links, gc.links), point
 
 
 def test_mrg_nnc_example():

@@ -24,6 +24,7 @@ from codedshuffle.cli import FAMILIES
 from codedshuffle.constructors import ConstructionError, ct_parameters
 from codedshuffle.metrics import LoadCurve, be_lower_bound_corners
 
+from conftest import one_hot
 from oracles import bf_is_lower_envelope
 
 
@@ -155,6 +156,20 @@ def test_optimality_corner():
         ach, low = ct.load(point), ct.bound(point)
         assert ach >= low, point
         assert (ach == low) == (alpha in (1, lam - r)), point
+
+
+def test_ct_bound_equals_the_one_hot_gc_bound():
+    # the subset topology is the multiplicity topology with one degree
+    ct = FAMILIES["ct"]
+    for lam in range(2, 13):
+        for point in ct.points(lam):
+            assert ct.bound(point) == gc_lower_bound(one_hot(*point)), point
+
+
+def test_ct_bound_refuses_points_outside_the_family():
+    # r = 3 > mappers - alpha = 2
+    with pytest.raises(ConstructionError, match=r"r must be in \[1, 2\], got 3"):
+        FAMILIES["ct"].bound((4, 3, 2))
 
 
 # --- identities against constructed arrays -------------------------------------
