@@ -33,7 +33,6 @@ from .constructors import (
     mrg_gc,
     mrg_nnc,
     nnc_pda,
-    shift_symbols,
 )
 from .mapreduce import (
     DecodeReport,
@@ -49,6 +48,7 @@ from .metrics import (
     be_load,
     be_lower_bound,
     ct_load,
+    ct_lower_bound,
     format_rational,
     gc_load,
     gc_lower_bound,

@@ -34,7 +34,6 @@ from .constructors import (
     GcParameters,
     algorithm1,
     algorithm2,
-    ct_parameters,
     ct_points,
     gc_points,
     mrg_ct,
@@ -49,6 +48,7 @@ from .metrics import (
     be_lower_bound,
     be_points,
     ct_load,
+    ct_lower_bound,
     format_rational,
     gc_load,
     gc_lower_bound,
@@ -75,7 +75,7 @@ FAMILIES = {
         lambda p: algorithm1(*p),
         lambda p: mrg_ct(*p),
         lambda p: ct_load(*p),
-        lambda p: gc_lower_bound(ct_parameters(*p)),
+        lambda p: ct_lower_bound(*p),
     ),
     "nnc": Family(
         nnc_points,
@@ -401,11 +401,7 @@ def _repro_checks():
         )
 
     # 6. single-mapper reducers recover the classic bound
-    ok = all(
-        gc_lower_bound(GcParameters(6, r, (1,) + (0,) * (5 - r)))
-        == Fraction(6 - r, 6 * r)
-        for r in range(1, 6)
-    )
+    ok = all(ct_lower_bound(6, r, 1) == Fraction(6 - r, 6 * r) for r in range(1, 6))
     add(ok, "classic bound alpha=1", "(L-r)/(L*r) for L=6, r in 1..5")
 
     # 7. published decimals that the formulas contradict

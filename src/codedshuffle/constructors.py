@@ -11,11 +11,12 @@ both ways:
   intersect and otherwise carrying the lexicographic rank of their union;
 * ``mrg_gc`` and ``algorithm2``: K_alpha reducers per alpha-subset.  The
   array concatenates symbol-offset copies of ``algorithm1`` blocks, one
-  group per connectivity degree alpha;
+  group per connectivity degree alpha.  Both families build each
+  description from the (alpha, K_alpha) list, ct's being ((alpha, 1),);
 * ``mrg_nnc`` and ``nnc_pda``: the wrap-around topology, where mapper m
   stores r consecutive batches and reducer m reads alpha consecutive
   mappers.  The array is the r-cyclic g-regular family, whose fill search
-  takes its star mask from the graph.
+  takes its star mask from the graph's wrap-around window.
 
 All builders are pure and deterministic: identical parameters give
 byte-identical serialized arrays.
@@ -42,14 +43,12 @@ __all__ = [
     "GcParameters",
     "gc_points",
     "check_ct_parameters",
-    "ct_parameters",
     "ct_points",
     "check_nnc_parameters",
     "nnc_points",
     "lex_rank",
     "lex_unrank",
     "algorithm1",
-    "shift_symbols",
     "algorithm2",
     "mrg_ct",
     "mrg_gc",
@@ -248,16 +247,6 @@ def algorithm1(mappers: int, r: int, alpha: int) -> CodedArray:
     return _subset_array(mappers, r, ((alpha, 1),))
 
 
-def shift_symbols(arr: CodedArray, offset: int) -> CodedArray:
-    """Add a constant to every integer entry; stars are unchanged."""
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    grid = arr.grid.copy()
-    grid[grid != STAR] += offset
-    grid.setflags(write=False)
-    return CodedArray(grid)
-
-
 @dataclass(frozen=True)
 class GcParameters:
     """Topology with multiplicities: K_alpha reducers per alpha-subset.
@@ -330,12 +319,6 @@ def check_ct_parameters(mappers: int, r: int, alpha: int) -> None:
         raise ConstructionError(f"r must be in [1, {mappers - alpha}], got {r}")
 
 
-def ct_parameters(mappers: int, r: int, alpha: int) -> GcParameters:
-    """The subset topology as multiplicities: one reducer per alpha-subset."""
-    check_ct_parameters(mappers, r, alpha)
-    return GcParameters(mappers, r, tuple(int(a == alpha) for a in range(1, mappers - r + 1)))
-
-
 def ct_points(mappers: int):
     """The subset topology's points (mappers, r, alpha), alpha-major."""
     for alpha in range(1, mappers):
@@ -353,9 +336,22 @@ def algorithm2(params: GcParameters) -> CodedArray:
     return _subset_array(params.mappers, params.computation, params.degrees)
 
 
+def _subset_graph(lam: int, r: int, degrees) -> MapReduceGraph:
+    """The graph :func:`mrg_gc` describes, given its (alpha, K_alpha) pairs
+    in ascending alpha as ``degrees``."""
+
+    def members(size: int) -> np.ndarray:
+        """Row i marks the mappers of the i-th size-subset, lexicographic."""
+        return (_subsets(lam, size)[..., None] == np.arange(lam)).any(axis=1)
+
+    links = [np.tile(members(a).T, count) for a, count in degrees]
+    return MapReduceGraph(members(r), np.hstack(links))
+
+
 def mrg_ct(mappers: int, r: int, alpha: int) -> MapReduceGraph:
-    """Combinatorial topology: one reducer per alpha-subset of mappers."""
-    return mrg_gc(ct_parameters(mappers, r, alpha))
+    """Combinatorial topology: :func:`mrg_gc`'s graph at one reducer per alpha-subset."""
+    check_ct_parameters(mappers, r, alpha)
+    return _subset_graph(mappers, r, ((alpha, 1),))
 
 
 def mrg_gc(params: GcParameters) -> MapReduceGraph:
@@ -364,14 +360,7 @@ def mrg_gc(params: GcParameters) -> MapReduceGraph:
     Reducers are ordered exactly like the columns of ``algorithm2``:
     ascending alpha, then copy index, then lexicographic subset order.
     """
-    lam = params.mappers
-
-    def members(size: int) -> np.ndarray:
-        """Row i marks the mappers of the i-th size-subset, lexicographic."""
-        return (_subsets(lam, size)[..., None] == np.arange(lam)).any(axis=1)
-
-    links = [np.tile(members(a).T, count) for a, count in params.degrees]
-    return MapReduceGraph(members(params.computation), np.hstack(links))
+    return _subset_graph(params.mappers, params.computation, params.degrees)
 
 
 # --- r-cyclic g-regular family -------------------------------------------
@@ -423,24 +412,28 @@ def nnc_points(mappers: int):
                 yield mappers, r, alpha
 
 
+def _window(size: int, step: int, width: int) -> np.ndarray:
+    """The size x size mask with column j True on rows step*j + [0, width), mod size."""
+    i = np.arange(size)
+    return (i[:, None] - step * i) % size < width
+
+
 def mrg_nnc(mappers: int, r: int, alpha: int) -> MapReduceGraph:
     """Wrap-around topology: mapper m stores batches r*m .. r*m + r - 1 and
     reducer k is linked to mappers k .. k + alpha - 1, all mod mappers."""
-    lam = mappers
-    check_nnc_parameters(lam, r, alpha)
-    i = np.arange(lam)
-    return MapReduceGraph((i[:, None] - r * i) % lam < r, (i[:, None] - i) % lam < alpha)
+    check_nnc_parameters(mappers, r, alpha)
+    return MapReduceGraph(_window(mappers, r, r), _window(mappers, 1, alpha))
 
 
 def _star_layout(size: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """The size x size wrap-around star mask at r = 1 and its integer cells
     as (row, column) pairs: column by column, each column's cells in wrap
     order from the end of its star block.  At r = 1 each mapper stores only
-    its own batch, so the graph's links are its access pattern."""
+    its own batch, so the mask is :func:`mrg_nnc`'s links."""
     k = np.arange(size)
     rows = (k[:, None] + alpha + np.arange(size - alpha)) % size
     cells = np.stack([rows.ravel(), np.repeat(k, size - alpha)], axis=1)
-    return mrg_nnc(size, 1, alpha).links, cells
+    return _window(size, 1, alpha), cells
 
 
 def _bitset(flags: np.ndarray) -> int:

@@ -27,6 +27,7 @@ __all__ = [
     "be_lower_bound",
     "nnc_load",
     "ct_load",
+    "ct_lower_bound",
     "gc_load",
     "gc_lower_bound",
     "gc_lower_envelope",
@@ -162,6 +163,12 @@ def ct_load(mappers: int, r: int, alpha: int) -> Fraction:
     )
 
 
+def ct_lower_bound(mappers: int, r: int, alpha: int) -> Fraction:
+    """Lower bound of the subset topology: :func:`gc_lower_bound` at the one degree alpha."""
+    check_ct_parameters(mappers, r, alpha)
+    return _subset_bound(mappers, r, ((alpha, 1),))
+
+
 def gc_load(params: GcParameters) -> Fraction:
     """Achievable load with K_alpha reducers per alpha-subset."""
     lam, r = params.mappers, params.computation
@@ -171,13 +178,18 @@ def gc_load(params: GcParameters) -> Fraction:
     return total / params.reducer_count
 
 
+def _subset_bound(lam: int, r: int, degrees) -> Fraction:
+    """The bound :func:`gc_lower_bound` gives, from its (alpha, K_alpha)
+    pairs as ``degrees``: blind / (K (K - blind)) over the K reducers, of
+    which ``blind`` read none of the r mappers storing a given batch."""
+    k = sum(count * comb(lam, a) for a, count in degrees)
+    blind = sum(count * comb(lam - r, a) for a, count in degrees)
+    return Fraction(blind, k * (k - blind))
+
+
 def gc_lower_bound(params: GcParameters) -> Fraction:
     """Homogeneous-network lower bound at the parameters' computation load."""
-    lam, r = params.mappers, params.computation
-    terms = params.degrees
-    num = sum(k * comb(lam - r, a) for a, k in terms)
-    reach = sum(k * (comb(lam, a) - comb(lam - r, a)) for a, k in terms)
-    return Fraction(num, params.reducer_count * reach)
+    return _subset_bound(params.mappers, params.computation, params.degrees)
 
 
 def gc_lower_envelope(mappers: int, multiplicities) -> LoadCurve:

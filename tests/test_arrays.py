@@ -119,7 +119,6 @@ def test_builders_hand_over_their_grids(monkeypatch):
         algorithm1(5, 2, 2),
         parse_array("2 2\n0 *\n# comment\n* 0\n"),
         codedshuffle.algorithm2(codedshuffle.GcParameters(4, 2, (1, 1))),
-        codedshuffle.shift_symbols(base, 3),
         codedshuffle.nnc_pda(12, 2, 4),
         CodedArray(base.grid),
     ]:

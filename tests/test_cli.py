@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -482,6 +484,23 @@ def test_loads_and_sweep(run, tmp_path):
         "L_lower_bound,L_achievable_decimal"
     )
     assert len(lines) > 10
+
+
+def test_ct_family_builds_no_multiplicity_vector(run, monkeypatch):
+    # a subset-topology point reaches its array, graph, load and bound as
+    # its one degree, without a GcParameters
+    def refuse(self):
+        raise AssertionError("a GcParameters was built for a ct point")
+
+    monkeypatch.setattr(codedshuffle.GcParameters, "__post_init__", refuse)
+    ct, point = FAMILIES["ct"], (6, 2, 2)
+    arr, graph = ct.build(point), ct.graph(point)
+    assert np.array_equal(codedshuffle.access_pattern(graph), arr.star_mask)
+    assert (ct.load(point), ct.bound(point)) == (Fraction(2, 25), Fraction(2, 45))
+    code, out, _ = run("loads", "ct", "--lambda", "12", "--r", "2", "--alpha", "4")
+    assert code == 0 and json.loads(out)["L_achievable"] == "1/33"
+    code, out, _ = run("sweep", "ct", "--lambda", "6")
+    assert code == 0 and len(out.splitlines()) == 16
 
 
 def test_repro_passes(run):

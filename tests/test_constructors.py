@@ -23,7 +23,6 @@ from codedshuffle import (
     mrg_nnc,
     nnc_pda,
     parse_array,
-    shift_symbols,
     validate_l_cyclic,
     validate_mra,
     validate_pda,
@@ -39,14 +38,13 @@ from codedshuffle.constructors import (
     _subsets,
     check_ct_parameters,
     check_nnc_parameters,
-    ct_parameters,
     ct_points,
     gc_points,
     nnc_points,
 )
 from codedshuffle.metrics import be_load, be_points, load_from_array, nnc_load
 
-from conftest import alg2_params, nnc_triples, traced
+from conftest import alg2_params, nnc_triples, one_hot, traced
 from oracles import bf_algorithm1, bf_algorithm2, bf_clique_partition, bf_lex_rank
 
 
@@ -233,25 +231,6 @@ def test_algorithm1_symbol_semantics():
         assert len(members) == 1
 
 
-# --- symbol shifting -----------------------------------------------------------
-
-
-def test_shift_matches_golden_block(golden):
-    base = algorithm1(4, 2, 1)
-    shifted = shift_symbols(base, 4)
-    assert shifted.grid.tolist() == golden["gc_4_2_k20"].grid[:, 4:].tolist()
-
-
-def test_shift_identity_and_histogram(golden):
-    arr = golden["mra_irregular"]
-    assert shift_symbols(arr, 0) == arr
-    st0 = compute_stats(arr)
-    st5 = compute_stats(shift_symbols(arr, 5))
-    assert st0.histogram == st5.histogram
-    with pytest.raises(ValueError, match="offset must be non-negative"):
-        shift_symbols(arr, -1)
-
-
 # --- concatenated family ---------------------------------------------------------
 
 
@@ -307,7 +286,7 @@ def test_algorithm2_single_block_equals_algorithm1():
     for lam in range(2, 8):
         for point in ct_points(lam):
             arr = algorithm1(*point)
-            assert algorithm2(ct_parameters(*point)) == arr, point
+            assert algorithm2(one_hot(*point)) == arr, point
             assert arr.grid.tolist() == bf_algorithm1(*point), point
 
 

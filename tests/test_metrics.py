@@ -12,6 +12,7 @@ from codedshuffle import (
     be_load,
     be_lower_bound,
     ct_load,
+    ct_lower_bound,
     format_rational,
     gc_load,
     gc_lower_bound,
@@ -21,7 +22,7 @@ from codedshuffle import (
     nnc_load,
 )
 from codedshuffle.cli import FAMILIES
-from codedshuffle.constructors import ConstructionError, ct_parameters
+from codedshuffle.constructors import ConstructionError
 from codedshuffle.metrics import LoadCurve, be_lower_bound_corners
 
 from conftest import one_hot
@@ -126,11 +127,12 @@ def test_one_hot_closed_forms_skip_zero_terms():
     # mappers - r; the sums over them took over 20 s on a 2-core VM while
     # every zero term was still multiplied by a binomial
     start = time.perf_counter()
-    params = ct_parameters(30_000, 15_000, 1)
+    params = GcParameters(30_000, 15_000, (1,) + (0,) * 14_999)
     bound = gc_lower_bound(params)
     assert params.reducer_count == 30_000
     assert params.symbol_total == comb(30_000, 15_001)
     assert bound == Fraction(15_000, 30_000 * 15_000)
+    assert ct_lower_bound(30_000, 15_000, 1) == bound
     assert time.perf_counter() - start < 1
 
 

@@ -18,7 +18,7 @@ row is killed when pytest reports a failed test or a collection error.
 It prints one line per row and exits 1 when a row survives or its text
 does not occur exactly once (the code it breaks has changed: update or
 remove the row), else 0.  A new fault found by hand belongs in the table,
-with the tests that catch it.  The 57 rows took about 130 s on a 2-core VM,
+with the tests that catch it.  The 59 rows took about 160 s on a 2-core VM,
 most of it hypothesis shrinking the two property failures.
 """
 
@@ -93,12 +93,26 @@ MUTANTS = [
         "np.repeat(members(a).T, count, axis=1)",
         ["tests/test_mapreduce.py::test_access_pattern_matches_arrays"],
     ),
-    # the wrap-around links transposed
+    # the wrap-around window transposed
     (
         PKG + "constructors.py",
-        "(i[:, None] - i) % lam < alpha",
-        "(i - i[:, None]) % lam < alpha",
+        "(i[:, None] - step * i)",
+        "(step * i - i[:, None])",
         ["tests/test_mapreduce.py::test_mrg_nnc_example"],
+    ),
+    # the subset bound's denominator counting one reducer too many
+    (
+        PKG + "metrics.py",
+        "k * (k - blind)",
+        "k * (k - blind + 1)",
+        ["tests/test_metrics.py::test_gc_lower_bound"],
+    ),
+    # the ct bound taking points outside the family
+    (
+        PKG + "metrics.py",
+        "    check_ct_parameters(mappers, r, alpha)\n    return _subset_bound(",
+        "    return _subset_bound(",
+        ["tests/test_metrics.py::test_ct_bound_refuses_points_outside_the_family"],
     ),
     # layers of different mapper counts accepted
     (
